@@ -1,57 +1,24 @@
-"""Hot numerical kernels with a numba fast path and a pure-numpy fallback.
+"""Dormand-Prince 4(5) marcher for the shrinker profile ODE.
 
-Set ACSFLOW_NUMBA=0 to force the interpreted numpy path (same code, no JIT).
-The kernels are written so both paths execute identical arithmetic; see
-benchmarks/bench_kernels.py for a timing comparison.
-
-Kernels:
-  * Dormand-Prince 4(5) marcher for the shrinker profile ODE
-    U'' = U^(-1/alpha) - U, with first-minimum event detection or exact
-    landing on requested output angles, carrying the variation eta
-    (eta'' + eta + (1/alpha) U^(-1-1/alpha) eta = 0) and the running
-    quadrature of U^(1-1/alpha).
-  * Adaptive RK4 step-doubling marcher for the support-function flow
-    u_t = -(u_thth + u)^(-alpha) (+ normalization terms), using a dense
-    spectral second-derivative matrix.
+U'' = U^(-1/alpha) - U, started from (u_max, 0), carrying the variation eta
+(eta'' + eta + (1/alpha) U^(-1-1/alpha) eta = 0) and the running quadrature
+q of U^(1-1/alpha). The march either stops at the first interior minimum of
+U, polished on the true ODE, or lands exactly on requested output angles.
+The state has five components, so the marcher is scalar Python.
 """
-
-import os
 
 import numpy as np
 
-_flag = os.environ.get("ACSFLOW_NUMBA", "1").strip().lower()
-_want_numba = _flag not in ("0", "false", "no", "off")
 
-if _want_numba:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-    def jit(func):
-        return njit(cache=True, fastmath=False)(func)
-else:
-    def jit(func):
-        return func
-
-
-# -- shrinker profile ODE ------------------------------------------------------
-#
 # State vector y = (U, U', eta, eta', q) with q' = U^(1-1/alpha).
 
-# statuses shared by both marchers
+# statuses of the marcher
 OK = 0
 EVENT_NOT_FOUND = 1
 STEP_UNDERFLOW = 2
 NODE_OVERFLOW = 3
 
 
-@jit
 def _profile_rhs(y, inv_alpha, dy):
     u = y[0]
     if u <= 0.0:
@@ -65,7 +32,6 @@ def _profile_rhs(y, inv_alpha, dy):
     return True
 
 
-@jit
 def _dp45_step(y, h, inv_alpha, out, err):
     """One Dormand-Prince 4(5) step; fills out (5th order) and err estimate."""
     k1 = np.empty(5)
@@ -116,7 +82,6 @@ def _dp45_step(y, h, inv_alpha, out, err):
     return True
 
 
-@jit
 def _sub_integrate(y0, span, inv_alpha, nsub, out):
     """Integrate span with nsub fixed DP45 substeps (event polishing helper)."""
     cur = np.empty(5)
@@ -134,7 +99,6 @@ def _sub_integrate(y0, span, inv_alpha, nsub, out):
     return True
 
 
-@jit
 def _error_norm(err, y, ynew, scale_u, scale_v, rtol, atol):
     # component scales: amplitude-aware for (U, U'); running magnitude for the
     # variation pair; O(1) floor for the quadrature component
@@ -159,7 +123,6 @@ def _error_norm(err, y, ynew, scale_u, scale_v, rtol, atol):
     return e
 
 
-@jit
 def _march_profile(alpha, u_max, eta0, rtol, atol, theta_max,
                    theta_out, use_event, nodes):
     """March the profile ODE from (u_max, 0).
@@ -333,159 +296,6 @@ def _march_profile(alpha, u_max, eta0, rtol, atol, theta_max,
     return STEP_UNDERFLOW, n_nodes
 
 
-# -- support-function flow -----------------------------------------------------
-#
-# Flow modes for the marcher below.
-MODE_UNNORMALIZED = 0
-MODE_TAU = 1
-MODE_AREA = 2
-
-FLOW_REACHED_LIMIT = 0
-FLOW_MAX_ACCEPT = 1
-FLOW_MIN_RADIUS = 2
-FLOW_NON_CONVEX = 3
-FLOW_UNDERFLOW = 4
-
-
-@jit
-def _flow_rhs(u, alpha, mode, d2, conv_rtol):
-    """Flow right-hand side; returns (du, min_roc, ok)."""
-    ubar = np.mean(u)
-    # constants lie in the kernel of d2/dth2: differentiating u - mean(u)
-    # keeps d2's row-sum rounding out of w, so a circle stays exactly round
-    w = np.dot(d2, u - ubar) + u
-    wmin = np.min(w)
-    if wmin <= conv_rtol * ubar:
-        return u, wmin, False
-    speed = w ** (-alpha)
-    if mode == MODE_UNNORMALIZED:
-        return -speed, wmin, True
-    if mode == MODE_TAU:
-        return u - speed, wmin, True
-    m = np.mean(w ** (1.0 - alpha))
-    return u - speed / m, wmin, True
-
-
-@jit
-def _rk4(u, h, alpha, mode, d2, conv_rtol):
-    k1, _, ok = _flow_rhs(u, alpha, mode, d2, conv_rtol)
-    if not ok:
-        return u, False
-    k2, _, ok = _flow_rhs(u + 0.5 * h * k1, alpha, mode, d2, conv_rtol)
-    if not ok:
-        return u, False
-    k3, _, ok = _flow_rhs(u + 0.5 * h * k2, alpha, mode, d2, conv_rtol)
-    if not ok:
-        return u, False
-    k4, _, ok = _flow_rhs(u + h * k3, alpha, mode, d2, conv_rtol)
-    if not ok:
-        return u, False
-    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), True
-
-
-@jit
-def _flow_advance(u, t0, h0, t_limit, alpha, mode, d2, rtol, atol,
-                  stop_min_radius, conv_rtol, cfl_c, stab_c, max_accept,
-                  max_dt):
-    """Advance the flow in place until t_limit or max_accept accepted steps.
-
-    Step control is RK4 step doubling with local extrapolation; the step is
-    additionally capped by an explicit-stability estimate, by the
-    near-extinction guard cfl_c * min_roc^(1 + alpha), and by max_dt.
-    Returns (status, t, h_next, n_accepted).
-    """
-    n = u.shape[0]
-    t = t0
-    h = h0
-    n_acc = 0
-    halfmode2 = (0.5 * n) ** 2 - 1.0
-
-    for _ in range(100000000):
-        if t >= t_limit:
-            return FLOW_REACHED_LIMIT, t, h, n_acc
-
-        ubar = np.mean(u)
-        # d2 applied to u - mean(u), as in _flow_rhs
-        w = np.dot(d2, u - ubar) + u
-        wmin = np.min(w)
-        if wmin <= conv_rtol * ubar:
-            return FLOW_NON_CONVEX, t, h, n_acc
-        if wmin < stop_min_radius:
-            return FLOW_MIN_RADIUS, t, h, n_acc
-
-        # explicit stability cap from the stiffest Fourier mode
-        coeff = alpha * np.max(w ** (-alpha - 1.0))
-        if mode == MODE_AREA:
-            coeff = coeff / np.mean(w ** (1.0 - alpha))
-        lam = coeff * halfmode2 + 1.0
-        hcap = stab_c / lam
-        if hcap > max_dt:
-            hcap = max_dt
-        if h > hcap:
-            h = hcap
-        hguard = cfl_c * wmin ** (1.0 + alpha)
-        if h > hguard:
-            h = hguard
-        # landing steps are clamped for output only; the controller keeps
-        # proposing from the unclamped step so sampling does not perturb
-        # the step sequence
-        landing = False
-        h_step = h
-        if t + h >= t_limit:
-            h_step = t_limit - t
-            landing = True
-        if h_step <= 1e-14 * max(1.0, abs(t)):
-            if landing:
-                return FLOW_REACHED_LIMIT, t_limit, h, n_acc
-            return FLOW_UNDERFLOW, t, h_step, n_acc
-
-        y1, ok1 = _rk4(u, h_step, alpha, mode, d2, conv_rtol)
-        if ok1:
-            yh, okh = _rk4(u, 0.5 * h_step, alpha, mode, d2, conv_rtol)
-            if okh:
-                y2, ok2 = _rk4(yh, 0.5 * h_step, alpha, mode, d2, conv_rtol)
-            else:
-                ok2 = False
-        else:
-            ok2 = False
-        if not (ok1 and ok2):
-            h = 0.25 * h_step
-            continue
-
-        enorm = 0.0
-        for i in range(n):
-            e = abs(y2[i] - y1[i]) / (atol + rtol * abs(u[i]))
-            if e > enorm:
-                enorm = e
-        enorm /= 15.0
-        if not np.isfinite(enorm):
-            enorm = 10.0
-
-        if enorm <= 1.0:
-            for i in range(n):
-                u[i] = y2[i] + (y2[i] - y1[i]) / 15.0
-            t = t_limit if landing else t + h_step
-            n_acc += 1
-            if not landing:
-                fac = 4.0 if enorm < 1e-8 else 0.9 * enorm ** (-0.2)
-                if fac > 4.0:
-                    fac = 4.0
-                if fac < 0.2:
-                    fac = 0.2
-                h = h_step * fac
-            if landing:
-                return FLOW_REACHED_LIMIT, t, h, n_acc
-            if n_acc >= max_accept:
-                return FLOW_MAX_ACCEPT, t, h, n_acc
-        else:
-            fac = 0.9 * enorm ** (-0.2)
-            if fac < 0.1:
-                fac = 0.1
-            h = h_step * fac
-
-    return FLOW_UNDERFLOW, t, h, n_acc
-
-
 # -- wrappers -----------------------------------------------------------------
 
 _NODE_CAP = 16384
@@ -513,34 +323,3 @@ def march_resample(alpha, u_max, theta_out, eta0=0.0, rtol=1e-12, atol=1e-15):
                                float(rtol), float(atol), float(np.inf),
                                theta_out, False, buf)
     return status, buf[:m].copy()
-
-
-def flow_advance(u, t, h, t_limit, alpha, mode, d2, rtol, atol,
-                 stop_min_radius, conv_rtol, cfl_c=0.2, stab_c=2.5,
-                 max_accept=1 << 60, max_dt=np.inf):
-    """Advance the flow state u (modified in place). See _flow_advance."""
-    return _flow_advance(u, float(t), float(h), float(t_limit), float(alpha),
-                         int(mode), d2, float(rtol), float(atol),
-                         float(stop_min_radius), float(conv_rtol),
-                         float(cfl_c), float(stab_c), int(max_accept),
-                         float(max_dt))
-
-
-def warmup():
-    """Trigger JIT compilation (no-op on the numpy path)."""
-    march_event(0.5, 1.2, eta0=1.0, rtol=1e-8, atol=1e-10)
-    march_resample(0.5, 1.2, np.array([0.0, 0.3]), rtol=1e-8, atol=1e-10)
-    n = 16
-    d2 = _spectral_d2(n)
-    u = np.ones(n)
-    flow_advance(u, 0.0, 1e-3, 1e-2, 0.5, MODE_TAU, d2, 1e-6, 1e-9,
-                 1e-6, 1e-10)
-
-
-
-def _spectral_d2(n):
-    """Dense FFT second-derivative matrix (used here only by warmup)."""
-    m = np.arange(n // 2 + 1, dtype=float)
-    eye = np.eye(n)
-    mat = np.fft.irfft(np.fft.rfft(eye, axis=0) * (-(m * m))[:, None], n, axis=0)
-    return 0.5 * (mat + mat.T)

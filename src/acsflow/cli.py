@@ -217,6 +217,7 @@ def cmd_flow(args):
         "area_final": float(trace.area[-1]),
         "length_final": float(trace.length[-1]),
         "iso_ratio_final": float(trace.iso_ratio[-1]),
+        "stats": trace.stats.to_json_dict(),
     }
     out = _ensure_outdir(args.outdir)
     if out:
@@ -234,6 +235,7 @@ def cmd_flow(args):
             "rtol": config.rtol, "log_entropy": config.log_entropy,
             "terminal_reason": trace.terminal_reason,
             "rows": len(trace), "accepted_steps": trace.n_steps,
+            "stats": trace.stats.to_json_dict(),
         })
         if args.gnuplot:
             _write(out, "plot.gp", _GNUPLOT_TRACE)

@@ -6,32 +6,29 @@ Three gauges of the same motion:
   normalized_area  u_tau = -kappa^alpha / mean(kappa^(alpha-1)) + u
                                                  (enclosed area pinned to pi)
 
-Stepping is explicit RK4 with step-doubling error control plus two step caps:
-an explicit-stability estimate from the stiffest Fourier mode and the
-near-extinction guard dt <= 0.2 * min(u_thth + u)^(1 + alpha). Runs stop at
-t_end, at the minimum-radius floor, on convexity loss, or on step underflow,
-and report which.
+One marcher, flow_advance, written in numpy: explicit RK4 with step-doubling
+error control and local extrapolation, on the dense spectral D2. The full
+step and the first half step share k1 = f(u), which also supplies the two
+step caps: an explicit-stability estimate from the stiffest Fourier mode and
+the near-extinction guard dt <= 0.2 * min(u_thth + u)^(1 + alpha). So an
+accepted step costs 11 RHS evaluations (one D2 apply each), and a rejected
+step reuses k1 and the caps. Runs stop at t_end, at the minimum-radius
+floor, on convexity loss, or on step underflow, and report which; the work
+counts go to FlowTrace.stats.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from . import _kernels as K
 from .errors import BadConfig, BadDomain, InsufficientData, NonConvex
 from .geometry import (CONVEXITY_RTOL, AngularGrid, SupportFunction, area,
                        deriv2, require_convex)
 
-_MODES = {"unnormalized": K.MODE_UNNORMALIZED,
-          "normalized_tau": K.MODE_TAU,
-          "normalized_area": K.MODE_AREA}
-
-_REASONS = {K.FLOW_MIN_RADIUS: "min_radius",
-            K.FLOW_NON_CONVEX: "non_convex",
-            K.FLOW_UNDERFLOW: "step_underflow"}
+_MODES = ("unnormalized", "normalized_tau", "normalized_area")
 
 CFL_COEFF = 0.2
 STABILITY_COEFF = 2.5
@@ -79,6 +76,137 @@ def rhs(u: SupportFunction, alpha, mode) -> np.ndarray:
     raise BadConfig(f"unknown mode {mode!r}")
 
 
+@dataclass
+class FlowStats:
+    """Work counts of the step controller, summed over the calls it is given to."""
+
+    accepted: int = 0
+    rejected_error: int = 0  # error estimate above tolerance
+    rejected_convexity: int = 0  # a stage state failed the convexity test
+    rhs_evals: int = 0
+
+    def to_json_dict(self):
+        return asdict(self)
+
+
+def _flow_rhs(u, alpha, mode, d2, stats):
+    """Flow right-hand side at u on the dense D2; returns (du, w).
+
+    du is None when min(w) is not above CONVEXITY_RTOL * mean(u), which
+    every non-finite u fails too.
+    """
+    stats.rhs_evals += 1
+    ubar = np.mean(u)
+    # constants lie in the kernel of d2/dth2: differentiating u - mean(u)
+    # keeps d2's row-sum rounding out of w, so a circle stays exactly round
+    w = np.dot(d2, u - ubar) + u
+    if not (np.min(w) > CONVEXITY_RTOL * ubar):
+        return None, w
+    speed = w ** (-alpha)
+    if mode == "unnormalized":
+        return -speed, w
+    if mode == "normalized_tau":
+        return u - speed, w
+    m = np.mean(w ** (1.0 - alpha))
+    return u - speed / m, w
+
+
+def _rk4(u, h, k1, alpha, mode, d2, stats):
+    """One RK4 step of size h from u given k1 = f(u); None on convexity loss."""
+    k2, _ = _flow_rhs(u + 0.5 * h * k1, alpha, mode, d2, stats)
+    if k2 is None:
+        return None
+    k3, _ = _flow_rhs(u + 0.5 * h * k2, alpha, mode, d2, stats)
+    if k3 is None:
+        return None
+    k4, _ = _flow_rhs(u + h * k3, alpha, mode, d2, stats)
+    if k4 is None:
+        return None
+    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def flow_advance(u, t, h, t_limit, alpha, mode, d2, rtol, atol,
+                 stop_min_radius, stats, max_accept=1 << 60, max_dt=np.inf):
+    """Advance the flow state u in place until t_limit or max_accept steps.
+
+    Step control is RK4 step doubling with local extrapolation; the step is
+    also capped by an explicit-stability estimate, by the near-extinction
+    guard CFL_COEFF * min_roc^(1 + alpha), and by max_dt. A step is rejected
+    when a stage state fails the convexity test or the error estimate is
+    above tolerance or not finite. Counts go to stats (a FlowStats).
+
+    Returns (status, t, h_next); status is "reached_limit", "max_accept",
+    "min_radius", "non_convex" (u fails the convexity test; it is not
+    stepped) or "step_underflow".
+    """
+    halfmode2 = (0.5 * u.shape[0]) ** 2 - 1.0
+    n_acc = 0
+    k1 = None  # f(u), with the step caps of u, until u changes
+
+    for _ in range(100_000_000):
+        if t >= t_limit:
+            return "reached_limit", t, h
+
+        if k1 is None:
+            k1, w = _flow_rhs(u, alpha, mode, d2, stats)
+            if k1 is None:
+                return "non_convex", t, h
+            wmin = np.min(w)
+            if wmin < stop_min_radius:
+                return "min_radius", t, h
+            # explicit stability cap from the stiffest Fourier mode
+            coeff = alpha * np.max(w ** (-alpha - 1.0))
+            if mode == "normalized_area":
+                coeff = coeff / np.mean(w ** (1.0 - alpha))
+            hcap = min(STABILITY_COEFF / (coeff * halfmode2 + 1.0), max_dt)
+            hguard = CFL_COEFF * wmin ** (1.0 + alpha)
+        h = min(h, hcap, hguard)
+        # landing steps are clamped for output only; the controller keeps
+        # proposing from the unclamped step so sampling does not perturb
+        # the step sequence
+        landing = t + h >= t_limit
+        h_step = t_limit - t if landing else h
+        if h_step <= 1e-14 * max(1.0, abs(t)):
+            if landing:
+                return "reached_limit", t_limit, h
+            return "step_underflow", t, h_step
+
+        y2 = None
+        y1 = _rk4(u, h_step, k1, alpha, mode, d2, stats)
+        if y1 is not None:
+            yh = _rk4(u, 0.5 * h_step, k1, alpha, mode, d2, stats)
+            if yh is not None:
+                kh, _ = _flow_rhs(yh, alpha, mode, d2, stats)
+                if kh is not None:
+                    y2 = _rk4(yh, 0.5 * h_step, kh, alpha, mode, d2, stats)
+        if y2 is None:
+            stats.rejected_convexity += 1
+            h = 0.25 * h_step
+            continue
+
+        enorm = np.max(np.abs(y2 - y1) / (atol + rtol * np.abs(u))) / 15.0
+        if not np.isfinite(enorm):
+            enorm = 10.0
+        if enorm > 1.0:
+            stats.rejected_error += 1
+            h = h_step * max(0.9 * enorm ** (-0.2), 0.1)
+            continue
+
+        u[:] = y2 + (y2 - y1) / 15.0
+        k1 = None
+        n_acc += 1
+        stats.accepted += 1
+        if landing:
+            return "reached_limit", t_limit, h
+        t = t + h_step
+        fac = 4.0 if enorm < 1e-8 else 0.9 * enorm ** (-0.2)
+        h = h_step * min(max(fac, 0.2), 4.0)
+        if n_acc >= max_accept:
+            return "max_accept", t, h
+
+    return "step_underflow", t, h
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     alpha: float
@@ -113,6 +241,7 @@ class FlowTrace:
     terminal_reason: str
     n_steps: int
     sample_dt: float | None = None
+    stats: FlowStats | None = None  # None for a trace read back from disk
 
     def __len__(self):
         return len(self.times)
@@ -156,11 +285,10 @@ def run(config: FlowConfig) -> FlowTrace:
     grid = config.initial.grid
     n = grid.n
     d2 = spectral_d2_matrix(n)
-    mode = _MODES[config.mode]
     u = config.initial.values.copy()
     t = 0.0
     h = config.dt
-    steps_left = config.max_steps
+    stats = FlowStats()
 
     rows = []
     snaps = [] if config.store_snapshots else None
@@ -181,6 +309,7 @@ def run(config: FlowConfig) -> FlowTrace:
     reason = None
     i_sample = 0
     while reason is None:
+        steps_left = config.max_steps - stats.accepted
         if config.sample_dt is not None:
             # exact multiples keep the sample spacing uniform to rounding;
             # a final sliver shorter than a quarter interval is absorbed
@@ -192,24 +321,22 @@ def run(config: FlowConfig) -> FlowTrace:
         else:
             target = config.t_end
             max_accept = min(config.sample_every, steps_left)
-        status, t, h, n_acc = K.flow_advance(
-            u, t, h, target, config.alpha, mode, d2, config.rtol, config.atol,
-            config.stop_min_radius, CONVEXITY_RTOL, CFL_COEFF, STABILITY_COEFF,
-            max_accept, config.max_dt if config.max_dt is not None else np.inf)
-        steps_left -= n_acc
-        if status == K.FLOW_REACHED_LIMIT:
-            record(t, u)
+        status, t, h = flow_advance(
+            u, t, h, target, config.alpha, config.mode, d2, config.rtol,
+            config.atol, config.stop_min_radius, stats, max_accept,
+            config.max_dt if config.max_dt is not None else np.inf)
+        if status == "non_convex":
+            reason = status  # state failed the check; do not record it
+            break
+        record(t, u)
+        if status == "reached_limit":
             if t >= config.t_end:
                 reason = "reached_end"
-        elif status == K.FLOW_MAX_ACCEPT:
-            record(t, u)
-            if steps_left <= 0:
+        elif status == "max_accept":
+            if stats.accepted >= config.max_steps:
                 reason = "max_steps"
-        elif status == K.FLOW_NON_CONVEX:
-            reason = "non_convex"  # state failed the check; do not record it
         else:
-            record(t, u)
-            reason = _REASONS[status]
+            reason = status
 
     rows_arr = np.array(rows)
     return FlowTrace(
@@ -218,8 +345,8 @@ def run(config: FlowConfig) -> FlowTrace:
         iso_ratio=rows_arr[:, 3], min_curvature=rows_arr[:, 4],
         max_curvature=rows_arr[:, 5], entropy=rows_arr[:, 6],
         snapshots=np.array(snaps) if snaps is not None else None,
-        terminal_reason=reason, n_steps=config.max_steps - steps_left,
-        sample_dt=config.sample_dt)
+        terminal_reason=reason, n_steps=stats.accepted,
+        sample_dt=config.sample_dt, stats=stats)
 
 
 def area_derivative_check(u: SupportFunction, alpha, dt=1e-5) -> float:
@@ -229,11 +356,12 @@ def area_derivative_check(u: SupportFunction, alpha, dt=1e-5) -> float:
     a0 = area(u)
 
     vals = u.values.copy()
-    K.flow_advance(vals, 0.0, dt / 8.0, dt / 2.0, alpha, K.MODE_UNNORMALIZED, d2,
-                   1e-11, 1e-14, 0.0, CONVEXITY_RTOL, CFL_COEFF, STABILITY_COEFF)
+    stats = FlowStats()
+    flow_advance(vals, 0.0, dt / 8.0, dt / 2.0, alpha, "unnormalized", d2,
+                 1e-11, 1e-14, 0.0, stats)
     w_mid = deriv2(vals) + vals
-    K.flow_advance(vals, dt / 2.0, dt / 8.0, dt, alpha, K.MODE_UNNORMALIZED, d2,
-                   1e-11, 1e-14, 0.0, CONVEXITY_RTOL, CFL_COEFF, STABILITY_COEFF)
+    flow_advance(vals, dt / 2.0, dt / 8.0, dt, alpha, "unnormalized", d2,
+                 1e-11, 1e-14, 0.0, stats)
     a1 = 0.5 * grid.dtheta * float(np.sum(vals * (deriv2(vals) + vals)))
 
     lhs = (a1 - a0) / dt

@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from acsflow import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT compilation happens once here so timed tests measure computation
-    _kernels.warmup()
-
 
 @pytest.fixture
 def grid256():

@@ -289,3 +289,55 @@ def test_max_steps_reason(grid256):
     tr = run(cfg)
     assert tr.terminal_reason == "max_steps"
     assert tr.n_steps == 20
+
+
+def test_stats_count_eleven_rhs_per_step(grid256):
+    # k1 = f(u) serves the step caps, the full step and the first half step
+    cfg = FlowConfig(alpha=0.5, mode="unnormalized", initial=circle_support(grid256),
+                     t_end=0.1, sample_dt=0.05)
+    stats = run(cfg).stats
+    assert stats.accepted > 0
+    assert stats.rejected_error == stats.rejected_convexity == 0
+    assert stats.rhs_evals == 11 * stats.accepted
+
+
+def _advance(u, mode="normalized_tau", t_limit=0.01):
+    stats = flow.FlowStats()
+    d2 = flow.spectral_d2_matrix(len(u))
+    status, t, _ = flow.flow_advance(u, 0.0, 1e-3, t_limit, 0.5, mode, d2,
+                                     1e-8, 1e-11, 1e-3, stats)
+    return status, t, stats
+
+
+def test_non_finite_state_is_non_convex():
+    u = np.ones(64)
+    u[5] = np.nan
+    status, t, stats = _advance(u)
+    assert status == "non_convex"
+    assert t == 0.0 and stats.accepted == 0
+    assert np.isnan(u[5]) and np.all(np.delete(u, 5) == 1.0)
+
+
+@pytest.mark.parametrize("poisoned_call, rejection", [
+    (2, "rejected_convexity"),  # k2 of the full step: the k3 stage is not finite
+    (4, "rejected_error"),  # k4 of the full step: its result is not finite
+])
+def test_non_finite_stage_rejects_step(monkeypatch, poisoned_call, rejection):
+    real = flow._flow_rhs
+    calls = []
+
+    def poisoned(v, *args):
+        du, w = real(v, *args)
+        calls.append(None)
+        if len(calls) == poisoned_call:
+            du = du.copy()
+            du[3] = np.nan
+        return du, w
+
+    monkeypatch.setattr(flow, "_flow_rhs", poisoned)
+    u = 1.0 + 1e-2 * np.cos(3 * AngularGrid(64).nodes)
+    status, t, stats = _advance(u, mode="unnormalized")
+    assert status == "reached_limit" and t == 0.01
+    assert getattr(stats, rejection) == 1
+    assert stats.rejected_error + stats.rejected_convexity == 1
+    assert np.all(np.isfinite(u))
