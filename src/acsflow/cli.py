@@ -42,20 +42,24 @@ def _load_config(path):
     return cfg
 
 
-def _merge(args, parser, config):
-    """Apply config-file values underneath explicitly passed flags."""
+def _merge(args, config):
+    """Apply config-file values underneath explicitly passed flags.
+
+    An option still at None, or a store_true flag still at False, was not
+    passed, so the config file sets it.
+    """
     for key, value in config.items():
         attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None and hasattr(args, attr):
-            setattr(args, attr, value)
-    return args
+        if hasattr(args, attr):
+            current = getattr(args, attr)
+            if current is None or current is False:
+                setattr(args, attr, value)
 
 
 def _ensure_outdir(path):
     if path is None:
         return None
     os.makedirs(path, exist_ok=True)
-    os.makedirs(os.path.join(path, "snapshots"), exist_ok=True)
     return path
 
 
@@ -101,13 +105,14 @@ def cmd_shrinker(args):
     out = _ensure_outdir(args.out)
     if out:
         _write_json(out, "profile.json", shrinker.profile_to_json_dict(profile))
-        if k != "circle":
-            seg = shrinker.segment_for_ratio(alpha, profile.r_k)
+        seg = profile.segment
+        if seg is not None:
             _write(out, "segment.csv", shrinker.segment_to_csv(seg))
         _write_json(out, "meta.json", {
             "command": "shrinker", "version": __version__,
             "alpha": alpha, "k": profile.k, "n": n,
             "residual": profile.residual,
+            "fint_drift": None if seg is None else seg.fint_drift,
         })
         if args.gnuplot:
             _write(out, "plot.gp", _GNUPLOT_PROFILE)
@@ -149,8 +154,6 @@ def cmd_spectrum(args):
             "alpha": alpha, "profile": _fold_tag(profile.k),
             "n": profile.h.grid.n, "jmax": int(args.jmax),
         })
-        if args.gnuplot:
-            _write(out, "plot.gp", _GNUPLOT_SPECTRUM)
     print(json_dumps(record))
     return 0
 
@@ -221,6 +224,7 @@ def cmd_flow(args):
     }
     out = _ensure_outdir(args.outdir)
     if out:
+        os.makedirs(os.path.join(out, "snapshots"), exist_ok=True)
         _write(out, "trace.csv", flow.trace_to_csv(trace))
         if trace.snapshots is not None:
             for i in range(len(trace)):
@@ -334,8 +338,6 @@ def cmd_entropy_table(args):
         _write_json(out, "meta.json", {
             "command": "entropy-table", "version": __version__, "alpha": alpha,
         })
-        if args.gnuplot:
-            _write(out, "plot.gp", _GNUPLOT_TABLE)
     print(json_dumps(record))
     return 0
 
@@ -358,11 +360,6 @@ plot 'segment.csv' using 1:2 with lines title 'U(theta)'
 pause -1
 """
 
-_GNUPLOT_SPECTRUM = """# gnuplot stub: spectrum (edit to taste)
-# eigenvalues live in spectrum.json; convert to a column file to plot
-print 'see spectrum.json'
-"""
-
 _GNUPLOT_MODES = """# gnuplot stub: neutral-mode energy
 set datafile separator ','
 set key autotitle columnhead
@@ -370,11 +367,6 @@ set logscale y
 plot 'modes.csv' using 1:(column('rho')) with lines title 'rho'
 pause -1
 """
-
-_GNUPLOT_TABLE = """# gnuplot stub: entropy table
-print 'see entropy_table.json'
-"""
-
 
 # -- main ------------------------------------------------------------------------
 
@@ -400,7 +392,6 @@ def _build_parser():
     p.add_argument("--n", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--gnuplot", action="store_true")
     p.set_defaults(func=cmd_spectrum, _defaults={"jmax": 40, "n": 512})
 
     p = sub.add_parser("flow", help="time-integrate the flow")
@@ -437,7 +428,6 @@ def _build_parser():
     p.add_argument("--alpha", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--gnuplot", action="store_true")
     p.set_defaults(func=cmd_entropy_table, _defaults={})
 
     return parser
@@ -448,7 +438,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = _load_config(getattr(args, "config", None))
-        _merge(args, parser, config)
+        _merge(args, config)
         for key, value in args._defaults.items():
             if getattr(args, key, None) is None:
                 setattr(args, key, value)

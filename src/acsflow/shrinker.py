@@ -10,6 +10,13 @@ symmetric profile, which satisfies h_thth + h = h^(-1/alpha).
 The arc ODE has the first integral
     U'^2 + U^2 + (2 alpha / (1 - alpha)) U^(1 - 1/alpha) = C,
 which every returned segment is checked against.
+
+Every arc is integrated by scipy's solve_ivp with DOP853 (integrate_arc).
+The state carries, beside (U, U'), the variation eta of U in the shooting
+parameter and the running quadrature q of U^(1 - 1/alpha). A segment stops at
+the first interior minimum of U, located by a terminal event on U' rising
+through zero; a resampled arc is integrated interval by interval, landing
+exactly on each requested angle.
 """
 
 import math
@@ -18,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from . import _kernels as K
 from .errors import (AcsflowError, EventNotFound, NoBracket, OrderingViolated,
                      OutOfRange, StepUnderflow)
 from .geometry import AngularGrid, SupportFunction, deriv2
@@ -69,6 +75,7 @@ class ShrinkerProfile:
     h: SupportFunction = field(repr=False)
     entropy: float
     residual: float
+    segment: ShrinkerSegment | None = field(repr=False)  # the arc; None for the circle
 
 
 def check_alpha(alpha):
@@ -82,27 +89,74 @@ def first_integral_value(alpha, u, u_theta):
     return u_theta**2 + u**2 + (2.0 * alpha / (1.0 - alpha)) * u ** (1.0 - 1.0 / alpha)
 
 
-def _raise_for_status(status):
-    if status == K.EVENT_NOT_FOUND:
-        raise EventNotFound("no interior minimum of U before theta = 10*pi")
-    if status == K.STEP_UNDERFLOW:
-        raise StepUnderflow("profile ODE step size underflow")
-    if status == K.NODE_OVERFLOW:
-        raise StepUnderflow("profile ODE produced too many nodes")
+def _arc_rhs(alpha):
+    inv_alpha = 1.0 / alpha
+
+    def rhs(theta, y):
+        u, u_theta, eta, eta_theta, _ = y
+        upow = u ** -inv_alpha
+        return [u_theta, upow - u, eta_theta,
+                -(1.0 + inv_alpha * upow / u) * eta, u * upow]
+
+    return rhs
 
 
-def solve_segment(alpha, u_max, rtol=SEGMENT_RTOL, atol=SEGMENT_ATOL) -> ShrinkerSegment:
+def _first_minimum(theta, y):
+    return y[1]
+
+
+_first_minimum.terminal = True
+_first_minimum.direction = 1.0  # U' rising through zero: a minimum of U
+
+
+def _solve(rhs, span, y0, events=None):
+    # imported on first use: scipy.integrate adds about 40 ms to the start-up
+    # of every command, and flow and modes never integrate an arc
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=SEGMENT_RTOL,
+                    atol=SEGMENT_ATOL, events=events)
+    if sol.status < 0:
+        raise StepUnderflow(f"profile ODE: {sol.message}")
+    return sol
+
+
+def integrate_arc(alpha, u_max, theta_out=None, eta0=0.0):
+    """The arc state y = (U, U', eta, eta', q) started from (u_max, 0, eta0, 0, 0).
+
+    eta solves the variational equation eta'' + eta + (1/alpha) U^(-1-1/alpha)
+    eta = 0 and q' = U^(1 - 1/alpha). Without theta_out the arc stops at the
+    first interior minimum of U and the rows are the DOP853 step nodes, the
+    minimum last. With theta_out (increasing, >= 0) each interval is its own
+    solve, started from the state the previous one ended at, so every row is
+    an integrated value, never an interpolated one.
+
+    Returns (theta, y) with y of shape (5, len(theta)).
+    """
+    rhs = _arc_rhs(alpha)
+    y = np.array([u_max, 0.0, eta0, 0.0, 0.0])
+    if theta_out is None:
+        sol = _solve(rhs, (0.0, THETA_SEARCH_MAX), y, events=_first_minimum)
+        if sol.status == 0:
+            raise EventNotFound("no interior minimum of U before theta = 10*pi")
+        return sol.t, sol.y
+    theta_out = np.asarray(theta_out, dtype=float)
+    out = np.empty((5, len(theta_out)))
+    theta = 0.0
+    for i, theta_next in enumerate(theta_out):
+        if theta_next > theta:
+            y = _solve(rhs, (theta, theta_next), y).y[:, -1]
+            theta = theta_next
+        out[:, i] = y
+    return theta_out, out
+
+
+def solve_segment(alpha, u_max) -> ShrinkerSegment:
     """Integrate one monotone arc from (u_max, 0) to its first minimum."""
     check_alpha(alpha)
     if not u_max > 1.0:
         raise OutOfRange(f"u_max must exceed 1 (got {u_max}); U = 1 is the equilibrium")
-    status, nodes = K.march_event(alpha, u_max, rtol=rtol, atol=atol,
-                                  theta_max=THETA_SEARCH_MAX)
-    _raise_for_status(status)
-    theta = nodes[:, 0]
-    u = nodes[:, 1]
-    ut = nodes[:, 2]
-    quad = nodes[:, 5]
+    theta, (u, ut, _, _, quad) = integrate_arc(alpha, u_max)
     span = float(theta[-1])
     u_min = float(u[-1])
     fint = first_integral_value(alpha, u, ut)
@@ -141,14 +195,14 @@ def _bracket_increasing(fn, target, x_lo, grow, x_cap, what):
     return (x_lo, x_hi), (f_lo, f_hi)
 
 
-def segment_for_ratio(alpha, r, rtol=SEGMENT_RTOL, atol=SEGMENT_ATOL) -> ShrinkerSegment:
+def segment_for_ratio(alpha, r) -> ShrinkerSegment:
     """Arc whose max/min support ratio equals r (root-find over u_max)."""
     check_alpha(alpha)
     if not r > 1.0:
         raise OutOfRange(f"ratio must exceed 1, got {r}")
 
     def ratio_of(u_max):
-        return solve_segment(alpha, u_max, rtol=rtol, atol=atol).r
+        return solve_segment(alpha, u_max).r
 
     # linearization about U = 1 gives ratio ~ 1 + 2*(u_max - 1)
     guess = 1.0 + 0.5 * (r - 1.0)
@@ -167,7 +221,7 @@ def segment_for_ratio(alpha, r, rtol=SEGMENT_RTOL, atol=SEGMENT_ATOL) -> Shrinke
         bracket = (lo, hi)
     u_root = brentq(lambda x: ratio_of(x) - r, bracket[0], bracket[1],
                     xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    seg = solve_segment(alpha, u_root, rtol=rtol, atol=atol)
+    seg = solve_segment(alpha, u_root)
     if abs(seg.r - r) > 1e-10 * r:
         raise StepUnderflow(f"ratio root-find stalled: wanted {r}, got {seg.r}")
     return seg
@@ -211,13 +265,13 @@ def _check_fold(alpha, k):
             f"requires k < sqrt(1 + 1/alpha) = {math.sqrt(1.0 + 1.0 / alpha):.6f}")
 
 
-def _segment_for_k(alpha, k, rtol=SEGMENT_RTOL, atol=SEGMENT_ATOL) -> ShrinkerSegment:
+def _segment_for_k(alpha, k) -> ShrinkerSegment:
     """Arc with Theta = pi/k, root-found over the shooting parameter u_max."""
     _check_fold(alpha, k)
     target = math.pi / k
 
     def span_of(u_max):
-        return solve_segment(alpha, u_max, rtol=rtol, atol=atol).theta_span
+        return solve_segment(alpha, u_max).theta_span
 
     bracket, _ = _bracket_increasing(span_of, target, 1.0 + 1e-9,
                                      lambda x: 1.0 + 2.0 * (x - 1.0),
@@ -226,7 +280,7 @@ def _segment_for_k(alpha, k, rtol=SEGMENT_RTOL, atol=SEGMENT_ATOL) -> ShrinkerSe
         raise NoBracket(f"theta = pi/{k} unattainable: span exceeds target at r -> 1")
     u_root = brentq(lambda x: span_of(x) - target, bracket[0], bracket[1],
                     xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    seg = solve_segment(alpha, u_root, rtol=rtol, atol=atol)
+    seg = solve_segment(alpha, u_root)
     if abs(seg.theta_span - target) > 1e-10:
         raise StepUnderflow(
             f"period root-find stalled: |theta - pi/{k}| = {abs(seg.theta_span - target):.2e}")
@@ -250,11 +304,9 @@ def variation_eta(segment: ShrinkerSegment, delta_scale=1e-4) -> VariationArc:
     up = segment_for_ratio(alpha, r + delta).u_max
     um = segment_for_ratio(alpha, r - delta).u_max
     eta0 = (up - um) / (2.0 * delta)
-    status, nodes = K.march_resample(alpha, segment.u_max, segment.samples.theta,
-                                     eta0=eta0, rtol=SEGMENT_RTOL, atol=SEGMENT_ATOL)
-    _raise_for_status(status)
-    return VariationArc(theta=segment.samples.theta.copy(),
-                        eta=nodes[:, 3], eta_theta=nodes[:, 4], eta0=eta0)
+    theta, (_, _, eta, eta_theta, _) = integrate_arc(
+        alpha, segment.u_max, segment.samples.theta, eta0=eta0)
+    return VariationArc(theta=theta.copy(), eta=eta, eta_theta=eta_theta, eta0=eta0)
 
 
 def shrinker_entropy(alpha, k) -> float:
@@ -290,15 +342,17 @@ def assemble_profile(alpha, k, grid_n=None) -> ShrinkerProfile:
     """Closed profile support function on a uniform grid.
 
     For integer k the grid size must be a multiple of 2k so the reflection
-    seams fall on grid nodes; the arc is re-integrated landing exactly on the
-    folded node angles (no interpolation).
+    seams fall on grid nodes. The arc Theta = pi/k is found by shooting, then
+    re-integrated with one DOP853 solve per grid interval, each landing exactly
+    on the next node angle (no interpolation); the profile carries that arc's
+    segment.
     """
     if k == "circle":
         check_alpha(alpha)
         n = grid_n or 256
         h = SupportFunction(AngularGrid(n), np.ones(n))
         return ShrinkerProfile(alpha=float(alpha), k="circle", r_k=1.0, h=h,
-                               entropy=0.0, residual=0.0)
+                               entropy=0.0, residual=0.0, segment=None)
 
     _check_fold(alpha, k)
     n = grid_n or 512
@@ -307,10 +361,7 @@ def assemble_profile(alpha, k, grid_n=None) -> ShrinkerProfile:
     seg = _segment_for_k(alpha, k)
     m = n // (2 * k)
     theta_out = np.arange(m + 1) * (2.0 * np.pi / n)
-    status, nodes = K.march_resample(alpha, seg.u_max, theta_out,
-                                     rtol=SEGMENT_RTOL, atol=SEGMENT_ATOL)
-    _raise_for_status(status)
-    arc = nodes[:, 1]
+    _, (arc, _, _, _, _) = integrate_arc(alpha, seg.u_max, theta_out)
 
     vals = np.empty(n)
     per = n // k
@@ -330,7 +381,7 @@ def assemble_profile(alpha, k, grid_n=None) -> ShrinkerProfile:
 
     entropy = (alpha + 1.0) / (2.0 * (alpha - 1.0)) * math.log(seg.power_mean)
     return ShrinkerProfile(alpha=float(alpha), k=int(k), r_k=seg.r, h=h,
-                           entropy=entropy, residual=residual)
+                           entropy=entropy, residual=residual, segment=seg)
 
 
 # -- export helpers -----------------------------------------------------------

@@ -32,3 +32,49 @@ def test_flow_rerun_is_byte_identical_and_feeds_modes(tmp_path, capsys):
 
     assert cli.main(["modes", "--trace", a, "--k", "3"]) == 0
     assert os.path.isfile(os.path.join(a, "modes.csv"))
+
+
+def test_shrinker_rerun_is_byte_identical(tmp_path, capsys):
+    argv = ["shrinker", "--alpha", repr(1 / 24), "--k", "3", "--n", "510"]
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert cli.main(argv + ["--out", a]) == 0
+    assert cli.main(argv + ["--out", b]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second
+
+    names = _files(a)
+    assert names == _files(b) == ["meta.json", "profile.json", "segment.csv"]
+    assert sorted(os.listdir(a)) == names  # no empty snapshots/ directory
+    match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
+    assert mismatch == [] and errors == []
+    with open(os.path.join(a, "meta.json")) as fh:
+        assert 0.0 <= json.load(fh)["fint_drift"] < 1e-9
+
+
+def test_exit_codes(tmp_path, capsys):
+    # 2: k = 5 is not below sqrt(1 + 1/alpha) at alpha 0.1
+    assert cli.main(["shrinker", "--alpha", "0.1", "--k", "5"]) == 2
+    # 3: at n 256 the alpha 0.04 profile fails its residual check
+    assert cli.main(["spectrum", "--alpha", "0.04", "--profile", "k3",
+                     "--n", "256"]) == 3
+    flow = ["flow", "--alpha", "0.5", "--mode", "unnorm", "--n", "32", "--t-end", "0.01"]
+    # 4: a config file that does not exist, and a non-convex initial body
+    assert cli.main(flow + ["--config", str(tmp_path / "missing.json")]) == 4
+    assert cli.main(flow + ["--init", "perturb:2,0.5"]) == 4
+    assert capsys.readouterr().out == ""
+
+
+def test_config_sets_flags_under_explicit_ones(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"entropy": True, "n": 64}))
+    out = str(tmp_path / "flow")
+    assert cli.main(["flow", "--alpha", "0.5", "--mode", "area", "--n", "48",
+                     "--t-end", "0.02", "--sample-dt", "0.01", "--outdir", out,
+                     "--config", str(config)]) == 0
+    with open(os.path.join(out, "meta.json")) as fh:
+        meta = json.load(fh)
+    assert meta["log_entropy"] is True and meta["n"] == 48  # --n wins over the file
+    with open(os.path.join(out, "trace.csv")) as fh:
+        header, *rows = [line.rstrip("\n").split(",") for line in fh]
+    column = header.index("entropy")
+    assert len(rows) == 3 and all(row[column] != "" for row in rows)

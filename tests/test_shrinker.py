@@ -142,14 +142,12 @@ def test_variation_eta_matches_finite_difference():
     up = segment_for_ratio(alpha, r + delta)
     um = segment_for_ratio(alpha, r - delta)
     span = min(seg.theta_span, up.theta_span, um.theta_span) * 0.95
-    from acsflow import _kernels as K
-
     thetas = np.linspace(0.0, span, 40)
-    _, hi = K.march_resample(alpha, up.u_max, thetas)
-    _, lo = K.march_resample(alpha, um.u_max, thetas)
-    fd = (hi[:, 1] - lo[:, 1]) / (2 * delta)
-    _, mid = K.march_resample(alpha, seg.u_max, thetas, eta0=var.eta0)
-    assert np.max(np.abs(mid[:, 3] - fd)) < 1e-5
+    _, hi = shrinker.integrate_arc(alpha, up.u_max, thetas)
+    _, lo = shrinker.integrate_arc(alpha, um.u_max, thetas)
+    fd = (hi[0] - lo[0]) / (2 * delta)
+    _, mid = shrinker.integrate_arc(alpha, seg.u_max, thetas, eta0=var.eta0)
+    assert np.max(np.abs(mid[2] - fd)) < 1e-5
 
 
 def test_assemble_profile_circle():
