@@ -45,15 +45,21 @@ def _load_config(path):
 def _merge(args, config):
     """Apply config-file values underneath explicitly passed flags.
 
-    An option still at None, or a store_true flag still at False, was not
-    passed, so the config file sets it.
+    Every key must name an option of the subcommand, and a store_true flag
+    takes only true or false. An option still at None, or a flag still at
+    False, was not passed, so the config file sets it.
     """
     for key, value in config.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr):
-            current = getattr(args, attr)
-            if current is None or current is False:
-                setattr(args, attr, value)
+        if attr in ("func", "command", "config") or attr.startswith("_") \
+                or not hasattr(args, attr):
+            raise BadConfig(f"config key {key!r} is not an option of {args.command}")
+        current = getattr(args, attr)
+        if isinstance(current, bool) and not isinstance(value, bool):
+            raise BadConfig(f"config key {key!r} is a flag and takes true or false, "
+                            f"got {value!r}")
+        if current is None or current is False:
+            setattr(args, attr, value)
 
 
 def _ensure_outdir(path):
@@ -108,14 +114,14 @@ def cmd_shrinker(args):
         seg = profile.segment
         if seg is not None:
             _write(out, "segment.csv", shrinker.segment_to_csv(seg))
+            if args.gnuplot:  # the plot draws segment.csv
+                _write(out, "plot.gp", _GNUPLOT_PROFILE)
         _write_json(out, "meta.json", {
             "command": "shrinker", "version": __version__,
             "alpha": alpha, "k": profile.k, "n": n,
             "residual": profile.residual,
             "fint_drift": None if seg is None else seg.fint_drift,
         })
-        if args.gnuplot:
-            _write(out, "plot.gp", _GNUPLOT_PROFILE)
     print(json_dumps(record))
     return 0
 

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import OptimFailed, OutOfRange, PointOutside
 from .geometry import SupportFunction, area, steiner_point
@@ -21,7 +20,12 @@ from .geometry import SupportFunction, area, steiner_point
 BOUNDARY_GUARD = 1e-10
 
 GRAD_TOL = 1e-9
-EVAL_BUDGET = 10000
+NEWTON_CAP = 50
+HALVINGS = 60
+ARMIJO = 1e-4  # least share of the predicted gain that a damped step must realize
+# a predicted gain grad . (-Hess)^-1 grad below this is under the rounding of
+# the value (2e-19 at |grad| 3e-9, alpha 0.02), so such a step is taken whole
+PURE_NEWTON = 1e-10
 
 
 @dataclass(frozen=True)
@@ -36,6 +40,19 @@ def _check_alpha(alpha):
         raise OutOfRange(f"entropy requires alpha in (0, 1], got {alpha}")
 
 
+def _value(uz, alpha):
+    """alpha/(alpha-1) log mean(uz^(1-1/alpha)), or mean(log uz) at alpha = 1.
+
+    Taken relative to min(uz): the powers of uz itself over- or underflow at
+    small alpha for bodies far from unit size.
+    """
+    if alpha == 1.0:
+        return float(np.mean(np.log(uz)))
+    s = float(np.min(uz))
+    return math.log(s) + alpha / (alpha - 1.0) * math.log(
+        float(np.mean((uz / s) ** (1.0 - 1.0 / alpha))))
+
+
 def entropy_at(u: SupportFunction, z0, alpha) -> float:
     """Entropy of the body with the base point fixed at z0."""
     _check_alpha(alpha)
@@ -44,99 +61,71 @@ def entropy_at(u: SupportFunction, z0, alpha) -> float:
     uz = u.values - (z0[0] * np.cos(th) + z0[1] * np.sin(th))
     if np.min(uz) < BOUNDARY_GUARD:
         raise PointOutside(f"base point {tuple(z0)} is not strictly interior")
-    if alpha == 1.0:
-        return float(np.mean(np.log(uz))) - area_term
-    return alpha / (alpha - 1.0) * float(np.log(np.mean(uz ** (1.0 - 1.0 / alpha)))) - area_term
+    return _value(uz, alpha) - area_term
 
 
 def entropy(u: SupportFunction, alpha) -> EntropyResult:
     """Maximize the entropy over interior base points.
 
-    Nelder-Mead from the curvature-weighted boundary centroid, then Newton
-    polish on central-difference derivatives until the gradient norm falls
-    below 1e-9.
+    With p = 1 - 1/alpha <= 0 the entropy is, up to the area term, the log of
+    the power mean of exponent p of u_z, which is linear in z; a power mean
+    with p <= 1 is concave and so is its log, so the entropy is concave in z.
+    With a = u_z^(p-1), M = mean(a u_z), e = (cos th, sin th), g = mean(a e):
+        grad = -g / M,
+        Hess = (p-1) mean(a/u_z e e^T) / M - p g g^T / M^2,
+    which hold at alpha = 1 with p = 0 and M = 1. Damped Newton starts from
+    the Steiner point; each step halves until it gains at least ARMIJO of
+    the predicted gain, a probe closer than BOUNDARY_GUARD to the boundary
+    counting as -inf (below PURE_NEWTON the full step is taken). The loop
+    stops when |grad| < GRAD_TOL and raises OptimFailed when a step finds no
+    increase or after NEWTON_CAP steps. evaluations counts the translated
+    supports u_z formed.
     """
     _check_alpha(alpha)
     area_term = 0.5 * math.log(area(u) / math.pi)
     th = u.grid.nodes
-    cos_th, sin_th = np.cos(th), np.sin(th)
+    e = np.stack([np.cos(th), np.sin(th)])
     vals = u.values
     power = 1.0 - 1.0 / alpha
-    count = [0]
+    count = 0
 
-    def value_at(z):
-        count[0] += 1
-        uz = vals - (z[0] * cos_th + z[1] * sin_th)
+    def probe(z):
+        nonlocal count
+        count += 1
+        uz = vals - z @ e
         if np.min(uz) < BOUNDARY_GUARD:
-            return -np.inf
-        if alpha == 1.0:
-            return float(np.mean(np.log(uz))) - area_term
-        return alpha / (alpha - 1.0) * float(np.log(np.mean(uz**power))) - area_term
+            return uz, -np.inf
+        return uz, _value(uz, alpha)
 
-    z0 = steiner_point(u)
-    best = [np.array(z0, dtype=float), value_at(z0)]
-
-    def neg(z):
-        v = value_at(z)
-        if v > best[1]:
-            best[0], best[1] = np.array(z), v
-        return -v
-
-    res = minimize(neg, z0, method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14,
-                            "maxfev": EVAL_BUDGET - 1000, "maxiter": EVAL_BUDGET})
-    z = np.array(res.x, dtype=float)
-    if not np.isfinite(value_at(z)):
-        z = best[0].copy()
-
-    # Newton polish; the entropy is smooth and concave near its maximizer
-    for _ in range(12):
-        uz = vals - (z[0] * cos_th + z[1] * sin_th)
-        hs = 1e-6 * max(float(np.min(uz)), BOUNDARY_GUARD)
-        f0 = value_at(z)
-        fpx = value_at(z + [hs, 0.0])
-        fmx = value_at(z - [hs, 0.0])
-        fpy = value_at(z + [0.0, hs])
-        fmy = value_at(z - [0.0, hs])
-        grad = np.array([(fpx - fmx), (fpy - fmy)]) / (2.0 * hs)
+    z = steiner_point(u)
+    uz, f = probe(z)
+    for _ in range(NEWTON_CAP):
+        # a is taken relative to min(uz)^(p-1); only ratios of a enter
+        a = (uz / np.min(uz)) ** (power - 1.0)
+        m = float(np.mean(a * uz))
+        g = e @ a / len(a)
+        grad = -g / m
         if np.linalg.norm(grad) < GRAD_TOL:
-            break
-        fxy_pp = value_at(z + [hs, hs])
-        fxy_pm = value_at(z + [hs, -hs])
-        fxy_mp = value_at(z + [-hs, hs])
-        fxy_mm = value_at(z - [hs, hs])
-        hxx = (fpx - 2.0 * f0 + fmx) / hs**2
-        hyy = (fpy - 2.0 * f0 + fmy) / hs**2
-        hxy = (fxy_pp - fxy_pm - fxy_mp + fxy_mm) / (4.0 * hs**2)
-        hess = np.array([[hxx, hxy], [hxy, hyy]])
-        det = hxx * hyy - hxy * hxy
-        if not (np.isfinite(det) and det > 0.0 and hxx < 0.0):
-            break  # outside the concave basin; keep the best probe
-        step = np.linalg.solve(hess, grad)
-        znew = z - step
-        if not np.isfinite(value_at(znew)):
-            znew = 0.5 * (z + best[0])
-        z = znew
-        if count[0] > EVAL_BUDGET:
-            break
-
-    fz = value_at(z)
-    if fz > best[1]:
-        best[0], best[1] = z, fz
-    z = best[0]
-
-    uz = vals - (z[0] * cos_th + z[1] * sin_th)
-    hs = 1e-6 * max(float(np.min(uz)), BOUNDARY_GUARD)
-    grad = np.array([
-        value_at(z + [hs, 0.0]) - value_at(z - [hs, 0.0]),
-        value_at(z + [0.0, hs]) - value_at(z - [0.0, hs]),
-    ]) / (2.0 * hs)
-    if np.linalg.norm(grad) >= GRAD_TOL and count[0] >= EVAL_BUDGET:
-        raise OptimFailed(
-            f"entropy point not located within {EVAL_BUDGET} evaluations "
-            f"(|grad| = {np.linalg.norm(grad):.2e})")
-    return EntropyResult(value=float(best[1]), point=(float(z[0]), float(z[1])),
-                         evaluations=count[0])
+            return EntropyResult(value=f - area_term,
+                                 point=(float(z[0]), float(z[1])),
+                                 evaluations=count)
+        hess = ((power - 1.0) / m) * ((e * (a / uz)) @ e.T) / len(a) \
+            - power * np.outer(g, g) / m**2
+        step = -np.linalg.solve(hess, grad)
+        gain = float(grad @ step)
+        if not gain > 0.0:
+            raise OptimFailed(f"entropy: the Newton step does not ascend ({gain:.2e})")
+        t = 1.0
+        for _ in range(HALVINGS):
+            uz_t, f_t = probe(z + t * step)
+            if f_t >= f + ARMIJO * t * gain or (gain < PURE_NEWTON and f_t > -np.inf):
+                break
+            t *= 0.5
+        else:
+            raise OptimFailed(f"entropy: no increase along the Newton step "
+                              f"(|grad| = {np.linalg.norm(grad):.2e})")
+        z, uz, f = z + t * step, uz_t, f_t
+    raise OptimFailed(f"entropy point not located within {NEWTON_CAP} Newton steps")
 
 
 def check_subcritical_bound(u: SupportFunction, alpha) -> bool:

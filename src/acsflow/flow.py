@@ -14,7 +14,8 @@ the near-extinction guard dt <= 0.2 * min(u_thth + u)^(1 + alpha). So an
 accepted step costs 11 RHS evaluations (one D2 apply each), and a rejected
 step reuses k1 and the caps. Runs stop at t_end, at the minimum-radius
 floor, on convexity loss, or on step underflow, and report which; the work
-counts go to FlowTrace.stats.
+counts go to FlowTrace.stats. rhs evaluates the same right-hand side, on
+the same D2, for callers outside the marcher.
 """
 
 import math
@@ -25,8 +26,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import BadConfig, BadDomain, InsufficientData, NonConvex
-from .geometry import (CONVEXITY_RTOL, AngularGrid, SupportFunction, area,
-                       deriv2, require_convex)
+from .geometry import (CONVEXITY_RTOL, AngularGrid, SupportFunction,
+                       _strictly_convex, area, deriv2, require_convex)
 
 _MODES = ("unnormalized", "normalized_tau", "normalized_area")
 
@@ -48,32 +49,6 @@ def spectral_d2_matrix(n):
     mat = 0.5 * (mat + mat.T)
     mat.setflags(write=False)
     return mat
-
-
-def rhs_unnormalized(u: SupportFunction, alpha) -> np.ndarray:
-    w = require_convex(u)
-    return -(w ** (-alpha))
-
-
-def rhs_normalized_tau(u: SupportFunction, alpha) -> np.ndarray:
-    w = require_convex(u)
-    return u.values - w ** (-alpha)
-
-
-def rhs_normalized_area(u: SupportFunction, alpha) -> np.ndarray:
-    w = require_convex(u)
-    m = float(np.mean(w ** (1.0 - alpha)))
-    return u.values - w ** (-alpha) / m
-
-
-def rhs(u: SupportFunction, alpha, mode) -> np.ndarray:
-    if mode == "unnormalized":
-        return rhs_unnormalized(u, alpha)
-    if mode == "normalized_tau":
-        return rhs_normalized_tau(u, alpha)
-    if mode == "normalized_area":
-        return rhs_normalized_area(u, alpha)
-    raise BadConfig(f"unknown mode {mode!r}")
 
 
 @dataclass
@@ -100,7 +75,7 @@ def _flow_rhs(u, alpha, mode, d2, stats):
     # constants lie in the kernel of d2/dth2: differentiating u - mean(u)
     # keeps d2's row-sum rounding out of w, so a circle stays exactly round
     w = np.dot(d2, u - ubar) + u
-    if not (np.min(w) > CONVEXITY_RTOL * ubar):
+    if not _strictly_convex(w, ubar):
         return None, w
     speed = w ** (-alpha)
     if mode == "unnormalized":
@@ -109,6 +84,17 @@ def _flow_rhs(u, alpha, mode, d2, stats):
         return u - speed, w
     m = np.mean(w ** (1.0 - alpha))
     return u - speed / m, w
+
+
+def rhs(u: SupportFunction, alpha, mode) -> np.ndarray:
+    """Right-hand side of the flow in the given gauge at u, as the marcher forms it."""
+    if mode not in _MODES:
+        raise BadConfig(f"unknown mode {mode!r}")
+    du, w = _flow_rhs(u.values, alpha, mode, spectral_d2_matrix(u.grid.n), FlowStats())
+    if du is None:
+        raise NonConvex(f"min radius of curvature {np.min(w):.3e} <= tolerance "
+                        f"{CONVEXITY_RTOL * np.mean(u.values):.3e}")
+    return du
 
 
 def _rk4(u, h, k1, alpha, mode, d2, stats):

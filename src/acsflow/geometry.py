@@ -109,20 +109,24 @@ def radius_of_curvature(u: SupportFunction) -> np.ndarray:
     return deriv2(u.values) + u.values
 
 
+def _strictly_convex(w, ubar) -> bool:
+    """min(w) > CONVEXITY_RTOL * ubar for radii of curvature w; False on NaN."""
+    return bool(np.min(w) > CONVEXITY_RTOL * ubar)
+
+
 def convexity_report(u: SupportFunction) -> ConvexityReport:
     w = radius_of_curvature(u)
-    tol = CONVEXITY_RTOL * float(np.mean(u.values))
-    wmin = float(np.min(w))
-    return ConvexityReport(wmin, float(np.max(w)), bool(wmin > tol))
+    return ConvexityReport(float(np.min(w)), float(np.max(w)),
+                           _strictly_convex(w, np.mean(u.values)))
 
 
 def require_convex(u: SupportFunction) -> np.ndarray:
     """Radius-of-curvature array of a strictly convex body, else NonConvex."""
     w = radius_of_curvature(u)
-    tol = CONVEXITY_RTOL * float(np.mean(u.values))
-    wmin = float(np.min(w))
-    if not wmin > tol:
-        raise NonConvex(f"min radius of curvature {wmin:.3e} <= tolerance {tol:.3e}")
+    ubar = np.mean(u.values)
+    if not _strictly_convex(w, ubar):
+        raise NonConvex(f"min radius of curvature {np.min(w):.3e} <= tolerance "
+                        f"{CONVEXITY_RTOL * ubar:.3e}")
     return w
 
 
@@ -168,10 +172,12 @@ def embed(u: SupportFunction) -> np.ndarray:
 
 
 def steiner_point(u: SupportFunction) -> np.ndarray:
-    """Curvature-weighted boundary centroid; strictly interior for convex bodies."""
-    w = require_convex(u)
-    pts = embed(u)
-    return (pts * w[:, None]).mean(axis=0)
+    """Curvature-weighted boundary centroid; strictly interior for convex bodies.
+
+    The curvature weight kappa ds is dtheta, so this is the mean of the
+    boundary points over the uniform angle grid, (1/pi) integral u (cos, sin).
+    """
+    return embed(u).mean(axis=0)
 
 
 def fourier_modes(u: SupportFunction, m_max: int) -> FourierModes:

@@ -280,7 +280,7 @@ def measure_growth_rate(h: SupportFunction, alpha, j, epsilon, tau_window,
     exceeds a tenth of the linear term at mid-window; a neutral mode has no
     linear term to compare against, so no escape check applies.
     """
-    from .flow import FlowConfig, rhs_normalized_tau, run
+    from .flow import FlowConfig, rhs, run
 
     dec = decomposition if decomposition is not None else decompose(
         h, alpha, j_max=max(int(j) + 3, 12))
@@ -307,7 +307,7 @@ def measure_growth_rate(h: SupportFunction, alpha, j, epsilon, tau_window,
         u_mid = SupportFunction(h.grid, trace.snapshots[mid])
         v_mid = trace.snapshots[mid] - h.values
         linear = apply_L(h, alpha, v_mid)
-        nonlin = rhs_normalized_tau(u_mid, alpha) - linear
+        nonlin = rhs(u_mid, alpha, "normalized_tau") - linear
         if dec.norm(nonlin) > 0.1 * dec.norm(linear):
             raise WindowEscaped(
                 "nonlinearity exceeds 10% of the linear term mid-window")

@@ -78,3 +78,25 @@ def test_config_sets_flags_under_explicit_ones(tmp_path):
         header, *rows = [line.rstrip("\n").split(",") for line in fh]
     column = header.index("entropy")
     assert len(rows) == 3 and all(row[column] != "" for row in rows)
+
+
+def test_config_rejects_unknown_keys_and_non_bool_flags(tmp_path, capsys):
+    flow = ["flow", "--alpha", "0.5", "--mode", "unnorm", "--n", "32", "--t-end", "0.01"]
+    for i, cfg in enumerate(({"entropyy": True}, {"entropy": "false"},
+                             {"_defaults": {}}, {"func": None})):
+        config = tmp_path / f"config{i}.json"
+        config.write_text(json.dumps(cfg))
+        assert cli.main(flow + ["--config", str(config)]) == 4
+    assert capsys.readouterr().out == ""
+
+
+def test_shrinker_circle_gnuplot_writes_no_plot(tmp_path, capsys):
+    # plot.gp draws segment.csv, which only a k-fold profile has
+    out = str(tmp_path / "circle")
+    assert cli.main(["shrinker", "--alpha", "0.2", "--k", "circle", "--n", "64",
+                     "--gnuplot", "--out", out]) == 0
+    assert _files(out) == ["meta.json", "profile.json"]
+    out = str(tmp_path / "k3")
+    assert cli.main(["shrinker", "--alpha", "0.1", "--k", "3", "--n", "126",
+                     "--gnuplot", "--out", out]) == 0
+    assert _files(out) == ["meta.json", "plot.gp", "profile.json", "segment.csv"]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from acsflow.entropy import check_subcritical_bound, entropy, entropy_at
 from acsflow.errors import OutOfRange, PointOutside
@@ -119,3 +120,36 @@ def test_matches_profile_entropy():
     res = entropy(p3.h, 1 / 24)
     assert res.value == pytest.approx(shrinker_entropy(1 / 24, 3), abs=1e-6)
     assert np.hypot(*res.point) < 1e-6
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.1, 1 / 3, 0.5, 1.0])
+def test_newton_matches_nelder_mead(grid256, rng, alpha):
+    # derivative-free reference on the value alone; alpha = 1 takes the
+    # log branch of the Hessian, which the circle tests never reach
+    u = translate(random_convex_support(grid256, rng), (0.21, -0.13))
+
+    def negative(z):
+        try:
+            return -entropy_at(u, z, alpha)
+        except PointOutside:
+            return np.inf
+
+    ref = minimize(negative, np.zeros(2), method="Nelder-Mead",
+                   options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 20000,
+                            "maxfev": 20000})
+    res = entropy(u, alpha)
+    assert res.value >= -ref.fun - 1e-12
+    assert np.hypot(res.point[0] - ref.x[0], res.point[1] - ref.x[1]) < 1e-6
+    assert res.evaluations < 100
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e3])
+def test_scale_invariance_far_from_unit_size(grid256, rng, lam):
+    # u^(1 - 1/alpha) alone over- or underflows here at alpha 0.01
+    u = translate(random_convex_support(grid256, rng), (0.1, 0.05))
+    base = entropy(u, 0.01)
+    scaled = entropy(SupportFunction(grid256, lam * u.values), 0.01)
+    assert scaled.value == pytest.approx(base.value, abs=1e-9)
+    assert np.allclose(scaled.point, lam * np.array(base.point), rtol=0, atol=1e-8 * lam)
+    assert entropy_at(SupportFunction(grid256, lam * u.values),
+                      lam * np.array(base.point), 0.01) == pytest.approx(base.value, abs=1e-12)

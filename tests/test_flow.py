@@ -7,8 +7,7 @@ from acsflow import flow
 from acsflow.errors import BadConfig, BadDomain, InsufficientData
 from acsflow.flow import (FlowConfig, area_derivative_check, area_law_fit,
                           entropy_monotonicity_check, renormalize_time, rhs,
-                          rhs_normalized_area, rhs_normalized_tau,
-                          rhs_unnormalized, run, support_scale, trace_to_csv,
+                          run, support_scale, trace_to_csv,
                           type_diagnostic, unrenormalize_time)
 from acsflow.geometry import (AngularGrid, SupportFunction, area, circle_support,
                               random_convex_support, rotate_nodes)
@@ -23,22 +22,22 @@ def _perturbed(grid, m, eps):
 
 def test_rhs_circle_values(grid256):
     u = SupportFunction(grid256, np.full(256, 2.0))
-    assert np.allclose(rhs_unnormalized(u, 0.5), -(2.0**-0.5), atol=1e-13)
+    assert np.allclose(rhs(u, 0.5, "unnormalized"), -(2.0**-0.5), atol=1e-13)
     one = circle_support(grid256)
-    assert np.allclose(rhs_unnormalized(one, 1.0), -1.0, atol=1e-13)
-    assert np.allclose(rhs_normalized_tau(one, 0.37), 0.0, atol=1e-13)
-    assert np.allclose(rhs_normalized_area(one, 0.37), 0.0, atol=1e-13)
+    assert np.allclose(rhs(one, 1.0, "unnormalized"), -1.0, atol=1e-13)
+    assert np.allclose(rhs(one, 0.37, "normalized_tau"), 0.0, atol=1e-13)
+    assert np.allclose(rhs(one, 0.37, "normalized_area"), 0.0, atol=1e-13)
     two = SupportFunction(grid256, np.full(256, 2.0))
-    assert np.allclose(rhs_normalized_tau(two, 0.5), 2.0 - 2.0**-0.5, atol=1e-13)
+    assert np.allclose(rhs(two, 0.5, "normalized_tau"), 2.0 - 2.0**-0.5, atol=1e-13)
 
 
 def test_rhs_profile_stationary():
     # the deep-ratio profile needs the finer grid: its near-corner tips
     # amplify any unresolved tail of h through the inverse curvature power
     p = assemble_profile(1 / 24, 3, 768)
-    assert np.max(np.abs(rhs_normalized_tau(p.h, 1 / 24))) < 1e-6
+    assert np.max(np.abs(rhs(p.h, 1 / 24, "normalized_tau"))) < 1e-6
     p4 = assemble_profile(1 / 24, 4, 512)
-    assert np.max(np.abs(rhs_normalized_tau(p4.h, 1 / 24))) < 1e-6
+    assert np.max(np.abs(rhs(p4.h, 1 / 24, "normalized_tau"))) < 1e-6
 
 
 def test_rhs_rotation_equivariance(grid256, rng):

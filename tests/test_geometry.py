@@ -211,6 +211,19 @@ def test_steiner_point_translated_circle(grid256):
     assert np.allclose(p, [0.3, -0.2], atol=1e-12)
 
 
+def test_steiner_point_equivariance(grid256, rng):
+    # s(K) = (1/pi) integral u (cos, sin): linear in u, moves with the body
+    u = random_convex_support(grid256, rng)
+    p = steiner_point(u)
+    th = grid256.nodes
+    assert np.allclose(p, [2 * np.mean(u.values * np.cos(th)),
+                           2 * np.mean(u.values * np.sin(th))], atol=1e-14)
+    assert np.allclose(steiner_point(translate(u, (0.3, -0.2))), p - [0.3, -0.2],
+                       atol=1e-12)
+    assert np.allclose(steiner_point(SupportFunction(grid256, 7.0 * u.values)), 7.0 * p,
+                       atol=1e-12)
+
+
 def test_convexity_report(grid256):
     rep = convexity_report(circle_support(grid256))
     assert rep.is_strictly_convex
