@@ -45,9 +45,10 @@ def _load_config(path):
 def _merge(args, config):
     """Apply config-file values underneath explicitly passed flags.
 
-    Every key must name an option of the subcommand, and a store_true flag
-    takes only true or false. An option still at None, or a flag still at
-    False, was not passed, so the config file sets it.
+    Every key must name an option of the subcommand. A store_true flag takes
+    only true or false; any other option takes a string or a number, kept as
+    the string the command line would have given. An option still at None,
+    or a flag still at False, was not passed, so the config file sets it.
     """
     for key, value in config.items():
         attr = key.replace("-", "_")
@@ -55,11 +56,30 @@ def _merge(args, config):
                 or not hasattr(args, attr):
             raise BadConfig(f"config key {key!r} is not an option of {args.command}")
         current = getattr(args, attr)
-        if isinstance(current, bool) and not isinstance(value, bool):
-            raise BadConfig(f"config key {key!r} is a flag and takes true or false, "
-                            f"got {value!r}")
+        if isinstance(current, bool):
+            if not isinstance(value, bool):
+                raise BadConfig(f"config key {key!r} is a flag and takes true or false, "
+                                f"got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise BadConfig(f"config key {key!r} takes a string or a number, got {value!r}")
+        else:
+            value = str(value)
         if current is None or current is False:
             setattr(args, attr, value)
+
+
+def _convert(args):
+    """Give every option in the subcommand's table its type, or its default
+    when it was not passed. A value that does not convert is a BadConfig."""
+    for attr, (convert, default) in args._options.items():
+        value = getattr(args, attr)
+        if value is None:
+            setattr(args, attr, default)
+            continue
+        try:
+            setattr(args, attr, convert(value))
+        except ValueError as exc:
+            raise BadConfig(f"--{attr.replace('_', '-')} {value!r}: {exc}")
 
 
 def _ensure_outdir(path):
@@ -78,12 +98,8 @@ def _write_json(path, name, obj):
     _write(path, name, json_dumps(obj, indent=2) + "\n")
 
 
-def _parse_alpha(value):
-    try:
-        a = float(value)
-    except (TypeError, ValueError):
-        raise BadConfig(f"alpha must be a number, got {value!r}")
-    return a
+def _fold_arg(value):
+    return value if value == "circle" else int(value)
 
 
 def _fold_tag(k):
@@ -94,16 +110,15 @@ def _profile_grid_n(k, n):
     """Largest multiple of 2k not exceeding n (reflection seams on nodes)."""
     if k == "circle":
         return n
-    per = 2 * int(k)
+    per = 2 * k
     return max(per * 8, per * (n // per))
 
 
 # -- shrinker ------------------------------------------------------------------
 
 def cmd_shrinker(args):
-    alpha = _parse_alpha(args.alpha)
-    k = args.k if args.k == "circle" else int(args.k)
-    n = _profile_grid_n(k, int(args.n))
+    alpha, k = args.alpha, args.k
+    n = _profile_grid_n(k, args.n)
     profile = shrinker.assemble_profile(alpha, k, n)
     record = shrinker.profile_to_json_dict(profile)
     record["n"] = n
@@ -141,9 +156,9 @@ def _profile_for_tag(alpha, tag, n):
 
 
 def cmd_spectrum(args):
-    alpha = _parse_alpha(args.alpha)
-    profile = _profile_for_tag(alpha, args.profile, int(args.n))
-    dec = spectral.decompose(profile.h, alpha, j_max=int(args.jmax))
+    alpha = args.alpha
+    profile = _profile_for_tag(alpha, args.profile, args.n)
+    dec = spectral.decompose(profile.h, alpha, j_max=args.jmax)
     record = {
         "alpha": alpha,
         "profile": _fold_tag(profile.k),
@@ -158,7 +173,7 @@ def cmd_spectrum(args):
         _write_json(out, "meta.json", {
             "command": "spectrum", "version": __version__,
             "alpha": alpha, "profile": _fold_tag(profile.k),
-            "n": profile.h.grid.n, "jmax": int(args.jmax),
+            "n": profile.h.grid.n, "jmax": args.jmax,
         })
     print(json_dumps(record))
     return 0
@@ -200,24 +215,20 @@ def _initial_from_spec(spec, n):
 
 
 def cmd_flow(args):
-    alpha = _parse_alpha(args.alpha)
+    alpha = args.alpha
     if args.mode not in _MODE_NAMES:
         raise BadConfig(f"--mode must be one of {sorted(_MODE_NAMES)}, got {args.mode!r}")
     mode = _MODE_NAMES[args.mode]
-    n = int(args.n)
+    n = args.n
     initial = _initial_from_spec(args.init, n)
     sample_dt = args.sample_dt
-    sample_every = int(args.sample_every) if args.sample_every is not None else 1
     if sample_dt is None and mode != "unnormalized":
         sample_dt = 0.01
     config = flow.FlowConfig(
-        alpha=alpha, mode=mode, initial=initial, t_end=float(args.t_end),
-        dt=float(args.dt), sample_every=sample_every,
-        sample_dt=None if sample_dt is None else float(sample_dt),
-        stop_min_radius=float(args.stop_min_radius),
-        rtol=float(args.rtol),
-        max_dt=None if args.max_dt is None else float(args.max_dt),
-        log_entropy=bool(args.entropy))
+        alpha=alpha, mode=mode, initial=initial, t_end=args.t_end,
+        dt=args.dt, sample_every=args.sample_every, sample_dt=sample_dt,
+        stop_min_radius=args.stop_min_radius, rtol=args.rtol,
+        max_dt=args.max_dt, log_entropy=args.entropy)
     trace = flow.run(config)
     record = {
         "alpha": alpha, "mode": mode, "terminal_reason": trace.terminal_reason,
@@ -239,8 +250,8 @@ def cmd_flow(args):
         _write_json(out, "meta.json", {
             "command": "flow", "version": __version__,
             "alpha": alpha, "mode": mode, "n": n, "init": args.init,
-            "t_end": float(args.t_end),
-            "sample_dt": config.sample_dt, "sample_every": sample_every,
+            "t_end": args.t_end,
+            "sample_dt": config.sample_dt, "sample_every": args.sample_every,
             "stop_min_radius": config.stop_min_radius,
             "rtol": config.rtol, "log_entropy": config.log_entropy,
             "terminal_reason": trace.terminal_reason,
@@ -288,9 +299,9 @@ def _trace_from_dir(path):
 
 
 def cmd_modes(args):
-    k = int(args.k)
+    k = args.k
     trace = _trace_from_dir(args.trace)
-    m_max = max(int(args.mmax), 2 * k)
+    m_max = max(args.mmax, 2 * k)
     mtrace = modes.track_modes(trace, k, m_max=m_max)
     rec = {
         "k": k, "alpha": mtrace.alpha,
@@ -333,7 +344,7 @@ def cmd_modes(args):
 # -- entropy table --------------------------------------------------------------
 
 def cmd_entropy_table(args):
-    alpha = _parse_alpha(args.alpha)
+    alpha = args.alpha
     rows = shrinker.entropy_ordering(alpha)
     record = {"alpha": alpha,
               "rows": [[tag if tag == "circle" else int(tag), float(val)]
@@ -389,16 +400,19 @@ def _build_parser():
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--config", default=None)
     p.add_argument("--gnuplot", action="store_true")
-    p.set_defaults(func=cmd_shrinker, _defaults={"n": 512})
+    p.set_defaults(func=cmd_shrinker, _options={
+        "alpha": (float, None), "k": (_fold_arg, None), "n": (int, 512)})
 
     p = sub.add_parser("spectrum", help="eigendecomposition at a profile")
     p.add_argument("--alpha", required=True)
     p.add_argument("--profile", required=True, help="'circle' or 'k<int>'")
-    p.add_argument("--jmax", default=None)
+    p.add_argument("--jmax", default=None,
+                   help="number of eigenpairs, from 1 to n - 1 (default 40)")
     p.add_argument("--n", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_spectrum, _defaults={"jmax": 40, "n": 512})
+    p.set_defaults(func=cmd_spectrum, _options={
+        "alpha": (float, None), "jmax": (int, 40), "n": (int, 512)})
 
     p = sub.add_parser("flow", help="time-integrate the flow")
     p.add_argument("--alpha", required=True)
@@ -417,9 +431,11 @@ def _build_parser():
     p.add_argument("--max-dt", dest="max_dt", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--gnuplot", action="store_true")
-    p.set_defaults(func=cmd_flow,
-                   _defaults={"init": "circle", "n": 256, "dt": 1e-4,
-                              "stop_min_radius": 1e-3, "rtol": 1e-8})
+    p.set_defaults(func=cmd_flow, _options={
+        "alpha": (float, None), "init": (str, "circle"), "t_end": (float, None),
+        "n": (int, 256), "dt": (float, 1e-4), "sample_dt": (float, None),
+        "sample_every": (int, 1), "stop_min_radius": (float, 1e-3),
+        "rtol": (float, 1e-8), "max_dt": (float, None)})
 
     p = sub.add_parser("modes", help="mode diagnostics of a stored trace")
     p.add_argument("--trace", required=True, help="flow output directory")
@@ -428,13 +444,13 @@ def _build_parser():
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--gnuplot", action="store_true")
-    p.set_defaults(func=cmd_modes, _defaults={"mmax": 8})
+    p.set_defaults(func=cmd_modes, _options={"k": (int, None), "mmax": (int, 8)})
 
     p = sub.add_parser("entropy-table", help="profile entropies in order")
     p.add_argument("--alpha", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_entropy_table, _defaults={})
+    p.set_defaults(func=cmd_entropy_table, _options={"alpha": (float, None)})
 
     return parser
 
@@ -445,9 +461,7 @@ def main(argv=None):
     try:
         config = _load_config(getattr(args, "config", None))
         _merge(args, config)
-        for key, value in args._defaults.items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, value)
+        _convert(args)
         return args.func(args)
     except (OutOfRange, AlphaMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,7 +42,8 @@ class OptimFailed(AcsflowError):
 
 
 class EigenFailed(AcsflowError):
-    """Dense symmetric eigensolver breakdown."""
+    """Shift-invert Lanczos solve of the pencil did not converge, or a pair
+    breaks its backward-error bound."""
 
 
 class WindowEscaped(AcsflowError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, NonConvex
+from .errors import NonConvex
 
 # min(u_thth + u) > CONVEXITY_RTOL * mean(u) declares strict convexity; the
 # guard protects the negative curvature powers used by the flow.
@@ -232,11 +232,6 @@ def random_convex_support(grid: AngularGrid, rng: np.random.Generator,
             return u
         pert *= 0.5
     return SupportFunction(grid, np.ones(grid.n))
-
-
-def check_same_grid(u: SupportFunction, v: SupportFunction) -> None:
-    if u.grid.n != v.grid.n:
-        raise GridMismatch(f"grid sizes differ: {u.grid.n} vs {v.grid.n}")
 
 
 # -- serialization ------------------------------------------------------------

@@ -2,29 +2,35 @@
 
 At a profile h the linearized operator is
     L v = alpha h^(1 + 1/alpha) (v_thth + v) + v,
-self-adjoint for the inner product weighted by h^(-1-1/alpha). Eigenvalues
+self-adjoint for the inner product weighted by b = h^(-1-1/alpha). Eigenvalues
 always refer to -L, so negative eigenvalues are unstable directions.
 
-The discrete eigenproblem is solved densely after a similarity transform by
-sqrt(h^(1+1/alpha)), which keeps the matrix norm as small as the weight
-allows. For profiles with a large support ratio the weight spans many orders
-of magnitude, so retained eigenpairs are polished by shift-and-invert
-Rayleigh-Ritz steps on the equivalent pencil
-    -(v_thth + v) = mu h^(-1-1/alpha) v,   mu = (lambda + 1)/alpha,
-whose matrices have harmless entries.
+The eigenpairs are those of the symmetric-definite pencil
+    -(v_thth + v) = mu b v,   lambda = alpha mu - 1,
+whose stiffness matrix has entries of size n^2 whatever the profile; only the
+diagonal mass matrix b spans many orders of magnitude (6e29 for the k3
+profile at alpha 0.01).
+One shift-invert Lanczos solve (ARPACK; Lehoucq, Sorensen & Yang, 1998) below
+the lowest mu, which is -1 (the scaling mode), returns the lowest pairs. Its
+contract is the pencil's normwise backward error (Tisseur, Linear Algebra
+Appl. 309, 2000)
+    ||A v - mu B v|| / ((||A||_2 + |mu| ||B||_2) ||v||) <= BACKWARD_TOL
+for every retained pair. The weighted residual ||L phi + lambda phi||_h is
+reported as well; at small alpha it can be large for a correct pair, because
+the weight spans many orders of magnitude.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EigenFailed, GridMismatch, OutOfRange, WindowEscaped
 from .geometry import SupportFunction, deriv2
 
 ZERO_TOL = 1e-6  # |lambda| at or below this counts as kernel
-RESIDUAL_TARGET = 1e-9  # refinement trigger, well under the 1e-8 contract
+SHIFT = -1.5  # below every mu: at a profile only the scaling mode has mu < 0, at -1
+BACKWARD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,8 @@ class SpectralDecomposition:
     inner_product: WeightedInnerProduct
     eigenvalues: np.ndarray  # ascending, of -L
     eigenfunctions: np.ndarray  # rows, orthonormal for the weighted product
-    residuals: np.ndarray  # per pair, weighted norm of L phi + lambda phi
+    residuals: np.ndarray  # per pair, weighted norm of L phi + lambda phi (reported)
+    backward_errors: np.ndarray  # per pair, normwise backward error in the pencil
     morse_index: int
     kernel_dim: int
 
@@ -107,21 +114,11 @@ def _clusters(values, tol):
     return groups
 
 
-def _orthonormalize(vectors, weights, dtheta):
-    """Modified Gram-Schmidt in the weighted inner product (rows)."""
-    out = vectors.copy()
-    for i in range(out.shape[0]):
-        for j in range(i):
-            out[i] -= (dtheta * np.sum(out[i] * out[j] * weights)) * out[j]
-        nrm = math.sqrt(dtheta * np.sum(out[i] ** 2 * weights))
-        out[i] /= nrm
-    return out
-
-
-def _fix_phases(phi, lams, weights, dtheta):
+def _fix_phases(phi, lams):
     """Deterministic orientation: rotate near-degenerate pairs so one member
     is even about theta = 0, then make the leading Fourier coefficient of
-    every eigenfunction positive in the (a0, a1, b1, a2, b2, ...) scan."""
+    every eigenfunction positive in the (a0, a1, b1, a2, b2, ...) scan.
+    The rotation keeps an orthonormal pair orthonormal. Works in place."""
     n = phi.shape[1]
     rev = np.arange(n)
     rev = (-rev) % n
@@ -137,9 +134,8 @@ def _fix_phases(phi, lams, weights, dtheta):
             even = c * phi[i] + s * phi[j]
             odd = -s * phi[i] + c * phi[j]
             phi[i], phi[j] = even, odd
-    phi_fixed = _orthonormalize(phi, weights, dtheta)
-    for i in range(phi_fixed.shape[0]):
-        spec = np.fft.rfft(phi_fixed[i])
+    for i in range(phi.shape[0]):
+        spec = np.fft.rfft(phi[i])
         seq = [spec[0].real / n]
         for m in range(1, n // 2):
             seq.append(2.0 * spec[m].real / n)
@@ -147,95 +143,51 @@ def _fix_phases(phi, lams, weights, dtheta):
         arr = np.array(seq)
         big = np.abs(arr) > 1e-8 * np.max(np.abs(arr))
         if big.any() and arr[np.argmax(big)] < 0.0:
-            phi_fixed[i] = -phi_fixed[i]
-    return phi_fixed
+            phi[i] = -phi[i]
+    return phi
 
 
-def decompose(h: SupportFunction, alpha, j_max=40, refine=True) -> SpectralDecomposition:
-    """Lowest j_max eigenpairs of -L at the profile h."""
-    ip = WeightedInnerProduct.build(h, alpha)
-    n = h.grid.n
-    if j_max < 1 or j_max > n:
-        raise ValueError(f"j_max must lie in [1, {n}], got {j_max}")
+def decompose(h: SupportFunction, alpha, j_max=40) -> SpectralDecomposition:
+    """Lowest j_max eigenpairs of -L at the profile h.
+
+    Raises OutOfRange unless 1 <= j_max <= n - 1, and EigenFailed when ARPACK
+    does not converge or a pair's backward error exceeds BACKWARD_TOL.
+    """
+    import scipy.sparse.linalg
+
     from .flow import spectral_d2_matrix
 
-    d2 = spectral_d2_matrix(n)
-    g = h.values ** (1.0 + 1.0 / alpha)
-    sg = np.sqrt(g)
-    op = d2 + np.eye(n)
-    sym = -(alpha * (sg[:, None] * op * sg[None, :])) - np.eye(n)
-    sym = 0.5 * (sym + sym.T)
+    ip = WeightedInnerProduct.build(h, alpha)
+    n = h.grid.n
+    if not 1 <= j_max <= n - 1:
+        raise OutOfRange(f"j_max must lie in [1, {n - 1}], got {j_max}")
+    a = -(spectral_d2_matrix(n) + np.eye(n))
+    b = ip.weights
     try:
-        lams, vecs = scipy.linalg.eigh(sym)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise EigenFailed(f"dense symmetric eigensolver failed: {exc}")
-    lams = lams[:j_max]
-    # back-transform and normalize for the weighted product
-    scale = 1.0 / math.sqrt(h.grid.dtheta)
-    phi = (sg[:, None] * vecs[:, :j_max] * scale).T.copy()
+        mus, vecs = scipy.sparse.linalg.eigsh(
+            a, k=j_max, M=np.diag(b), sigma=SHIFT, which="LM", v0=np.ones(n))
+    except scipy.sparse.linalg.ArpackError as exc:
+        raise EigenFailed(f"shift-invert Lanczos failed: {exc}")
+    order = np.argsort(mus, kind="stable")
+    mus, vecs = mus[order], vecs[:, order]
 
-    if refine:
-        lams, phi = _refine_pairs(lams, phi, ip, op, g)
+    # A multiplies Fourier mode m by m^2 - 1, so ||A||_2 = max(1, (n//2)^2 - 1)
+    scale = max(1.0, (n // 2) ** 2 - 1.0) + np.abs(mus) * np.max(b)
+    resid = a @ vecs - b[:, None] * vecs * mus
+    backward = np.linalg.norm(resid, axis=0) / (scale * np.linalg.norm(vecs, axis=0))
+    if not np.max(backward) <= BACKWARD_TOL:
+        raise EigenFailed(f"eigenpair backward error {np.max(backward):.3g} "
+                          f"exceeds {BACKWARD_TOL:g}")
 
-    phi = _fix_phases(phi, lams, ip.weights, h.grid.dtheta)
-
-    residuals = np.empty(j_max)
-    for j in range(j_max):
-        residuals[j] = ip.norm(apply_L(h, alpha, phi[j]) + lams[j] * phi[j])
-
-    order = np.argsort(lams, kind="stable")
-    lams, phi, residuals = lams[order], phi[order], residuals[order]
+    lams = alpha * mus - 1.0
+    phi = _fix_phases(np.ascontiguousarray(vecs.T) / math.sqrt(h.grid.dtheta), lams)
+    residuals = np.array([ip.norm(apply_L(h, alpha, p) + lam * p)
+                          for lam, p in zip(lams, phi)])
     return SpectralDecomposition(
         inner_product=ip, eigenvalues=lams, eigenfunctions=phi,
-        residuals=residuals,
+        residuals=residuals, backward_errors=backward,
         morse_index=int(np.sum(lams < -ZERO_TOL)),
         kernel_dim=int(np.sum(np.abs(lams) <= ZERO_TOL)))
-
-
-def _refine_pairs(lams, phi, ip, op, g):
-    """Shift-and-invert Rayleigh-Ritz polish on the well-scaled pencil.
-
-    Needed when the weight h^(1+1/alpha) spans many orders of magnitude and
-    the dense solve above loses absolute accuracy; clusters whose residual
-    already meets the target are left untouched.
-    """
-    h = ip.h
-    alpha = ip.alpha
-    dtheta = h.grid.dtheta
-    a_mat = -op  # -(D2 + I), entries O(n^2)
-    w_diag = 1.0 / g
-    lams = lams.copy()
-    phi = phi.copy()
-    for grp in _clusters(lams, 1e-5):
-        worst = max(ip.norm(apply_L(h, alpha, phi[j]) + lams[j] * phi[j])
-                    / (1.0 + abs(lams[j])) for j in grp)
-        if worst <= RESIDUAL_TARGET:
-            continue
-        idx = np.array(grp)
-        mu = (np.mean(lams[idx]) + 1.0) / alpha
-        vecs = phi[idx].T.copy()
-        for _ in range(2):
-            shift = mu + max(1e-5, 1e-8 * abs(mu))
-            try:
-                lu = scipy.linalg.lu_factor(a_mat - shift * np.diag(w_diag))
-                x = scipy.linalg.lu_solve(lu, w_diag[:, None] * vecs)
-            except scipy.linalg.LinAlgError:
-                break
-            # Ritz step on the subspace in the well-scaled pencil
-            aa = x.T @ (a_mat @ x)
-            ww = x.T @ (w_diag[:, None] * x)
-            aa = 0.5 * (aa + aa.T)
-            ww = 0.5 * (ww + ww.T)
-            try:
-                mus, cvecs = scipy.linalg.eigh(aa, ww)
-            except scipy.linalg.LinAlgError:
-                break
-            vecs = x @ cvecs
-            vecs /= np.sqrt(dtheta * np.sum(vecs**2 * ip.weights[:, None], axis=0))
-            mu = float(np.mean(mus))
-            lams[idx] = alpha * mus - 1.0
-        phi[idx] = vecs.T
-    return lams, phi
 
 
 @dataclass(frozen=True)
@@ -323,4 +275,6 @@ def spectrum_to_json_dict(decomposition: SpectralDecomposition, profile_tag) -> 
         "eigenvalues": [float(x) for x in decomposition.eigenvalues],
         "morse_index": decomposition.morse_index,
         "kernel_dim": decomposition.kernel_dim,
+        "backward_errors": [float(x) for x in decomposition.backward_errors],
+        "residuals": [float(x) for x in decomposition.residuals],
     }

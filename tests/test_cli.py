@@ -51,9 +51,30 @@ def test_shrinker_rerun_is_byte_identical(tmp_path, capsys):
         assert 0.0 <= json.load(fh)["fint_drift"] < 1e-9
 
 
+def test_spectrum_rerun_is_byte_identical(tmp_path, capsys):
+    argv = ["spectrum", "--alpha", "0.02", "--profile", "k3", "--n", "1020"]
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert cli.main(argv + ["--out", a]) == 0
+    assert cli.main(argv + ["--out", b]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second
+
+    names = _files(a)
+    assert names == _files(b) == ["meta.json", "spectrum.json"]
+    match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
+    assert mismatch == [] and errors == []
+    with open(os.path.join(a, "spectrum.json")) as fh:
+        spec = json.load(fh)
+    assert len(spec["backward_errors"]) == len(spec["residuals"]) == 40
+    assert max(spec["backward_errors"]) <= 1e-12
+
+
 def test_exit_codes(tmp_path, capsys):
     # 2: k = 5 is not below sqrt(1 + 1/alpha) at alpha 0.1
     assert cli.main(["shrinker", "--alpha", "0.1", "--k", "5"]) == 2
+    # 2: a circle on 64 nodes has at most 63 eigenpairs to ask for
+    assert cli.main(["spectrum", "--alpha", "0.2", "--profile", "circle",
+                     "--n", "64", "--jmax", "100"]) == 2
     # 3: at n 256 the alpha 0.04 profile fails its residual check
     assert cli.main(["spectrum", "--alpha", "0.04", "--profile", "k3",
                      "--n", "256"]) == 3
@@ -61,6 +82,15 @@ def test_exit_codes(tmp_path, capsys):
     # 4: a config file that does not exist, and a non-convex initial body
     assert cli.main(flow + ["--config", str(tmp_path / "missing.json")]) == 4
     assert cli.main(flow + ["--init", "perturb:2,0.5"]) == 4
+    # 4: option values that are not numbers, on the command line or in a config
+    spectrum = ["spectrum", "--alpha", "0.2", "--profile", "circle"]
+    assert cli.main(spectrum + ["--n", "abc"]) == 4
+    assert cli.main(spectrum + ["--jmax", "abc"]) == 4
+    flow = flow[:4] + flow[6:]  # without --n
+    for i, cfg in enumerate(({"n": "abc"}, {"n": [64]})):
+        config = tmp_path / f"config{i}.json"
+        config.write_text(json.dumps(cfg))
+        assert cli.main(flow + ["--config", str(config)]) == 4
     assert capsys.readouterr().out == ""
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-from acsflow.errors import GridMismatch, WindowEscaped
+from acsflow.errors import EigenFailed, GridMismatch, WindowEscaped
 from acsflow.geometry import AngularGrid, circle_support, deriv1
 from acsflow.shrinker import assemble_profile
 from acsflow.spectral import (WeightedInnerProduct, apply_L, circle_eigenvalues,
@@ -105,6 +106,45 @@ def test_decompose_profiles_morse_kernel():
     p4 = assemble_profile(1 / 24, 4, 512)
     d4 = decompose(p4.h, 1 / 24, j_max=12)
     assert (d4.morse_index, d4.kernel_dim) == (7, 1)
+
+
+@pytest.mark.parametrize("alpha,k,n", [
+    (0.02, 3, 1020), (0.02, 5, 1020), (0.02, 6, 1020),
+    (0.01, 3, 2040), (0.01, 4, 2040), (0.01, 6, 2040), (0.01, 10, 2040),
+])
+def test_decompose_small_alpha_profiles(alpha, k, n):
+    # at k3 the weight h^(-1-1/alpha) spans 5e14 (alpha 0.02) and 6e29 (alpha 0.01)
+    n -= n % (2 * k)  # reflection seams on nodes
+    p = assemble_profile(alpha, k, n)
+    dec = decompose(p.h, alpha, j_max=2 * k + 2)
+    ev = dec.eigenvalues
+    assert abs(ev[0] + 1.0 + alpha) <= 1e-9  # scaling: -L h = -(1 + alpha) h
+    assert np.sort(np.abs(ev + 1.0))[1] <= 1e-9  # translations cos, sin
+    assert np.min(np.abs(ev)) <= 1e-9  # h_theta
+    assert (dec.morse_index, dec.kernel_dim) == (2 * k - 1, 1)
+    assert np.max(dec.backward_errors) <= 1e-12
+
+
+def test_decompose_raises_when_arpack_does_not_converge(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(EigenFailed):
+        decompose(_circle(64), 0.5, j_max=4)
+
+
+def test_decompose_rejects_a_large_backward_error(monkeypatch):
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def shifted(*args, **kwargs):
+        mus, vecs = eigsh(*args, **kwargs)
+        return mus + 1e-6, vecs  # backward error about 1e-9
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", shifted)
+    with pytest.raises(EigenFailed):
+        decompose(_circle(64), 0.5, j_max=4)
 
 
 def test_kernel_eigenfunction_is_h_theta():
