@@ -427,7 +427,9 @@ def _build_parser():
     p.add_argument("--sample-dt", dest="sample_dt", default=None)
     p.add_argument("--sample-every", dest="sample_every", default=None)
     p.add_argument("--stop-min-radius", dest="stop_min_radius", default=None)
-    p.add_argument("--rtol", default=None)
+    p.add_argument("--rtol", default=None,
+                   help="bound on the estimated local error of each step, relative to |u| "
+                        "(default 1e-12)")
     p.add_argument("--max-dt", dest="max_dt", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--gnuplot", action="store_true")
@@ -435,7 +437,7 @@ def _build_parser():
         "alpha": (float, None), "init": (str, "circle"), "t_end": (float, None),
         "n": (int, 256), "dt": (float, 1e-4), "sample_dt": (float, None),
         "sample_every": (int, 1), "stop_min_radius": (float, 1e-3),
-        "rtol": (float, 1e-8), "max_dt": (float, None)})
+        "rtol": (float, 1e-12), "max_dt": (float, None)})
 
     p = sub.add_parser("modes", help="mode diagnostics of a stored trace")
     p.add_argument("--trace", required=True, help="flow output directory")

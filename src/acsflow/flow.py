@@ -6,21 +6,30 @@ Three gauges of the same motion:
   normalized_area  u_tau = -kappa^alpha / mean(kappa^(alpha-1)) + u
                                                  (enclosed area pinned to pi)
 
-One marcher, flow_advance, written in numpy: explicit RK4 with step-doubling
-error control and local extrapolation, on the dense spectral D2. The full
-step and the first half step share k1 = f(u), which also supplies the two
-step caps: an explicit-stability estimate from the stiffest Fourier mode and
-the near-extinction guard dt <= 0.2 * min(u_thth + u)^(1 + alpha). So an
-accepted step costs 11 RHS evaluations (one D2 apply each), and a rejected
-step reuses k1 and the caps. Runs stop at t_end, at the minimum-radius
-floor, on convexity loss, or on step underflow, and report which; the work
-counts go to FlowTrace.stats. rhs evaluates the same right-hand side, on
-the same D2, for callers outside the marcher.
+One marcher, flow_advance: a linearly implicit W-step (ROS34PW2, order 3)
+with step-doubling error control and local extrapolation. Its W is
+I - h gamma c P (d_thth + 1), with c = alpha max w^(-1-alpha) (divided by
+mean w^(1-alpha) in the area gauge) the largest coefficient of the true
+Jacobian alpha w^(-1-alpha) (d_thth + 1), and P dropping Fourier modes 0
+and 1, so W is diagonal in Fourier space with entries >= 1. A W-method keeps
+its order for any such approximate Jacobian, so the step is set by accuracy,
+not by the explicit stability limit of the stiffest mode. Every D2 apply and
+every W solve is an rfft/irfft pair on v - mean(v), the mean carried as a
+scalar, so a centred circle stays round to the last bit.
+
+The full step and the first half step share k1 = f(u), which also supplies c
+and the near-extinction guard dt <= 0.2 * min(u_thth + u)^(1 + alpha). So an
+accepted step costs 11 RHS evaluations, and a rejected step reuses k1. rtol
+and atol bound the estimated local error of each step, node by node, before
+extrapolation. An accepted step changes h only by a power of two, so rounding
+in the error estimate seldom moves h. Runs stop at t_end, at the
+minimum-radius floor, on convexity loss, or on step underflow, and report
+which; the work counts go to FlowTrace.stats. rhs evaluates the same
+right-hand side for callers outside the marcher.
 """
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -32,49 +41,70 @@ from .geometry import (CONVEXITY_RTOL, AngularGrid, SupportFunction,
 _MODES = ("unnormalized", "normalized_tau", "normalized_area")
 
 CFL_COEFF = 0.2
-STABILITY_COEFF = 2.5
 
-
-@lru_cache(maxsize=8)
-def spectral_d2_matrix(n):
-    """Dense second-derivative operator: the FFT matrix, symmetrized.
-
-    Symmetrizing breaks exact circulance (entries along a diagonal differ
-    in the last bits) and the row sums are not exactly zero, so constants
-    are differentiated to rounding error of size n^2 * eps, not to 0.
-    """
-    m = np.arange(n // 2 + 1, dtype=float)
-    eye = np.eye(n)
-    mat = np.fft.irfft(np.fft.rfft(eye, axis=0) * (-(m * m))[:, None], n, axis=0)
-    mat = 0.5 * (mat + mat.T)
-    mat.setflags(write=False)
-    return mat
+# ROS34PW2 (Rang & Angermann, BIT 45, 2005) in the transformed variables of
+# Hairer & Wanner, Solving ODEs II, IV.7 (7.25): from the published alpha,
+# Gamma and b, a = alpha Gamma^-1, c = diag(1/gamma) - Gamma^-1, m = b Gamma^-1.
+# Stage i solves W U_i = h gamma f(u + sum_j a_ij U_j) + gamma sum_j c_ij U_j
+# over j < i, and the step is u + sum_i m_i U_i. Rows of _A and _C are
+# stages 2 to 4.
+_GAMMA = 4.3586652150845900e-01
+_A = ((2.0,),
+      (1.4192173174557652, -2.5923221167296978e-01),
+      (4.1847604823191613, -2.8519201735549599e-01, 2.2942803602790423))
+_C = ((-4.5885607205580836,),
+      (-4.1847604823191613, 2.8519201735549599e-01),
+      (-6.3681792001283597, -6.7956209444668367, 2.8700986043310550))
+_M = (4.1847604823191613, -2.8519201735549599e-01, 2.2942803602790423, 1.0)
 
 
 @dataclass
 class FlowStats:
-    """Work counts of the step controller, summed over the calls it is given to."""
+    """Work counts of the step controller, summed over the calls it is given to.
+
+    Each accepted step is counted under the one cap that set its size:
+    the error controller, the extinction guard, max_dt or a landing on
+    t_limit; h_min and h_max are its extremes (None before the first).
+    """
 
     accepted: int = 0
     rejected_error: int = 0  # error estimate above tolerance
     rejected_convexity: int = 0  # a stage state failed the convexity test
     rhs_evals: int = 0
+    cap_error: int = 0
+    cap_guard: int = 0
+    cap_max_dt: int = 0
+    cap_landing: int = 0
+    h_min: float | None = None
+    h_max: float | None = None
+
+    def count_step(self, cap, h):
+        """Count an accepted step of size h.
+
+        cap names the limit that set h: "error", "guard", "max_dt" or "landing".
+        """
+        self.accepted += 1
+        name = "cap_" + cap
+        setattr(self, name, getattr(self, name) + 1)
+        h = float(h)
+        self.h_min = h if self.h_min is None else min(self.h_min, h)
+        self.h_max = h if self.h_max is None else max(self.h_max, h)
 
     def to_json_dict(self):
         return asdict(self)
 
 
-def _flow_rhs(u, alpha, mode, d2, stats):
-    """Flow right-hand side at u on the dense D2; returns (du, w).
+def _flow_rhs(u, alpha, mode, stats):
+    """Flow right-hand side at u; returns (du, w) with w = u_thth + u.
 
     du is None when min(w) is not above CONVEXITY_RTOL * mean(u), which
     every non-finite u fails too.
     """
     stats.rhs_evals += 1
-    ubar = np.mean(u)
-    # constants lie in the kernel of d2/dth2: differentiating u - mean(u)
-    # keeps d2's row-sum rounding out of w, so a circle stays exactly round
-    w = np.dot(d2, u - ubar) + u
+    ubar = u.sum() / u.shape[0]  # np.mean(u), without its call overhead
+    # the rfft of a constant is not exactly zero beyond bin 0: differentiating
+    # u - mean(u) keeps that rounding out of w, so a circle stays exactly round
+    w = deriv2(u - ubar) + u
     if not _strictly_convex(w, ubar):
         return None, w
     speed = w ** (-alpha)
@@ -90,63 +120,83 @@ def rhs(u: SupportFunction, alpha, mode) -> np.ndarray:
     """Right-hand side of the flow in the given gauge at u, as the marcher forms it."""
     if mode not in _MODES:
         raise BadConfig(f"unknown mode {mode!r}")
-    du, w = _flow_rhs(u.values, alpha, mode, spectral_d2_matrix(u.grid.n), FlowStats())
+    du, w = _flow_rhs(u.values, alpha, mode, FlowStats())
     if du is None:
         raise NonConvex(f"min radius of curvature {np.min(w):.3e} <= tolerance "
                         f"{CONVEXITY_RTOL * np.mean(u.values):.3e}")
     return du
 
 
-def _rk4(u, h, k1, alpha, mode, d2, stats):
-    """One RK4 step of size h from u given k1 = f(u); None on convexity loss."""
-    k2, _ = _flow_rhs(u + 0.5 * h * k1, alpha, mode, d2, stats)
-    if k2 is None:
-        return None
-    k3, _ = _flow_rhs(u + 0.5 * h * k2, alpha, mode, d2, stats)
-    if k3 is None:
-        return None
-    k4, _ = _flow_rhs(u + h * k3, alpha, mode, d2, stats)
-    if k4 is None:
-        return None
-    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _combine(coefs, arrays):
+    return sum(c * v for c, v in zip(coefs, arrays))
 
 
-def flow_advance(u, t, h, t_limit, alpha, mode, d2, rtol, atol,
-                 stop_min_radius, stats, max_accept=1 << 60, max_dt=np.inf):
+def _w_step(u, d0, h, k1, coeff, alpha, mode, stats):
+    """Increment of one ROS34PW2 step of size h from u + d0, given k1 = f(u + d0).
+
+    None on convexity loss. coeff is c of W = I - h gamma c P (d_thth + 1).
+    Each stage state adds d0 and its other increments, summed, to u once.
+    """
+    n = u.shape[0]
+    m = np.arange(n // 2 + 1, dtype=float)
+    inv_w = 1.0 / (1.0 + (h * _GAMMA * coeff) * np.maximum(m * m - 1.0, 0.0))
+
+    def solve(v):
+        # W is 1 on the mean, which passes through as a scalar
+        vbar = v.sum() / n  # np.mean(v), without its call overhead
+        return np.fft.irfft(np.fft.rfft(v - vbar) * inv_w, n) + vbar
+
+    incs = [solve((h * _GAMMA) * k1)]
+    for a_row, c_row in zip(_A, _C):
+        f, _ = _flow_rhs(u + (d0 + _combine(a_row, incs)), alpha, mode, stats)
+        if f is None:
+            return None
+        incs.append(solve((h * _GAMMA) * f + _GAMMA * _combine(c_row, incs)))
+    return _combine(_M, incs)
+
+
+def _pow2_floor(x):
+    """The largest power of two not above x > 0."""
+    return math.ldexp(1.0, math.frexp(x)[1] - 1)
+
+
+def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
+                 stats, max_accept=1 << 60, max_dt=np.inf):
     """Advance the flow state u in place until t_limit or max_accept steps.
 
-    Step control is RK4 step doubling with local extrapolation; the step is
-    also capped by an explicit-stability estimate, by the near-extinction
-    guard CFL_COEFF * min_roc^(1 + alpha), and by max_dt. A step is rejected
-    when a stage state fails the convexity test or the error estimate is
-    above tolerance or not finite. Counts go to stats (a FlowStats).
+    Step control is W-step doubling with local extrapolation; the step is
+    also capped by the near-extinction guard CFL_COEFF * min_roc^(1 + alpha)
+    and by max_dt. A step is rejected when a stage state fails the convexity
+    test or the error estimate is above tolerance or not finite. Counts go
+    to stats (a FlowStats).
 
     Returns (status, t, h_next); status is "reached_limit", "max_accept",
     "min_radius", "non_convex" (u fails the convexity test; it is not
     stepped) or "step_underflow".
     """
-    halfmode2 = (0.5 * u.shape[0]) ** 2 - 1.0
     n_acc = 0
-    k1 = None  # f(u), with the step caps of u, until u changes
+    k1 = None  # f(u), with W's coefficient and the guard of u, until u changes
 
     for _ in range(100_000_000):
         if t >= t_limit:
             return "reached_limit", t, h
 
         if k1 is None:
-            k1, w = _flow_rhs(u, alpha, mode, d2, stats)
+            k1, w = _flow_rhs(u, alpha, mode, stats)
             if k1 is None:
                 return "non_convex", t, h
             wmin = np.min(w)
             if wmin < stop_min_radius:
                 return "min_radius", t, h
-            # explicit stability cap from the stiffest Fourier mode
             coeff = alpha * np.max(w ** (-alpha - 1.0))
             if mode == "normalized_area":
                 coeff = coeff / np.mean(w ** (1.0 - alpha))
-            hcap = min(STABILITY_COEFF / (coeff * halfmode2 + 1.0), max_dt)
             hguard = CFL_COEFF * wmin ** (1.0 + alpha)
-        h = min(h, hcap, hguard)
+        cap = "error"
+        if hguard < h:
+            h, cap = hguard, "guard"
+        if max_dt < h:
+            h, cap = max_dt, "max_dt"
         # landing steps are clamped for output only; the controller keeps
         # proposing from the unclamped step so sampling does not perturb
         # the step sequence
@@ -157,36 +207,46 @@ def flow_advance(u, t, h, t_limit, alpha, mode, d2, rtol, atol,
                 return "reached_limit", t_limit, h
             return "step_underflow", t, h_step
 
-        y2 = None
-        y1 = _rk4(u, h_step, k1, alpha, mode, d2, stats)
-        if y1 is not None:
-            yh = _rk4(u, 0.5 * h_step, k1, alpha, mode, d2, stats)
-            if yh is not None:
-                kh, _ = _flow_rhs(yh, alpha, mode, d2, stats)
+        # increments of one full step and of two half steps; working with
+        # them, not with the states, keeps the rounding of u out of their
+        # difference
+        d2 = None
+        d1 = _w_step(u, 0.0, h_step, k1, coeff, alpha, mode, stats)
+        if d1 is not None:
+            dh = _w_step(u, 0.0, 0.5 * h_step, k1, coeff, alpha, mode, stats)
+            if dh is not None:
+                kh, _ = _flow_rhs(u + dh, alpha, mode, stats)
                 if kh is not None:
-                    y2 = _rk4(yh, 0.5 * h_step, kh, alpha, mode, d2, stats)
-        if y2 is None:
+                    dh2 = _w_step(u, dh, 0.5 * h_step, kh, coeff, alpha, mode,
+                                  stats)
+                    if dh2 is not None:
+                        d2 = dh + dh2
+        if d2 is None:
             stats.rejected_convexity += 1
             h = 0.25 * h_step
             continue
 
-        enorm = np.max(np.abs(y2 - y1) / (atol + rtol * np.abs(u))) / 15.0
+        # the two half steps carry 1/(2^3 - 1) of the difference as their error
+        diff = d2 - d1
+        enorm = np.max(np.abs(diff) / (atol + rtol * np.abs(u))) / 7.0
         if not np.isfinite(enorm):
             enorm = 10.0
         if enorm > 1.0:
             stats.rejected_error += 1
-            h = h_step * max(0.9 * enorm ** (-0.2), 0.1)
+            h = h_step * _pow2_floor(max(0.9 * enorm ** -0.25, 0.1))
             continue
 
-        u[:] = y2 + (y2 - y1) / 15.0
+        u += d2 + diff / 7.0
         k1 = None
         n_acc += 1
-        stats.accepted += 1
+        stats.count_step("landing" if landing else cap, h_step)
         if landing:
             return "reached_limit", t_limit, h
         t = t + h_step
-        fac = 4.0 if enorm < 1e-8 else 0.9 * enorm ** (-0.2)
-        h = h_step * min(max(fac, 0.2), 4.0)
+        # powers of two keep h on one lattice: rounding in y2 - y1 then
+        # seldom changes the step sequence
+        fac = 4.0 if enorm < 1e-8 else min(_pow2_floor(0.9 * enorm ** -0.25), 4.0)
+        h = h_step * fac
         if n_acc >= max_accept:
             return "max_accept", t, h
 
@@ -204,8 +264,8 @@ class FlowConfig:
     sample_dt: float | None = None  # uniform-time sampling with exact landings
     stop_min_radius: float = 1e-3
     max_steps: int = 10_000_000
-    rtol: float = 1e-8
-    atol: float = 1e-11
+    rtol: float = 1e-12
+    atol: float = 1e-15
     max_dt: float | None = None  # extra step cap, e.g. for low-jitter sampling
     log_entropy: bool = False
     store_snapshots: bool = True
@@ -269,8 +329,6 @@ def run(config: FlowConfig) -> FlowTrace:
     from .entropy import entropy as entropy_max  # local import, no cycle
 
     grid = config.initial.grid
-    n = grid.n
-    d2 = spectral_d2_matrix(n)
     u = config.initial.values.copy()
     t = 0.0
     h = config.dt
@@ -308,7 +366,7 @@ def run(config: FlowConfig) -> FlowTrace:
             target = config.t_end
             max_accept = min(config.sample_every, steps_left)
         status, t, h = flow_advance(
-            u, t, h, target, config.alpha, config.mode, d2, config.rtol,
+            u, t, h, target, config.alpha, config.mode, config.rtol,
             config.atol, config.stop_min_radius, stats, max_accept,
             config.max_dt if config.max_dt is not None else np.inf)
         if status == "non_convex":
@@ -338,15 +396,14 @@ def run(config: FlowConfig) -> FlowTrace:
 def area_derivative_check(u: SupportFunction, alpha, dt=1e-5) -> float:
     """Relative residual of dA/dt = -integral kappa^(alpha-1) over one step."""
     grid = u.grid
-    d2 = spectral_d2_matrix(grid.n)
     a0 = area(u)
 
     vals = u.values.copy()
     stats = FlowStats()
-    flow_advance(vals, 0.0, dt / 8.0, dt / 2.0, alpha, "unnormalized", d2,
+    flow_advance(vals, 0.0, dt / 8.0, dt / 2.0, alpha, "unnormalized",
                  1e-11, 1e-14, 0.0, stats)
     w_mid = deriv2(vals) + vals
-    flow_advance(vals, dt / 2.0, dt / 8.0, dt, alpha, "unnormalized", d2,
+    flow_advance(vals, dt / 2.0, dt / 8.0, dt, alpha, "unnormalized",
                  1e-11, 1e-14, 0.0, stats)
     a1 = 0.5 * grid.dtheta * float(np.sum(vals * (deriv2(vals) + vals)))
 
@@ -407,39 +464,6 @@ def entropy_monotonicity_check(trace: FlowTrace) -> float:
         raise InsufficientData("trace has no logged entropy column")
     diffs = np.diff(ent[good])
     return float(np.max(diffs))
-
-
-@dataclass(frozen=True)
-class TypeDiagnostic:
-    ratio_series: np.ndarray
-    verdict: str  # typeI_like | typeII_like | inconclusive
-
-
-def type_diagnostic(trace: FlowTrace) -> TypeDiagnostic:
-    """Trend of the scale-invariant ratio A / L^2 approaching extinction.
-
-    Heuristic: the ratio collapsing by more than half across the last decade
-    and still falling reads as degenerate (type II); a ratio stabilized above
-    a small floor reads as round-like (type I).
-    """
-    ratio = trace.iso_ratio
-    try:
-        fit = area_law_fit(trace)
-        window = (fit.t_extinction - trace.times) <= 10.0 * (
-            fit.t_extinction - trace.times[-1])
-    except InsufficientData:
-        window = np.zeros(len(ratio), dtype=bool)
-        window[-max(2, len(ratio) // 3):] = True
-    series = ratio[window]
-    start, end = series[0], series[-1]
-    falling = len(series) >= 3 and series[-1] < series[-3]
-    if end < 0.5 * start and falling:
-        verdict = "typeII_like"
-    elif abs(end - start) < 0.1 * start and end > 1e-4:
-        verdict = "typeI_like"
-    else:
-        verdict = "inconclusive"
-    return TypeDiagnostic(ratio_series=ratio, verdict=verdict)
 
 
 def renormalize_time(t, alpha) -> float:

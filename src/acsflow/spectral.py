@@ -22,6 +22,7 @@ the weight spans many orders of magnitude.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -147,6 +148,20 @@ def _fix_phases(phi, lams):
     return phi
 
 
+@lru_cache(maxsize=8)
+def spectral_d2_matrix(n):
+    """Dense second-derivative operator: geometry.deriv2 of the identity, symmetrized.
+
+    Symmetrizing breaks exact circulance (entries along a diagonal differ
+    in the last bits) and the row sums are not exactly zero, so constants
+    are differentiated to rounding error of size n^2 * eps, not to 0.
+    """
+    mat = deriv2(np.eye(n))
+    mat = 0.5 * (mat + mat.T)
+    mat.setflags(write=False)
+    return mat
+
+
 def decompose(h: SupportFunction, alpha, j_max=40) -> SpectralDecomposition:
     """Lowest j_max eigenpairs of -L at the profile h.
 
@@ -154,8 +169,6 @@ def decompose(h: SupportFunction, alpha, j_max=40) -> SpectralDecomposition:
     does not converge or a pair's backward error exceeds BACKWARD_TOL.
     """
     import scipy.sparse.linalg
-
-    from .flow import spectral_d2_matrix
 
     ip = WeightedInnerProduct.build(h, alpha)
     n = h.grid.n

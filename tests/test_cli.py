@@ -20,6 +20,8 @@ def test_flow_rerun_is_byte_identical_and_feeds_modes(tmp_path, capsys):
     assert first == second
     stats = json.loads(first)["stats"]
     assert stats["accepted"] == json.loads(first)["accepted_steps"] > 0
+    assert stats["accepted"] == sum(stats[f"cap_{c}"]
+                                    for c in ("error", "guard", "max_dt", "landing"))
 
     names = _files(a)
     assert names == _files(b)

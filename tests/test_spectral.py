@@ -255,6 +255,22 @@ def test_growth_rate_window_escape():
         measure_growth_rate(h, 0.5, j, 0.2, (0.05, 0.4), decomposition=dec)
 
 
+@pytest.mark.parametrize("j, lam, rel", [
+    (3, -0.588, 1e-5),  # one of the unstable pair: measured 3.0e-7
+    (6, 0.084, 1e-3),  # the first stable mode: measured 8.9e-5
+], ids=["unstable_pair", "first_stable"])
+def test_growth_rate_at_k3_shrinker(j, lam, rel):
+    # the flow leaves (or returns to) the k-fold shrinker at the rate its
+    # spectrum gives; the errors are the fit's, the same under RK4 and the
+    # W-step, so the bounds keep a wide margin over them
+    alpha = 0.12
+    h = assemble_profile(alpha, 3, 252).h
+    dec = decompose(h, alpha, j_max=12)
+    assert dec.eigenvalues[j] == pytest.approx(lam, abs=1e-3)
+    rate = measure_growth_rate(h, alpha, j, 1e-5, (0.1, 1.0), decomposition=dec)
+    assert rate == pytest.approx(-dec.eigenvalues[j], rel=rel)
+
+
 def test_spectrum_json_shape():
     dec = decompose(_circle(128), 0.5, j_max=6)
     obj = spectrum_to_json_dict(dec, "circle")
