@@ -86,19 +86,19 @@ def _wavenumbers(n):
 
 
 def deriv1(values):
-    """Spectral first derivative of periodic nodal data."""
-    n = len(values)
+    """Spectral first derivative of periodic nodal data, along the last axis."""
+    n = values.shape[-1]
     spec = np.fft.rfft(values)
     m = _wavenumbers(n)
     spec = spec * (1j * m)
     # The Nyquist cosine has no representable sine derivative on this grid.
-    spec[-1] = 0.0
+    spec[..., -1] = 0.0
     return np.fft.irfft(spec, n)
 
 
 def deriv2(values):
-    """Spectral second derivative of periodic nodal data."""
-    n = len(values)
+    """Spectral second derivative of periodic nodal data, along the last axis."""
+    n = values.shape[-1]
     spec = np.fft.rfft(values)
     m = _wavenumbers(n)
     return np.fft.irfft(spec * (-(m * m)), n)
@@ -110,8 +110,11 @@ def radius_of_curvature(u: SupportFunction) -> np.ndarray:
 
 
 def _strictly_convex(w, ubar) -> bool:
-    """min(w) > CONVEXITY_RTOL * ubar for radii of curvature w; False on NaN."""
-    return bool(np.min(w) > CONVEXITY_RTOL * ubar)
+    """min(w) > CONVEXITY_RTOL * ubar for radii of curvature w; False on NaN.
+
+    For rows of w, ubar is the column of their means and every row must pass.
+    """
+    return bool(np.all(np.min(w, axis=-1, keepdims=True) > CONVEXITY_RTOL * ubar))
 
 
 def convexity_report(u: SupportFunction) -> ConvexityReport:
@@ -180,16 +183,22 @@ def steiner_point(u: SupportFunction) -> np.ndarray:
     return embed(u).mean(axis=0)
 
 
-def fourier_modes(u: SupportFunction, m_max: int) -> FourierModes:
-    """Leading real Fourier coefficients, a_m = (1/pi) integral u cos(m th)."""
-    n = u.grid.n
+def _fourier_coefficients(values, m_max):
+    """(a0, a, b) of fourier_modes for each row of values (along the last axis)."""
+    n = values.shape[-1]
     if not 0 < m_max < n // 2:
         raise ValueError(f"m_max must be in [1, {n // 2 - 1}], got {m_max}")
-    spec = np.fft.rfft(u.values)
-    a0 = float(spec[0].real) / n
-    a = 2.0 * spec[1 : m_max + 1].real / n
-    b = -2.0 * spec[1 : m_max + 1].imag / n
-    return FourierModes(a0, a, b)
+    spec = np.fft.rfft(values)
+    a0 = spec[..., 0].real / n
+    a = 2.0 * spec[..., 1 : m_max + 1].real / n
+    b = -2.0 * spec[..., 1 : m_max + 1].imag / n
+    return a0, a, b
+
+
+def fourier_modes(u: SupportFunction, m_max: int) -> FourierModes:
+    """Leading real Fourier coefficients, a_m = (1/pi) integral u cos(m th)."""
+    a0, a, b = _fourier_coefficients(u.values, m_max)
+    return FourierModes(float(a0), a, b)
 
 
 def synthesize(grid: AngularGrid, modes: FourierModes) -> SupportFunction:

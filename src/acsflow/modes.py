@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import AlphaMismatch, BadConfig, MismatchBug, OutOfRange, TooLarge
 from .flow import FlowTrace
-from .geometry import AngularGrid, SupportFunction, fourier_modes
+from .geometry import AngularGrid, SupportFunction, _fourier_coefficients
 from .spectral import SpectralDecomposition, project
 
 RHO_SMALLNESS = 1e-2
@@ -108,16 +108,9 @@ def track_modes(trace: FlowTrace, k, m_max=None) -> ModeTrace:
     if m_max < 2 * k:
         raise BadConfig(f"m_max must reach the 2k-th mode, got {m_max} < {2 * k}")
 
-    rows = len(trace)
-    a = np.empty((rows, m_max))
-    b = np.empty((rows, m_max))
-    a0 = np.empty(rows)
-    for i in range(rows):
-        fm = fourier_modes(trace.snapshot(i), m_max)
-        a0[i] = fm.a0 - 1.0
-        a[i] = fm.a
-        b[i] = fm.b
-    return ModeTrace(k=int(k), alpha=alpha, tau=trace.times.copy(), a0=a0, a=a, b=b)
+    a0, a, b = _fourier_coefficients(trace.snapshots, m_max)
+    return ModeTrace(k=int(k), alpha=alpha, tau=trace.times.copy(), a0=a0 - 1.0,
+                     a=a, b=b)
 
 
 def cstar(k) -> float:

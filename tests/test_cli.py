@@ -71,6 +71,42 @@ def test_spectrum_rerun_is_byte_identical(tmp_path, capsys):
     assert max(spec["backward_errors"]) <= 1e-12
 
 
+def test_entropy_table_rerun_is_byte_identical(tmp_path, capsys):
+    argv = ["entropy-table", "--alpha", "0.05"]
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert cli.main(argv + ["--out", a]) == 0
+    assert cli.main(argv + ["--out", b]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second
+    assert [row[0] for row in json.loads(first)["rows"]] == ["circle", 4, 3]
+
+    names = _files(a)
+    assert names == _files(b) == ["entropy_table.json", "meta.json"]
+    match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
+    assert mismatch == [] and errors == []
+
+
+def test_modes_rerun_is_byte_identical(tmp_path, capsys):
+    # long enough for the 2k mode to settle, so the rho rate is measured too
+    trace = str(tmp_path / "trace")
+    assert cli.main(["flow", "--alpha", "0.125", "--mode", "tau", "--init",
+                     "seed:3,0.001", "--n", "64", "--t-end", "2", "--sample-dt",
+                     "0.01", "--outdir", trace]) == 0
+    capsys.readouterr()
+    argv = ["modes", "--trace", trace, "--k", "3"]
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert cli.main(argv + ["--out", a]) == 0
+    assert cli.main(argv + ["--out", b]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second
+    assert json.loads(first)["measured_rho_rate"] is not None
+
+    names = _files(a)
+    assert names == _files(b) == ["modes.csv", "residuals.json"]
+    match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
+    assert mismatch == [] and errors == []
+
+
 def test_exit_codes(tmp_path, capsys):
     # 2: k = 5 is not below sqrt(1 + 1/alpha) at alpha 0.1
     assert cli.main(["shrinker", "--alpha", "0.1", "--k", "5"]) == 2

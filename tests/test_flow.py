@@ -281,6 +281,36 @@ def test_stats_count_eleven_rhs_per_step(grid256):
     assert stats.rhs_evals == 11 * stats.accepted
 
 
+def test_circle_extinction_step_count(grid256):
+    # quarter-octave changes of h; with powers of two this took 2,317 steps
+    cfg = FlowConfig(alpha=0.5, mode="unnormalized", initial=circle_support(grid256),
+                     t_end=10.0, sample_every=200, store_snapshots=False)
+    tr = run(cfg)
+    assert tr.terminal_reason == "min_radius"
+    assert tr.n_steps <= 1900
+
+
+@pytest.mark.parametrize("mode", ["unnormalized", "normalized_tau",
+                                  "normalized_area"])
+def test_batched_w_step_equals_single_rows(grid256, rng, mode):
+    # the full step and the first half step run as two rows of one W-step
+    alpha, h = 0.4, 1e-3
+    u = random_convex_support(grid256, rng).values
+    k1, w = flow._flow_rhs(u, alpha, mode, flow.FlowStats())
+    coeff = alpha * np.max(w ** (-alpha - 1.0))
+    m = np.arange(129, dtype=float)
+    msq = np.maximum(m * m - 1.0, 0.0)
+
+    def step(h_col):
+        return flow._w_step(u, 0.0, h_col, k1, coeff, msq, alpha, mode,
+                            flow.FlowStats())
+
+    both = step(np.array([[h], [h / 2]]))
+    assert both.shape == (2, 256)
+    assert np.array_equal(both[0], step(h))
+    assert np.array_equal(both[1], step(h / 2))
+
+
 def test_step_caps_sum_to_accepted():
     # a loose tolerance lets max_dt bind early and the extinction guard late
     cfg = FlowConfig(alpha=0.5, mode="unnormalized",
@@ -311,6 +341,7 @@ def test_non_finite_state_is_non_convex():
 
 
 @pytest.mark.parametrize("poisoned_call, rejection", [
+    # calls 2 to 4 take the full step in row 0 and the first half step in row 1
     (2, "rejected_convexity"),  # k2 of the full step: the k3 stage is not finite
     (4, "rejected_error"),  # k4 of the full step: its result is not finite
 ])
@@ -323,7 +354,7 @@ def test_non_finite_stage_rejects_step(monkeypatch, poisoned_call, rejection):
         calls.append(None)
         if len(calls) == poisoned_call:
             du = du.copy()
-            du[3] = np.nan
+            du[0, 3] = np.nan
         return du, w
 
     monkeypatch.setattr(flow, "_flow_rhs", poisoned)

@@ -3,12 +3,13 @@ import pytest
 
 from acsflow.errors import NonConvex
 from acsflow.geometry import (AngularGrid, SupportFunction, area, circle_support,
-                              convexity_report, curvature, ellipse_support, embed,
-                              fourier_modes, isoperimetric_ratio, length,
-                              radius_of_curvature, random_convex_support,
-                              rotate_nodes, steiner_point, support_from_csv,
-                              support_from_json, support_to_csv, support_to_json,
-                              synthesize, translate)
+                              convexity_report, curvature, deriv1, deriv2,
+                              ellipse_support, embed, fourier_modes,
+                              isoperimetric_ratio, length, radius_of_curvature,
+                              random_convex_support, rotate_nodes, steiner_point,
+                              support_from_csv, support_from_json, support_to_csv,
+                              support_to_json, synthesize, translate)
+from acsflow.spectral import spectral_d2_matrix
 
 import oracles
 
@@ -245,3 +246,19 @@ def test_csv_round_trip(grid256, rng):
     back = support_from_csv(support_to_csv(u))
     assert back.grid.n == u.grid.n
     assert np.allclose(back.values, u.values, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("n", [120, 256, 510, 1024])
+def test_derivatives_act_on_rows(n, rng):
+    rows = rng.normal(size=(3, n))
+    for deriv in (deriv1, deriv2):
+        stacked = deriv(rows)
+        assert stacked.shape == (3, n)
+        for i in range(3):
+            assert np.array_equal(stacked[i], deriv(rows[i]))
+
+
+@pytest.mark.parametrize("n", [64, 252, 510, 1024])
+def test_spectral_d2_matrix_is_deriv2_of_unit_vectors(n):
+    mat = np.array([deriv2(e) for e in np.eye(n)])
+    assert np.array_equal(spectral_d2_matrix(n), 0.5 * (mat + mat.T))
