@@ -1,7 +1,8 @@
 """Deterministic number formatting for CLI outputs.
 
-JSON carries 17 significant digits (exact float round trip), CSV carries 12
-(readable, still far below any asserted tolerance). No timestamps anywhere.
+JSON carries 17 significant digits (exact float round trip), and so does
+snapshots.csv, which the modes diagnostics read back. The other CSV files carry
+12 (readable, still far below any asserted tolerance). No timestamps anywhere.
 """
 
 import math

@@ -2,10 +2,11 @@
 
 Subcommands: shrinker, spectrum, flow, modes, entropy-table. Each success
 prints exactly one JSON record to stdout; data files land under the output
-directory with fixed names (trace.csv, meta.json, snapshots/NNNN.json,
+directory with fixed names (trace.csv, meta.json, snapshots.csv,
 spectrum.json, profile.json, segment.csv, modes.csv, residuals.json).
 Identical invocations produce byte-identical files: floats are formatted at
-17 significant digits in JSON and 12 in CSV, and nothing carries timestamps.
+17 significant digits in JSON and snapshots.csv and 12 in the other CSV
+files, and nothing carries timestamps.
 
 Exit codes: 2 for domain errors (inadmissible alpha/k, mismatched trace),
 3 for numerical failures, 4 for bad configuration or missing inputs.
@@ -194,7 +195,7 @@ def _initial_from_spec(spec, n):
         try:
             with open(path) as fh:
                 return geometry.support_from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise BadConfig(f"cannot read initial support from {path}: {exc}")
     if spec.startswith("perturb:"):
         try:
@@ -219,8 +220,7 @@ def cmd_flow(args):
     if args.mode not in _MODE_NAMES:
         raise BadConfig(f"--mode must be one of {sorted(_MODE_NAMES)}, got {args.mode!r}")
     mode = _MODE_NAMES[args.mode]
-    n = args.n
-    initial = _initial_from_spec(args.init, n)
+    initial = _initial_from_spec(args.init, args.n)
     sample_dt = args.sample_dt
     if sample_dt is None and mode != "unnormalized":
         sample_dt = 0.01
@@ -241,15 +241,12 @@ def cmd_flow(args):
     }
     out = _ensure_outdir(args.outdir)
     if out:
-        os.makedirs(os.path.join(out, "snapshots"), exist_ok=True)
         _write(out, "trace.csv", flow.trace_to_csv(trace))
-        if trace.snapshots is not None:
-            for i in range(len(trace)):
-                _write_json(out, os.path.join("snapshots", f"{i:04d}.json"),
-                            geometry.support_to_json(trace.snapshot(i)))
+        with open(os.path.join(out, "snapshots.csv"), "w") as fh:
+            geometry.support_rows_to_csv(fh, trace.snapshots)
         _write_json(out, "meta.json", {
             "command": "flow", "version": __version__,
-            "alpha": alpha, "mode": mode, "n": n, "init": args.init,
+            "alpha": alpha, "mode": mode, "n": initial.grid.n, "init": args.init,
             "t_end": args.t_end,
             "sample_dt": config.sample_dt, "sample_every": args.sample_every,
             "stop_min_radius": config.stop_min_radius,
@@ -267,11 +264,9 @@ def cmd_flow(args):
 # -- modes ---------------------------------------------------------------------
 
 def _trace_from_dir(path):
-    meta_path = os.path.join(path, "meta.json")
-    trace_path = os.path.join(path, "trace.csv")
-    snap_dir = os.path.join(path, "snapshots")
-    if not (os.path.isdir(path) and os.path.isfile(meta_path)
-            and os.path.isfile(trace_path) and os.path.isdir(snap_dir)):
+    meta_path, trace_path, snap_path = (
+        os.path.join(path, name) for name in ("meta.json", "trace.csv", "snapshots.csv"))
+    if not all(os.path.isfile(p) for p in (meta_path, trace_path, snap_path)):
         raise BadConfig(f"{path!r} is not a flow output directory")
     with open(meta_path) as fh:
         meta = json.load(fh)
@@ -283,12 +278,16 @@ def _trace_from_dir(path):
             rows.append([float(x) if x else math.nan for x in parts])
     arr = np.array(rows)
     cols = {name: arr[:, i] for i, name in enumerate(header)}
-    snaps = []
-    for i in range(len(rows)):
-        with open(os.path.join(snap_dir, f"{i:04d}.json")) as fh:
-            snaps.append(geometry.support_from_json(json.load(fh)).values)
-    snaps = np.array(snaps)
     grid = geometry.AngularGrid(int(meta["n"]))
+    try:
+        snaps = geometry.support_rows_from_csv(snap_path)
+    except ValueError as exc:
+        raise BadConfig(f"cannot read {snap_path}: {exc}")
+    if snaps.shape != (len(rows), grid.n):
+        raise BadConfig(f"{snap_path} holds {snaps.shape[0]} rows of {snaps.shape[1]} "
+                        f"values, not the {len(rows)} rows of trace.csv with n = {grid.n}")
+    if not np.all(np.isfinite(snaps)):
+        raise BadConfig(f"{snap_path} holds a value that is not finite")
     return flow.FlowTrace(
         alpha=float(meta["alpha"]), mode=meta["mode"], grid=grid,
         times=cols["time"], area=cols["area"], length=cols["length"],

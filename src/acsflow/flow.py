@@ -316,11 +316,6 @@ class FlowTrace:
     def __len__(self):
         return len(self.times)
 
-    def snapshot(self, i) -> SupportFunction:
-        if self.snapshots is None:
-            raise ValueError("snapshots were not stored for this trace")
-        return SupportFunction(self.grid, self.snapshots[i])
-
 
 def _validate(config: FlowConfig):
     if config.mode not in _MODES:

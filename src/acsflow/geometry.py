@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fmt import JSON_FMT
 from .errors import NonConvex
 
 # min(u_thth + u) > CONVEXITY_RTOL * mean(u) declares strict convexity; the
@@ -253,14 +254,14 @@ def support_from_json(obj: dict) -> SupportFunction:
     return SupportFunction(AngularGrid(int(obj["n"])), np.asarray(obj["values"], dtype=float))
 
 
-def support_to_csv(u: SupportFunction) -> str:
-    lines = ["theta,u"]
-    for th, val in zip(u.grid.nodes, u.values):
-        lines.append(f"{float(th)!r},{float(val)!r}")
-    return "\n".join(lines) + "\n"
+def support_rows_to_csv(fh, rows) -> None:
+    """Write each row of support values to the open file fh as one line of
+    comma-separated values at 17 significant digits (an exact round trip),
+    with no header."""
+    np.savetxt(fh, rows, fmt="%" + JSON_FMT, delimiter=",")
 
 
-def support_from_csv(text: str) -> SupportFunction:
-    rows = [line for line in text.strip().splitlines()[1:] if line]
-    vals = np.array([float(line.split(",")[1]) for line in rows])
-    return SupportFunction(AngularGrid(len(vals)), vals)
+def support_rows_from_csv(fname) -> np.ndarray:
+    """Matrix of the support values written by support_rows_to_csv, one row per
+    line; ValueError on a ragged row or a value that is not a number."""
+    return np.loadtxt(fname, delimiter=",", ndmin=2)

@@ -26,10 +26,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import AlphaMismatch, BadConfig, MismatchBug, OutOfRange, TooLarge
+from .errors import (AlphaMismatch, BadConfig, GridMismatch, MismatchBug, OutOfRange,
+                     TooLarge)
 from .flow import FlowTrace
 from .geometry import AngularGrid, SupportFunction, _fourier_coefficients
-from .spectral import SpectralDecomposition, project
+from .spectral import SpectralDecomposition, energy_split
 
 RHO_SMALLNESS = 1e-2
 TRANSIENT_RULE = 5.0  # quasi-steady once lambda_2k * tau exceeds this
@@ -107,6 +108,8 @@ def track_modes(trace: FlowTrace, k, m_max=None) -> ModeTrace:
         m_max = max(2 * k, 8)
     if m_max < 2 * k:
         raise BadConfig(f"m_max must reach the 2k-th mode, got {m_max} < {2 * k}")
+    if m_max >= trace.grid.n // 2:
+        raise BadConfig(f"m_max must lie below n/2 = {trace.grid.n // 2}, got {m_max}")
 
     a0, a, b = _fourier_coefficients(trace.snapshots, m_max)
     return ModeTrace(k=int(k), alpha=alpha, tau=trace.times.copy(), a0=a0 - 1.0,
@@ -341,22 +344,12 @@ def projection_norm_series(trace: FlowTrace, decomposition: SpectralDecompositio
     """Unstable/neutral/stable energy split of v = u - h along a trace."""
     if trace.snapshots is None:
         raise BadConfig("trace has no stored snapshots")
-    rows = len(trace)
-    h_vals = decomposition.h.values
     if trace.grid.n != decomposition.h.grid.n:
-        from .errors import GridMismatch
-
         raise GridMismatch("trace grid does not match the decomposition grid")
-    u_mi = np.empty(rows)
-    ze = np.empty(rows)
-    pl = np.empty(rows)
-    rem = np.empty(rows)
-    for i in range(rows):
-        p = project(trace.snapshots[i] - h_vals, decomposition)
-        u_mi[i], ze[i], pl[i] = p.energies
-        rem[i] = p.remainder
-    return ProjectionSeries(tau=trace.times.copy(), unstable=u_mi, neutral=ze,
-                            stable=pl, remainder=rem)
+    _, (unstable, neutral, stable), remainder = energy_split(
+        (trace.snapshots - decomposition.h.values).T, decomposition)
+    return ProjectionSeries(tau=trace.times.copy(), unstable=unstable, neutral=neutral,
+                            stable=stable, remainder=remainder)
 
 
 def mode_trace_to_csv(mt: ModeTrace) -> str:

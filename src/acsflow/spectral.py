@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EigenFailed, GridMismatch, OutOfRange, WindowEscaped
-from .geometry import SupportFunction, deriv2
+from .geometry import SupportFunction, _fourier_coefficients, deriv2
 
 ZERO_TOL = 1e-6  # |lambda| at or below this counts as kernel
 SHIFT = -1.5  # below every mu: at a profile only the scaling mode has mu < 0, at -1
@@ -135,16 +135,11 @@ def _fix_phases(phi, lams):
             even = c * phi[i] + s * phi[j]
             odd = -s * phi[i] + c * phi[j]
             phi[i], phi[j] = even, odd
-    for i in range(phi.shape[0]):
-        spec = np.fft.rfft(phi[i])
-        seq = [spec[0].real / n]
-        for m in range(1, n // 2):
-            seq.append(2.0 * spec[m].real / n)
-            seq.append(-2.0 * spec[m].imag / n)
-        arr = np.array(seq)
-        big = np.abs(arr) > 1e-8 * np.max(np.abs(arr))
-        if big.any() and arr[np.argmax(big)] < 0.0:
-            phi[i] = -phi[i]
+    a0, a, b = _fourier_coefficients(phi, n // 2 - 1)
+    seq = np.column_stack([a0, np.stack([a, b], axis=-1).reshape(len(phi), -1)])
+    big = np.abs(seq) > 1e-8 * np.max(np.abs(seq), axis=1, keepdims=True)
+    lead = seq[np.arange(len(seq)), np.argmax(big, axis=1)]
+    phi[big.any(axis=1) & (lead < 0.0)] *= -1.0
     return phi
 
 
@@ -216,24 +211,28 @@ class Projection:
         return (self.norm_unstable**2, self.norm_neutral**2, self.norm_stable**2)
 
 
+def energy_split(v, decomposition: SpectralDecomposition):
+    """Coefficients of v in the retained eigenbasis, its unstable, neutral and
+    stable energies, and the energy beyond the basis. v is one vector or a
+    matrix whose columns are vectors; each result then has one entry per column.
+    """
+    dec = decomposition
+    dtheta, b, lam = dec.h.grid.dtheta, dec.inner_product.weights, dec.eigenvalues
+    coef = dtheta * (dec.eigenfunctions * b) @ v
+    e_minus, e_zero, e_plus = (np.sum(coef[sel] ** 2, axis=0) for sel in (
+        lam < -ZERO_TOL, np.abs(lam) <= ZERO_TOL, lam > ZERO_TOL))
+    remainder = np.maximum(dtheta * (b @ (v * v)) - e_minus - e_zero - e_plus, 0.0)
+    return coef, (e_minus, e_zero, e_plus), remainder
+
+
 def project(v: np.ndarray, decomposition: SpectralDecomposition) -> Projection:
     """Coefficients of v in the retained eigenbasis plus split norms."""
     v = np.asarray(v, dtype=float)
-    dec = decomposition
-    if v.shape != (dec.h.grid.n,):
-        raise GridMismatch(f"vector of shape {v.shape} on a grid of {dec.h.grid.n} nodes")
-    coef = np.array([dec.inner(v, phi) for phi in dec.eigenfunctions])
-    lam = dec.eigenvalues
-    total = dec.inner(v, v)
-    e_minus = float(np.sum(coef[lam < -ZERO_TOL] ** 2))
-    e_zero = float(np.sum(coef[np.abs(lam) <= ZERO_TOL] ** 2))
-    e_plus = float(np.sum(coef[lam > ZERO_TOL] ** 2))
-    remainder = max(total - e_minus - e_zero - e_plus, 0.0)
-    return Projection(coefficients=coef,
-                      norm_unstable=math.sqrt(e_minus),
-                      norm_neutral=math.sqrt(e_zero),
-                      norm_stable=math.sqrt(e_plus),
-                      remainder=remainder)
+    if v.shape != (decomposition.h.grid.n,):
+        raise GridMismatch(f"vector of shape {v.shape} on a grid of "
+                           f"{decomposition.h.grid.n} nodes")
+    coef, energies, remainder = energy_split(v, decomposition)
+    return Projection(coef, *(math.sqrt(e) for e in energies), float(remainder))
 
 
 def measure_growth_rate(h: SupportFunction, alpha, j, epsilon, tau_window,
@@ -261,9 +260,8 @@ def measure_growth_rate(h: SupportFunction, alpha, j, epsilon, tau_window,
     if trace.terminal_reason != "reached_end":
         raise WindowEscaped(f"flow stopped early: {trace.terminal_reason}")
     sel = np.nonzero((trace.times >= t0 - 1e-12) & (trace.times <= t1 + 1e-12))[0]
-    coefs = np.empty(len(sel))
-    for out_i, i in enumerate(sel):
-        coefs[out_i] = dec.inner(trace.snapshots[i] - h.values, phi)
+    coefs = h.grid.dtheta * ((trace.snapshots[sel] - h.values)
+                             @ (phi * dec.inner_product.weights))
     if np.min(np.abs(coefs)) < 1e-13:
         raise WindowEscaped("mode coefficient fell to rounding level inside the window")
 

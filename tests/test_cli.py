@@ -1,13 +1,23 @@
 import filecmp
 import json
+import math
 import os
 
-from acsflow import cli
+import numpy as np
+
+from acsflow import cli, geometry
 
 
 def _files(root):
     return sorted(os.path.relpath(os.path.join(d, f), root)
                   for d, _, names in os.walk(root) for f in names)
+
+
+def _tau_flow(out):
+    """A short normalized flow at alpha 1/8, n 32, that modes --k 3 accepts."""
+    assert cli.main(["flow", "--alpha", "0.125", "--mode", "tau", "--init",
+                     "seed:3,0.001", "--n", "32", "--t-end", "0.05",
+                     "--sample-dt", "0.01", "--outdir", out]) == 0
 
 
 def test_flow_rerun_is_byte_identical_and_feeds_modes(tmp_path, capsys):
@@ -26,7 +36,9 @@ def test_flow_rerun_is_byte_identical_and_feeds_modes(tmp_path, capsys):
     names = _files(a)
     assert names == _files(b)
     assert "trace.csv" in names and "meta.json" in names
-    assert len([f for f in names if f.startswith("snapshots")]) == 11
+    assert [f for f in names if f.startswith("snapshots")] == ["snapshots.csv"]
+    with open(os.path.join(a, "snapshots.csv")) as fh:
+        assert len(fh.read().splitlines()) == 11
     match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
     assert mismatch == [] and errors == []
     with open(os.path.join(a, "meta.json")) as fh:
@@ -129,6 +141,21 @@ def test_exit_codes(tmp_path, capsys):
         config = tmp_path / f"config{i}.json"
         config.write_text(json.dumps(cfg))
         assert cli.main(flow + ["--config", str(config)]) == 4
+    # 4: initial support files with a NaN, an odd n, or too few values
+    for i, body in enumerate(({"n": 32, "values": [1.0] * 31 + [math.nan]},
+                              {"n": 33, "values": [1.0] * 33},
+                              {"n": 32, "values": [1.0] * 30})):
+        init = tmp_path / f"init{i}.json"
+        init.write_text(json.dumps(body))
+        assert cli.main(["flow", "--alpha", "0.5", "--mode", "unnorm", "--t-end", "0.01",
+                         "--init", f"file:{init}"]) == 4
+    assert capsys.readouterr().out == ""
+    # 4: modes up to n/2 do not exist on an n 32 trace
+    trace = str(tmp_path / "trace")
+    _tau_flow(trace)
+    assert cli.main(["modes", "--trace", trace, "--k", "3", "--mmax", "15"]) == 0
+    capsys.readouterr()
+    assert cli.main(["modes", "--trace", trace, "--k", "3", "--mmax", "16"]) == 4
     assert capsys.readouterr().out == ""
 
 
@@ -168,3 +195,55 @@ def test_shrinker_circle_gnuplot_writes_no_plot(tmp_path, capsys):
     assert cli.main(["shrinker", "--alpha", "0.1", "--k", "3", "--n", "126",
                      "--gnuplot", "--out", out]) == 0
     assert _files(out) == ["meta.json", "plot.gp", "profile.json", "segment.csv"]
+
+
+def test_flow_file_init_records_its_grid(tmp_path, capsys):
+    init = tmp_path / "circle.json"
+    init.write_text(json.dumps(geometry.support_to_json(
+        geometry.circle_support(geometry.AngularGrid(64)))))
+    out = str(tmp_path / "flow")
+    assert cli.main(["flow", "--alpha", "0.5", "--mode", "unnorm", "--init",
+                     f"file:{init}", "--t-end", "0.01", "--outdir", out]) == 0
+    with open(os.path.join(out, "meta.json")) as fh:
+        assert json.load(fh)["n"] == 64  # not the --n default, 256
+    with open(os.path.join(out, "snapshots.csv")) as fh:
+        assert {len(line.split(",")) for line in fh} == {64}
+
+
+def test_snapshots_read_back_bit_for_bit(tmp_path, monkeypatch, capsys):
+    # the trace cmd_flow wrote, as flow.run returned it
+    traces, run = [], cli.flow.run
+
+    def recording_run(config):
+        traces.append(run(config))
+        return traces[-1]
+
+    monkeypatch.setattr(cli.flow, "run", recording_run)
+    out = str(tmp_path / "trace")
+    _tau_flow(out)
+    back = cli._trace_from_dir(out)
+    assert back.snapshots.shape == traces[0].snapshots.shape == (6, 32)
+    assert np.array_equal(back.snapshots, traces[0].snapshots)
+
+
+def test_modes_rejects_bad_snapshots(tmp_path, capsys):
+    trace = str(tmp_path / "trace")
+    _tau_flow(trace)
+    path = os.path.join(trace, "snapshots.csv")
+    with open(path) as fh:
+        lines = fh.read().splitlines(keepends=True)
+    first = lines[0].split(",")
+    bad = {
+        "row missing": lines[:-1],
+        "row cut short": lines[:-1] + [lines[-1][:40] + "\n"],
+        "row too wide": [lines[0].rstrip("\n") + ",1\n"] + lines[1:],
+        "non-finite": [",".join(["nan"] + first[1:])] + lines[1:],
+        "not a number": [",".join(["one"] + first[1:])] + lines[1:],
+    }
+    for name, text in bad.items():
+        with open(path, "w") as fh:
+            fh.writelines(text)
+        assert cli.main(["modes", "--trace", trace, "--k", "3"]) == 4, name
+    os.remove(path)
+    assert cli.main(["modes", "--trace", trace, "--k", "3"]) == 4
+    assert capsys.readouterr().out.count("\n") == 1  # only the flow's record

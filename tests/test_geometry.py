@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,9 @@ from acsflow.geometry import (AngularGrid, SupportFunction, area, circle_support
                               ellipse_support, embed, fourier_modes,
                               isoperimetric_ratio, length, radius_of_curvature,
                               random_convex_support, rotate_nodes, steiner_point,
-                              support_from_csv, support_from_json, support_to_csv,
-                              support_to_json, synthesize, translate)
+                              support_from_json, support_rows_from_csv,
+                              support_rows_to_csv, support_to_json, synthesize,
+                              translate)
 from acsflow.spectral import spectral_d2_matrix
 
 import oracles
@@ -242,10 +245,17 @@ def test_json_round_trip(grid256, rng):
 
 
 def test_csv_round_trip(grid256, rng):
-    u = random_convex_support(grid256, rng)
-    back = support_from_csv(support_to_csv(u))
-    assert back.grid.n == u.grid.n
-    assert np.allclose(back.values, u.values, rtol=1e-15, atol=0)
+    rows = np.array([random_convex_support(grid256, rng).values for _ in range(3)])
+    rows[0] *= 1e-300  # all 17 digits survive far from unit size too
+    fh = io.StringIO()
+    support_rows_to_csv(fh, rows)
+    assert fh.getvalue().count("\n") == 3
+    fh.seek(0)
+    assert np.array_equal(support_rows_from_csv(fh), rows)
+    fh = io.StringIO()
+    support_rows_to_csv(fh, rows[:1])
+    fh.seek(0)
+    assert np.array_equal(support_rows_from_csv(fh), rows[:1])
 
 
 @pytest.mark.parametrize("n", [120, 256, 510, 1024])

@@ -213,6 +213,24 @@ def test_projection_norm_series():
             ) == pytest.approx(total, rel=1e-9)
 
 
+def test_projection_series_matches_rowwise_inner_products():
+    # per-row inner products as the reference
+    grid = AngularGrid(128)
+    dec = decompose(circle_support(grid), 1 / 8, j_max=12)
+    tr = _run_tau(quasi_steady_seed(grid, 3, 1e-2), 1 / 8, 0.1)
+    series = projection_norm_series(tr, dec)
+    lam = dec.eigenvalues
+    for i, u in enumerate(tr.snapshots):
+        v = u - 1.0
+        coef = np.array([dec.inner(v, phi) for phi in dec.eigenfunctions])
+        energies = [np.sum(coef[sel] ** 2) for sel in (lam < -1e-6, np.abs(lam) <= 1e-6,
+                                                      lam > 1e-6)]
+        got = (series.unstable[i], series.neutral[i], series.stable[i])
+        assert got == pytest.approx(energies, rel=1e-12, abs=1e-30)
+        rest = dec.inner(v, v) - sum(energies)
+        assert series.remainder[i] == pytest.approx(rest, rel=1e-9, abs=1e-24)
+
+
 def test_mode_trace_csv(seeded_k3_trace):
     mt = track_modes(seeded_k3_trace, 3, m_max=6)
     text = mode_trace_to_csv(mt)
