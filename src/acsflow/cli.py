@@ -263,38 +263,50 @@ def cmd_flow(args):
 
 # -- modes ---------------------------------------------------------------------
 
+def _unreadable(path, exc):
+    reason = f"no key {exc}" if isinstance(exc, KeyError) else exc
+    return BadConfig(f"cannot read {path}: {reason}")
+
+
 def _trace_from_dir(path):
+    """The FlowTrace of a flow output directory; BadConfig naming the file
+    at fault when one is missing or does not hold what flow writes."""
     meta_path, trace_path, snap_path = (
         os.path.join(path, name) for name in ("meta.json", "trace.csv", "snapshots.csv"))
     if not all(os.path.isfile(p) for p in (meta_path, trace_path, snap_path)):
         raise BadConfig(f"{path!r} is not a flow output directory")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    rows = []
-    with open(trace_path) as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            parts = line.strip().split(",")
-            rows.append([float(x) if x else math.nan for x in parts])
-    arr = np.array(rows)
-    cols = {name: arr[:, i] for i, name in enumerate(header)}
-    grid = geometry.AngularGrid(int(meta["n"]))
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)  # JSONDecodeError is a ValueError
+        grid = geometry.AngularGrid(int(meta["n"]))
+        fields = {"alpha": float(meta["alpha"]), "mode": meta["mode"],
+                  "terminal_reason": meta["terminal_reason"],
+                  "n_steps": int(meta["accepted_steps"]),
+                  "sample_dt": meta.get("sample_dt")}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _unreadable(meta_path, exc)
+    try:
+        with open(trace_path) as fh:
+            header = fh.readline().strip().split(",")
+            rows = [[float(x) if x else math.nan for x in line.strip().split(",")]
+                    for line in fh]
+        arr = np.array(rows).reshape(len(rows), len(header))
+        cols = {name: arr[:, i] for i, name in enumerate(header)}
+        fields.update(times=cols["time"], area=cols["area"], length=cols["length"],
+                      iso_ratio=cols["iso_ratio"], min_curvature=cols["min_curv"],
+                      max_curvature=cols["max_curv"], entropy=cols["entropy"])
+    except (KeyError, ValueError) as exc:
+        raise _unreadable(trace_path, exc)
     try:
         snaps = geometry.support_rows_from_csv(snap_path)
     except ValueError as exc:
-        raise BadConfig(f"cannot read {snap_path}: {exc}")
+        raise _unreadable(snap_path, exc)
     if snaps.shape != (len(rows), grid.n):
         raise BadConfig(f"{snap_path} holds {snaps.shape[0]} rows of {snaps.shape[1]} "
                         f"values, not the {len(rows)} rows of trace.csv with n = {grid.n}")
     if not np.all(np.isfinite(snaps)):
         raise BadConfig(f"{snap_path} holds a value that is not finite")
-    return flow.FlowTrace(
-        alpha=float(meta["alpha"]), mode=meta["mode"], grid=grid,
-        times=cols["time"], area=cols["area"], length=cols["length"],
-        iso_ratio=cols["iso_ratio"], min_curvature=cols["min_curv"],
-        max_curvature=cols["max_curv"], entropy=cols["entropy"],
-        snapshots=snaps, terminal_reason=meta["terminal_reason"],
-        n_steps=int(meta["accepted_steps"]), sample_dt=meta.get("sample_dt"))
+    return flow.FlowTrace(grid=grid, snapshots=snaps, **fields)
 
 
 def cmd_modes(args):
@@ -427,8 +439,8 @@ def _build_parser():
     p.add_argument("--sample-every", dest="sample_every", default=None)
     p.add_argument("--stop-min-radius", dest="stop_min_radius", default=None)
     p.add_argument("--rtol", default=None,
-                   help="bound on the estimated local error of each step, relative to |u| "
-                        "(default 1e-12)")
+                   help="bound on the estimated local error of each step, relative to the "
+                        "support function about the Steiner point (default 1e-12)")
     p.add_argument("--max-dt", dest="max_dt", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--gnuplot", action="store_true")

@@ -23,8 +23,15 @@ start from u, so they run as one W-step on a 2-row state with step sizes
 h and h/2; rows of the batched FFTs, sums and minima are bitwise equal to
 the single-row calls, so batching changes no output. An accepted step thus
 evaluates the RHS at 11 states in 8 calls and makes 32 FFT calls; a rejected
-step reuses k1. rtol and atol bound the estimated local error of each step,
-node by node, before extrapolation. h changes only by factors on a fixed
+step reuses k1. The estimated local error of each step, before
+extrapolation, is bounded node by node by atol + rtol |u_s|. Here
+u_s = u - s.e(theta) is the support function about the Steiner point
+s = (1/pi) integral u e(theta), that is u without its Fourier mode 1. The
+flow commutes with translations and u_s does not see them, so the tolerance
+does not depend on where the origin is. The Steiner point lies inside every
+convex body, so u_s > 0 and rtol bounds the error at every node; |u| of a
+body off the origin nears 0 at some nodes, where a bound relative to |u|
+would shrink to atol and set the step. h changes only by factors on a fixed
 lattice of quarter octaves, 2^(j/4), floored from the controller's proposal,
 so rounding in the error estimate seldom moves h. Runs stop at t_end, at the
 minimum-radius floor, on convexity loss, or on step underflow, and report
@@ -170,6 +177,12 @@ def _w_step(u, d0, h, k1, coeff, msq, alpha, mode, stats):
     return _combine(_M, incs)
 
 
+def _about_steiner_point(u, e):
+    """u - s.e(theta), the support function about the Steiner point
+    s = (2/n) e u, for e the (2, n) matrix of cos and sin at the nodes."""
+    return u - ((2.0 / u.shape[-1]) * (e @ u)) @ e
+
+
 def _ratio_floor(x):
     """The largest of _STEP_RATIOS not above x, for x >= _STEP_RATIOS[0]."""
     return _STEP_RATIOS[bisect.bisect_right(_STEP_RATIOS, x) - 1]
@@ -187,16 +200,22 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
     controller's factor is floored onto _STEP_RATIOS, quarter octaves from
     below 0.1 to 4. A step is rejected when a stage state fails the
     convexity test or the error estimate is above tolerance or not finite.
-    Counts go to stats (a FlowStats).
+    The tolerance at each node is atol + rtol |u_s|, with u_s the support
+    function about the Steiner point (see the module docstring); it is
+    positive for a convex body wherever the origin is, so rtol bounds the
+    error at every node. Counts go to stats (a FlowStats).
 
     Returns (status, t, h_next); status is "reached_limit", "max_accept",
     "min_radius", "non_convex" (u fails the convexity test; it is not
     stepped) or "step_underflow".
     """
     n_acc = 0
-    k1 = None  # f(u), with W's coefficient and the guard of u, until u changes
-    m = np.arange(u.shape[0] // 2 + 1, dtype=float)
+    k1 = None  # f(u), with W's coefficient, the guard and the error scale of u
+    n = u.shape[0]
+    m = np.arange(n // 2 + 1, dtype=float)
     msq = np.maximum(m * m - 1.0, 0.0)
+    theta = 2.0 * np.pi * np.arange(n) / n  # AngularGrid(n).nodes
+    e = np.stack([np.cos(theta), np.sin(theta)])
     # step sizes of the full step and the first half step, as one column
     halving = np.array([[1.0], [0.5]])
 
@@ -215,6 +234,7 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
             if mode == "normalized_area":
                 coeff = coeff / np.mean(w ** (1.0 - alpha))
             hguard = CFL_COEFF * wmin ** (1.0 + alpha)
+            escale = atol + rtol * np.abs(_about_steiner_point(u, e))
         cap = "error"
         if hguard < h:
             h, cap = hguard, "guard"
@@ -252,7 +272,7 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
 
         # the two half steps carry 1/(2^3 - 1) of the difference as their error
         diff = d2 - d1
-        enorm = np.max(np.abs(diff) / (atol + rtol * np.abs(u))) / 7.0
+        enorm = np.max(np.abs(diff) / escale) / 7.0
         if not np.isfinite(enorm):
             enorm = 10.0
         if enorm > 1.0:

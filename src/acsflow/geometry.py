@@ -7,6 +7,7 @@ The radius of curvature is u_thth + u, so strict convexity of the sampled
 body means min(u_thth + u) > 0.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,5 +264,13 @@ def support_rows_to_csv(fh, rows) -> None:
 
 def support_rows_from_csv(fname) -> np.ndarray:
     """Matrix of the support values written by support_rows_to_csv, one row per
-    line; ValueError on a ragged row or a value that is not a number."""
-    return np.loadtxt(fname, delimiter=",", ndmin=2)
+    line; ValueError on an empty file, a ragged row or a value that is not a
+    number."""
+    with warnings.catch_warnings():
+        # an empty file is the ValueError below, not a warning as well
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        rows = np.loadtxt(fname, delimiter=",", ndmin=2)
+    if rows.size == 0:
+        raise ValueError("the file is empty")
+    return rows

@@ -136,7 +136,7 @@ def test_exit_codes(tmp_path, capsys):
     spectrum = ["spectrum", "--alpha", "0.2", "--profile", "circle"]
     assert cli.main(spectrum + ["--n", "abc"]) == 4
     assert cli.main(spectrum + ["--jmax", "abc"]) == 4
-    flow = flow[:4] + flow[6:]  # without --n
+    flow = flow[:5] + flow[7:]  # without --n 32
     for i, cfg in enumerate(({"n": "abc"}, {"n": [64]})):
         config = tmp_path / f"config{i}.json"
         config.write_text(json.dumps(cfg))
@@ -247,3 +247,48 @@ def test_modes_rejects_bad_snapshots(tmp_path, capsys):
     os.remove(path)
     assert cli.main(["modes", "--trace", trace, "--k", "3"]) == 4
     assert capsys.readouterr().out.count("\n") == 1  # only the flow's record
+
+
+def test_modes_rejects_bad_meta_and_trace(tmp_path, capsys):
+    trace = str(tmp_path / "trace")
+    _tau_flow(trace)
+    capsys.readouterr()
+    meta_path = os.path.join(trace, "meta.json")
+    trace_path = os.path.join(trace, "trace.csv")
+    with open(meta_path) as fh:
+        meta_text = fh.read()
+    with open(trace_path) as fh:
+        trace_text = fh.read()
+    meta = json.loads(meta_text)
+    del meta["n"]
+    header, first, rest = trace_text.split("\n", 2)
+    bad = {
+        "meta.json without n": (meta_path, json.dumps(meta)),
+        "meta.json not JSON": (meta_path, meta_text[:-10]),
+        "trace.csv cell not a number": (trace_path, "\n".join(
+            [header, first.replace(",", ",x", 1), rest])),
+    }
+    for name, (path, text) in bad.items():
+        with open(path, "w") as fh:
+            fh.write(text)
+        assert cli.main(["modes", "--trace", trace, "--k", "3"]) == 4, name
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: "), name
+        with open(meta_path, "w") as fh:
+            fh.write(meta_text)
+        with open(trace_path, "w") as fh:
+            fh.write(trace_text)
+    assert cli.main(["modes", "--trace", trace, "--k", "3"]) == 0
+
+
+def test_modes_reports_an_empty_snapshots_file(tmp_path, capsys, recwarn):
+    trace = str(tmp_path / "trace")
+    _tau_flow(trace)
+    capsys.readouterr()
+    path = os.path.join(trace, "snapshots.csv")
+    open(path, "w").close()
+    assert cli.main(["modes", "--trace", trace, "--k", "3"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot read {path}: the file is empty\n"
+    assert len(recwarn) == 0

@@ -9,7 +9,8 @@ from acsflow.flow import (FlowConfig, area_derivative_check, area_law_fit,
                           entropy_monotonicity_check, renormalize_time, rhs,
                           run, support_scale, trace_to_csv, unrenormalize_time)
 from acsflow.geometry import (AngularGrid, SupportFunction, area, circle_support,
-                              random_convex_support, rotate_nodes)
+                              random_convex_support, rotate_nodes, steiner_point,
+                              translate)
 from acsflow.shrinker import assemble_profile
 
 import oracles
@@ -288,6 +289,65 @@ def test_circle_extinction_step_count(grid256):
     tr = run(cfg)
     assert tr.terminal_reason == "min_radius"
     assert tr.n_steps <= 1900
+
+
+def test_translated_circle_extinction_step_count(grid256):
+    # the error is scaled by the support function about the Steiner point,
+    # so moving the origin leaves the step sequence as it is, up to rounding
+    steps = []
+    for centre in ((0.0, 0.0), (0.05, 0.0), (0.2, -0.1)):
+        cfg = FlowConfig(alpha=0.5, mode="unnormalized",
+                         initial=circle_support(grid256, center=centre),
+                         t_end=10.0, sample_every=200, store_snapshots=False)
+        tr = run(cfg)
+        assert tr.terminal_reason == "min_radius"
+        steps.append(tr.n_steps)
+    assert max(steps) - min(steps) <= 1
+    assert max(steps) <= 1900
+
+
+def test_translated_body_area_gauge_step_count(grid256, rng):
+    # the area gauge grows the translation like e^tau and its error counts
+    # in full, so the translated run takes a few more steps (about 1.08 times
+    # here; about 1.3 times for these bodies scaled to area pi), not twice as
+    # many as with an error scaled by |u|
+    for _ in range(3):
+        u = random_convex_support(grid256, rng)
+        u = translate(u, steiner_point(u))
+        steps = []
+        for shift in ((0.0, 0.0), (-0.3, 0.2)):  # the body moves by (0.3, -0.2)
+            cfg = FlowConfig(alpha=0.5, mode="normalized_area",
+                             initial=translate(u, shift), t_end=2.0,
+                             sample_dt=0.5, store_snapshots=False)
+            tr = run(cfg)
+            assert tr.terminal_reason == "reached_end"
+            steps.append(tr.n_steps)
+        assert steps[1] <= 1.1 * steps[0]
+
+
+def test_translated_circle_run_matches_exact_law(grid256):
+    cfg = FlowConfig(alpha=0.5, mode="unnormalized",
+                     initial=circle_support(grid256, center=(0.2, 0.0)),
+                     t_end=0.4, sample_dt=0.05)
+    tr = run(cfg)
+    assert tr.terminal_reason == "reached_end"
+    for i, t in enumerate(tr.times):
+        r_exact = oracles.circle_radius_at(0.5, t)
+        assert tr.snapshots[i].mean() == pytest.approx(r_exact, abs=5e-12)
+        assert tr.area[i] == pytest.approx(np.pi * r_exact**2, rel=1e-10)
+
+
+def test_error_scale_is_about_the_steiner_point(grid256, rng):
+    th = grid256.nodes
+    e = np.stack([np.cos(th), np.sin(th)])
+    # the last body has the origin outside it, so u < 0 at some nodes
+    for z in ((0.0, 0.0), (0.3, -0.2), (1.5, 0.0)):
+        u = translate(random_convex_support(grid256, rng), z)
+        u_s = flow._about_steiner_point(u.values, e)
+        centred = translate(u, steiner_point(u)).values
+        assert np.max(np.abs(u_s - centred)) < 1e-14
+        assert np.min(u_s) > 0.0
+    assert np.min(u.values) < 0.0
 
 
 @pytest.mark.parametrize("mode", ["unnormalized", "normalized_tau",
