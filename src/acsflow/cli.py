@@ -99,6 +99,12 @@ def _write_json(path, name, obj):
     _write(path, name, json_dumps(obj, indent=2) + "\n")
 
 
+def _grid_size(value):
+    n = int(value)
+    geometry.AngularGrid(n)  # ValueError unless even and >= 16
+    return n
+
+
 def _fold_arg(value):
     return value if value == "circle" else int(value)
 
@@ -137,6 +143,7 @@ def cmd_shrinker(args):
             "alpha": alpha, "k": profile.k, "n": n,
             "residual": profile.residual,
             "fint_drift": None if seg is None else seg.fint_drift,
+            "arc_solves": None if seg is None else seg.arc_solves,
         })
     print(json_dumps(record))
     return 0
@@ -412,7 +419,7 @@ def _build_parser():
     p.add_argument("--config", default=None)
     p.add_argument("--gnuplot", action="store_true")
     p.set_defaults(func=cmd_shrinker, _options={
-        "alpha": (float, None), "k": (_fold_arg, None), "n": (int, 512)})
+        "alpha": (float, None), "k": (_fold_arg, None), "n": (_grid_size, 512)})
 
     p = sub.add_parser("spectrum", help="eigendecomposition at a profile")
     p.add_argument("--alpha", required=True)
@@ -423,7 +430,7 @@ def _build_parser():
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_spectrum, _options={
-        "alpha": (float, None), "jmax": (int, 40), "n": (int, 512)})
+        "alpha": (float, None), "jmax": (int, 40), "n": (_grid_size, 512)})
 
     p = sub.add_parser("flow", help="time-integrate the flow")
     p.add_argument("--alpha", required=True)
@@ -446,7 +453,7 @@ def _build_parser():
     p.add_argument("--gnuplot", action="store_true")
     p.set_defaults(func=cmd_flow, _options={
         "alpha": (float, None), "init": (str, "circle"), "t_end": (float, None),
-        "n": (int, 256), "dt": (float, 1e-4), "sample_dt": (float, None),
+        "n": (_grid_size, 256), "dt": (float, 1e-4), "sample_dt": (float, None),
         "sample_every": (int, 1), "stop_min_radius": (float, 1e-3),
         "rtol": (float, 1e-12), "max_dt": (float, None)})
 

@@ -26,11 +26,7 @@ class StepUnderflow(AcsflowError):
 
 
 class NoBracket(AcsflowError):
-    """Root bracketing failed; carries the attained range when known."""
-
-    def __init__(self, message, attained=None):
-        super().__init__(message)
-        self.attained = attained
+    """Shooting grew u_max to its cap without the arc reaching its target."""
 
 
 class PointOutside(AcsflowError):

@@ -12,18 +12,24 @@ The arc ODE has the first integral
 which every returned segment is checked against.
 
 Every arc is integrated by scipy's solve_ivp with DOP853 (integrate_arc).
-The state carries, beside (U, U'), the variation eta of U in the shooting
-parameter and the running quadrature q of U^(1 - 1/alpha). A segment stops at
-the first interior minimum of U, located by a terminal event on U' rising
-through zero; a resampled arc is integrated interval by interval, landing
-exactly on each requested angle.
+The state carries, beside (U, U'), the variation eta = dU/du_max (started at
+eta(0) = 1, eta'(0) = 0) and the running quadrature q of U^(1 - 1/alpha). A
+segment stops at the first interior minimum of U, located by a terminal event
+on U' rising through zero; a resampled arc is integrated interval by interval,
+landing exactly on each requested angle.
+
+Since U'(Theta) = 0 and U(Theta) = U_min, the end state gives both shooting
+slopes at no extra cost (shooting with the variational equation):
+    dTheta/du_max = -eta'(Theta) / (U_min^(-1/alpha) - U_min),
+    dr/du_max     = (U_min - u_max eta(Theta)) / U_min^2.
+One safeguarded Newton iteration in u_max (_shoot) solves both Theta = pi/k
+and r(u_max) = r with them.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (AcsflowError, EventNotFound, NoBracket, OrderingViolated,
                      OutOfRange, StepUnderflow)
@@ -31,10 +37,19 @@ from .geometry import AngularGrid, SupportFunction, deriv2
 
 SEGMENT_RTOL = 1e-12
 SEGMENT_ATOL = 1e-15
+# per component of (U, U', eta, eta', q): eta and eta' are left out of the
+# step-size control, so the steps, and with them Theta(u_max) and r(u_max),
+# are those of U alone
+ARC_ATOL = np.array([SEGMENT_ATOL, SEGMENT_ATOL, np.inf, np.inf, SEGMENT_ATOL])
 THETA_SEARCH_MAX = 10.0 * math.pi
 # strict admissibility k < sqrt(1 + 1/alpha) with a guard for float noise
 ADMISSIBILITY_GUARD = 1e-9
 PROFILE_RESIDUAL_TOL = 1e-7
+# the shooter: arc solves per root find, the largest u_max it grows to, and
+# the step or bracket width, in ulps of u_max, at which it stops
+SHOOT_MAX_ARCS = 40
+SHOOT_U_MAX_CAP = 1e8
+SHOOT_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -55,6 +70,9 @@ class ShrinkerSegment:
     first_integral: float
     fint_drift: float
     power_mean: float  # mean of U^(1 - 1/alpha) over the arc
+    dspan_du: float  # dTheta/du_max
+    dr_du: float  # dr/du_max
+    arc_solves: int = 1  # arcs integrated to find this one
 
 
 @dataclass(frozen=True)
@@ -115,7 +133,7 @@ def _solve(rhs, span, y0, events=None):
     from scipy.integrate import solve_ivp
 
     sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=SEGMENT_RTOL,
-                    atol=SEGMENT_ATOL, events=events)
+                    atol=ARC_ATOL, events=events)
     if sol.status < 0:
         raise StepUnderflow(f"profile ODE: {sol.message}")
     return sol
@@ -125,7 +143,9 @@ def integrate_arc(alpha, u_max, theta_out=None, eta0=0.0):
     """The arc state y = (U, U', eta, eta', q) started from (u_max, 0, eta0, 0, 0).
 
     eta solves the variational equation eta'' + eta + (1/alpha) U^(-1-1/alpha)
-    eta = 0 and q' = U^(1 - 1/alpha). Without theta_out the arc stops at the
+    eta = 0, so eta0 = 1 makes it dU/du_max and eta0 = du_max/dr makes it dU/dr;
+    q' = U^(1 - 1/alpha). eta rides on the steps U chooses (ARC_ATOL), so U
+    does not depend on eta0. Without theta_out the arc stops at the
     first interior minimum of U and the rows are the DOP853 step nodes, the
     minimum last. With theta_out (increasing, >= 0) each interval is its own
     solve, started from the state the previous one ended at, so every row is
@@ -156,7 +176,7 @@ def solve_segment(alpha, u_max) -> ShrinkerSegment:
     check_alpha(alpha)
     if not u_max > 1.0:
         raise OutOfRange(f"u_max must exceed 1 (got {u_max}); U = 1 is the equilibrium")
-    theta, (u, ut, _, _, quad) = integrate_arc(alpha, u_max)
+    theta, (u, ut, eta, eta_theta, quad) = integrate_arc(alpha, u_max, eta0=1.0)
     span = float(theta[-1])
     u_min = float(u[-1])
     fint = first_integral_value(alpha, u, ut)
@@ -172,59 +192,53 @@ def solve_segment(alpha, u_max) -> ShrinkerSegment:
         first_integral=c0,
         fint_drift=drift,
         power_mean=float(quad[-1] / span),
+        dspan_du=float(-eta_theta[-1] / (u_min ** (-1.0 / alpha) - u_min)),
+        dr_du=float((u_min - u_max * eta[-1]) / u_min**2),
     )
 
 
-def _bracket_increasing(fn, target, x_lo, grow, x_cap, what):
-    """Bracket fn(x) = target for increasing fn, expanding from x_lo."""
-    f_lo = fn(x_lo)
-    if f_lo >= target:
-        return None, (f_lo, f_lo)  # degenerate: already past target at the floor
-    x_hi = grow(x_lo)
-    f_hi = fn(x_hi)
-    while f_hi < target:
-        x_lo, f_lo = x_hi, f_hi
-        x_hi = grow(x_hi)
-        if x_hi > x_cap:
-            raise NoBracket(
-                f"{what}: target {target} not attained below u_max = {x_cap} "
-                f"(reached {f_hi})",
-                attained=(f_lo, f_hi),
-            )
-        f_hi = fn(x_hi)
-    return (x_lo, x_hi), (f_lo, f_hi)
+def _shoot(alpha, u_max, target, end_value, what) -> ShrinkerSegment:
+    """The arc whose end_value equals target, by safeguarded Newton in u_max.
+
+    end_value(seg) gives (value, d value/du_max) of an increasing function of
+    u_max that lies below target as u_max -> 1. Every iterate stays inside the
+    bracket [lo, hi] learned so far: a Newton step that leaves it is replaced
+    by bisection, or, while no hi is known, by growing u_max - 1 fourfold. The
+    iteration stops when the step or the bracket is within SHOOT_ULPS ulps of
+    u_max and returns the last arc solved.
+    """
+    lo, hi = 1.0, math.inf
+    for count in range(1, SHOOT_MAX_ARCS + 1):
+        seg = solve_segment(alpha, u_max)
+        value, slope = end_value(seg)
+        if value < target:
+            lo = u_max
+        elif value > target:
+            hi = u_max
+        step = (target - value) / slope if slope > 0.0 else math.nan
+        top = hi if hi < math.inf else 1.0 + 4.0 * (u_max - 1.0)
+        if not lo < u_max + step < top:
+            step = (0.5 * (lo + hi) if hi < math.inf else top) - u_max
+        tol = SHOOT_ULPS * math.ulp(u_max)
+        if value == target or abs(step) <= tol or hi - lo <= tol:
+            if abs(value - target) > 1e-10 * target:
+                raise StepUnderflow(f"{what}: root find stalled at {value}")
+            return replace(seg, arc_solves=count)
+        u_max += step
+        if u_max > SHOOT_U_MAX_CAP:
+            raise NoBracket(f"{what}: not attained below u_max = {SHOOT_U_MAX_CAP:g} "
+                            f"(reached {value})")
+    raise StepUnderflow(f"{what}: no root within {SHOOT_MAX_ARCS} arc solves")
 
 
 def segment_for_ratio(alpha, r) -> ShrinkerSegment:
-    """Arc whose max/min support ratio equals r (root-find over u_max)."""
+    """Arc whose max/min support ratio equals r (shooting over u_max)."""
     check_alpha(alpha)
     if not r > 1.0:
         raise OutOfRange(f"ratio must exceed 1, got {r}")
-
-    def ratio_of(u_max):
-        return solve_segment(alpha, u_max).r
-
     # linearization about U = 1 gives ratio ~ 1 + 2*(u_max - 1)
-    guess = 1.0 + 0.5 * (r - 1.0)
-    lo = 1.0 + 0.25 * (r - 1.0)
-    bracket, _ = _bracket_increasing(ratio_of, r, lo, lambda x: 1.0 + 2.0 * (x - 1.0),
-                                     1e8, "segment_for_ratio")
-    if bracket is None:
-        # ratio at the floor already exceeds r; shrink the floor
-        hi = lo
-        lo = 1.0 + (lo - 1.0) / 16.0
-        while ratio_of(lo) > r:
-            hi = lo
-            lo = 1.0 + (lo - 1.0) / 16.0
-            if lo - 1.0 < 1e-15:
-                raise NoBracket(f"segment_for_ratio: ratio {r} below attainable range")
-        bracket = (lo, hi)
-    u_root = brentq(lambda x: ratio_of(x) - r, bracket[0], bracket[1],
-                    xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    seg = solve_segment(alpha, u_root)
-    if abs(seg.r - r) > 1e-10 * r:
-        raise StepUnderflow(f"ratio root-find stalled: wanted {r}, got {seg.r}")
-    return seg
+    return _shoot(alpha, 1.0 + 0.5 * (r - 1.0), r,
+                  lambda seg: (seg.r, seg.dr_du), f"ratio {r}")
 
 
 def period_limit(alpha):
@@ -266,25 +280,10 @@ def _check_fold(alpha, k):
 
 
 def _segment_for_k(alpha, k) -> ShrinkerSegment:
-    """Arc with Theta = pi/k, root-found over the shooting parameter u_max."""
+    """Arc with Theta = pi/k, shot over u_max from u_max = 1.1."""
     _check_fold(alpha, k)
-    target = math.pi / k
-
-    def span_of(u_max):
-        return solve_segment(alpha, u_max).theta_span
-
-    bracket, _ = _bracket_increasing(span_of, target, 1.0 + 1e-9,
-                                     lambda x: 1.0 + 2.0 * (x - 1.0),
-                                     1e8, f"theta = pi/{k}")
-    if bracket is None:
-        raise NoBracket(f"theta = pi/{k} unattainable: span exceeds target at r -> 1")
-    u_root = brentq(lambda x: span_of(x) - target, bracket[0], bracket[1],
-                    xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    seg = solve_segment(alpha, u_root)
-    if abs(seg.theta_span - target) > 1e-10:
-        raise StepUnderflow(
-            f"period root-find stalled: |theta - pi/{k}| = {abs(seg.theta_span - target):.2e}")
-    return seg
+    return _shoot(alpha, 1.1, math.pi / k,
+                  lambda seg: (seg.theta_span, seg.dspan_du), f"theta = pi/{k}")
 
 
 def find_r_for_k(alpha, k) -> float:
@@ -292,20 +291,15 @@ def find_r_for_k(alpha, k) -> float:
     return _segment_for_k(alpha, k).r
 
 
-def variation_eta(segment: ShrinkerSegment, delta_scale=1e-4) -> VariationArc:
-    """Arc of eta = d/dr U(r, .), normalized so eta(0) = d u_max / d r.
+def variation_eta(segment: ShrinkerSegment) -> VariationArc:
+    """Arc of eta = d/dr U(r, .), normalized so eta(0) = du_max/dr.
 
-    eta(0) comes from central finite differencing of segment_for_ratio in r
-    with step delta_scale * (r - 1); the arc itself solves the variational ODE
-    along the parent segment, sampled on the same nodes.
+    eta(0) = 1 / (dr/du_max) comes from the segment's own end state; the arc
+    solves the variational ODE along the segment, sampled on its nodes.
     """
-    alpha, r = segment.alpha, segment.r
-    delta = delta_scale * (r - 1.0)
-    up = segment_for_ratio(alpha, r + delta).u_max
-    um = segment_for_ratio(alpha, r - delta).u_max
-    eta0 = (up - um) / (2.0 * delta)
+    eta0 = 1.0 / segment.dr_du
     theta, (_, _, eta, eta_theta, _) = integrate_arc(
-        alpha, segment.u_max, segment.samples.theta, eta0=eta0)
+        segment.alpha, segment.u_max, segment.samples.theta, eta0=eta0)
     return VariationArc(theta=theta.copy(), eta=eta, eta_theta=eta_theta, eta0=eta0)
 
 
@@ -363,13 +357,9 @@ def assemble_profile(alpha, k, grid_n=None) -> ShrinkerProfile:
     theta_out = np.arange(m + 1) * (2.0 * np.pi / n)
     _, (arc, _, _, _, _) = integrate_arc(alpha, seg.u_max, theta_out)
 
-    vals = np.empty(n)
     per = n // k
-    for i in range(n):
-        j = i % per
-        if j > per - j:
-            j = per - j
-        vals[i] = arc[j]
+    j = np.arange(n) % per
+    vals = arc[np.minimum(j, per - j)]
     h = SupportFunction(AngularGrid(n), vals)
 
     w = deriv2(vals) + vals

@@ -62,7 +62,10 @@ def test_shrinker_rerun_is_byte_identical(tmp_path, capsys):
     match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
     assert mismatch == [] and errors == []
     with open(os.path.join(a, "meta.json")) as fh:
-        assert 0.0 <= json.load(fh)["fint_drift"] < 1e-9
+        meta = json.load(fh)
+    assert 0.0 <= meta["fint_drift"] < 1e-9
+    assert list(meta)[-2:] == ["fint_drift", "arc_solves"]
+    assert 1 <= meta["arc_solves"] <= 20
 
 
 def test_spectrum_rerun_is_byte_identical(tmp_path, capsys):
@@ -136,6 +139,10 @@ def test_exit_codes(tmp_path, capsys):
     spectrum = ["spectrum", "--alpha", "0.2", "--profile", "circle"]
     assert cli.main(spectrum + ["--n", "abc"]) == 4
     assert cli.main(spectrum + ["--jmax", "abc"]) == 4
+    # 4: grid sizes that are odd or below 16
+    assert cli.main(spectrum + ["--n", "15"]) == 4
+    assert cli.main(["shrinker", "--alpha", "0.2", "--k", "circle", "--n", "10"]) == 4
+    assert cli.main(flow[:5] + ["--n", "15"] + flow[7:]) == 4
     flow = flow[:5] + flow[7:]  # without --n 32
     for i, cfg in enumerate(({"n": "abc"}, {"n": [64]})):
         config = tmp_path / f"config{i}.json"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from acsflow import shrinker
 from acsflow.errors import OrderingViolated, OutOfRange
@@ -68,6 +69,39 @@ def test_ratio_contract_moderate():
         seg = segment_for_ratio(alpha, r)
         assert abs(seg.r - r) <= 1e-10 * r
         assert seg.u_max / seg.u_min == pytest.approx(r, rel=1e-10)
+
+
+def _check_shooting(monkeypatch, shoot, value_of, target):
+    """The shooter's arc count and its u_max against a brentq reference root."""
+    calls = []
+    solve = shrinker.solve_segment
+
+    def counted(alpha, u_max):
+        calls.append(u_max)
+        return solve(alpha, u_max)
+
+    monkeypatch.setattr(shrinker, "solve_segment", counted)
+    seg = shoot()
+    assert len(calls) <= 20
+    assert seg.u_max == calls[-1]  # the last arc solved is the one returned
+    assert seg.arc_solves == len(calls)
+    ref = brentq(lambda u: value_of(solve(seg.alpha, u)) - target,
+                 seg.u_max * (1 - 1e-6), seg.u_max * (1 + 1e-6),
+                 xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    assert abs(seg.u_max - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("alpha,k", [(0.12, 3), (1 / 24, 3), (1 / 24, 4), (0.03, 5),
+                                     (0.02, 6), (0.01, 10)])
+def test_shooting_for_k_matches_brentq_in_few_arcs(alpha, k, monkeypatch):
+    _check_shooting(monkeypatch, lambda: shrinker._segment_for_k(alpha, k),
+                    lambda seg: seg.theta_span, np.pi / k)
+
+
+@pytest.mark.parametrize("alpha,r", [(1 / 8, 2.0), (1 / 24, 3.0), (0.3, 1.4)])
+def test_shooting_for_ratio_matches_brentq_in_few_arcs(alpha, r, monkeypatch):
+    _check_shooting(monkeypatch, lambda: segment_for_ratio(alpha, r),
+                    lambda seg: seg.r, r)
 
 
 def test_span_monotone_in_r_and_alpha():
