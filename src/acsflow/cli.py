@@ -446,8 +446,9 @@ def _build_parser():
     p.add_argument("--sample-every", dest="sample_every", default=None)
     p.add_argument("--stop-min-radius", dest="stop_min_radius", default=None)
     p.add_argument("--rtol", default=None,
-                   help="bound on the estimated local error of each step, relative to the "
-                        "support function about the Steiner point (default 1e-12)")
+                   help="bound on the estimated local error of each order-5 step, "
+                        "relative to the support function about the Steiner point "
+                        "(default 1e-12)")
     p.add_argument("--max-dt", dest="max_dt", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--gnuplot", action="store_true")

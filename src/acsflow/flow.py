@@ -6,8 +6,8 @@ Three gauges of the same motion:
   normalized_area  u_tau = -kappa^alpha / mean(kappa^(alpha-1)) + u
                                                  (enclosed area pinned to pi)
 
-One marcher, flow_advance: a linearly implicit W-step (ROS34PW2, order 3)
-with step-doubling error control and local extrapolation. Its W is
+One marcher, flow_advance: an order-5 Richardson extrapolation of a
+linearly implicit W-step (ROS34PW2, order 3). Its W is
 I - h gamma c P (d_thth + 1), with c = alpha max w^(-1-alpha) (divided by
 mean w^(1-alpha) in the area gauge) the largest coefficient of the true
 Jacobian alpha w^(-1-alpha) (d_thth + 1), and P dropping Fourier modes 0
@@ -17,14 +17,20 @@ not by the explicit stability limit of the stiffest mode. Every D2 apply and
 every W solve is an rfft/irfft pair on v - mean(v), the mean carried as a
 scalar, so a centred circle stays round to the last bit.
 
-The full step and the first half step share k1 = f(u), which also supplies c
-and the near-extinction guard dt <= 0.2 * min(u_thth + u)^(1 + alpha). Both
-start from u, so they run as one W-step on a 2-row state with step sizes
-h and h/2; rows of the batched FFTs, sums and minima are bitwise equal to
-the single-row calls, so batching changes no output. An accepted step thus
-evaluates the RHS at 11 states in 8 calls and makes 32 FFT calls; a rejected
-step reuses k1. The estimated local error of each step, before
-extrapolation, is bounded node by node by atol + rtol |u_s|. Here
+A step of size h runs three chains from u: one W-step of h, two of h/2 and
+three of h/3, with increments T_1, T_2 and T_3. Their errors expand as
+c (h/j)^4 + d (h/j)^5 + ..., so the step u += 0.02 T_1 - 0.64 T_2 + 1.62 T_3
+cancels both terms and is of order 5; the absolute values of its weights sum
+to 2.28, so it amplifies rounding little. The chains share k1 = f(u), which
+also supplies c and the near-extinction guard
+dt <= 0.2 * min(u_thth + u)^(1 + alpha). The i-th steps of the chains still
+running are the rows of one W-step: three rows with step sizes h, h/2 and
+h/3 from u, then two rows from their own states, then one. Rows of the
+batched FFTs, sums and minima are bitwise equal to the single-row calls, so
+batching changes no output. An accepted step thus evaluates the RHS at 22
+states in 12 calls and makes 48 FFT calls; a rejected step reuses k1. The
+error estimate is the step minus the order-4 combination (27 T_3 - 8 T_2)/19;
+it is bounded node by node by atol + rtol |u_s|. Here
 u_s = u - s.e(theta) is the support function about the Steiner point
 s = (1/pi) integral u e(theta), that is u without its Fourier mode 1. The
 flow commutes with translations and u_s does not see them, so the tolerance
@@ -32,11 +38,11 @@ does not depend on where the origin is. The Steiner point lies inside every
 convex body, so u_s > 0 and rtol bounds the error at every node; |u| of a
 body off the origin nears 0 at some nodes, where a bound relative to |u|
 would shrink to atol and set the step. h changes only by factors on a fixed
-lattice of quarter octaves, 2^(j/4), floored from the controller's proposal,
-so rounding in the error estimate seldom moves h. Runs stop at t_end, at the
-minimum-radius floor, on convexity loss, or on step underflow, and report
-which; the work counts go to FlowTrace.stats. rhs evaluates the same
-right-hand side for callers outside the marcher.
+lattice of quarter octaves, 2^(j/4), floored from the controller's proposal
+0.9 err^(-1/5), so rounding in the error estimate seldom moves h. Runs stop
+at t_end, at the minimum-radius floor, on convexity loss, or on step
+underflow, and report which; the work counts go to FlowTrace.stats. rhs
+evaluates the same right-hand side for callers outside the marcher.
 """
 
 import bisect
@@ -68,6 +74,15 @@ _C = ((-4.5885607205580836,),
       (-4.1847604823191613, 2.8519201735549599e-01),
       (-6.3681792001283597, -6.7956209444668367, 2.8700986043310550))
 _M = (4.1847604823191613, -2.8519201735549599e-01, 2.2942803602790423, 1.0)
+
+# Step sizes, as fractions of h, of the chains of one, two and three W-steps
+# whose increments the Richardson step combines; a column, so that the first
+# steps of the chains run as the rows of one W-step.
+_CHAIN_STEPS = np.array([[1.0], [1 / 2], [1 / 3]])
+# Weight of T_2 - T_3 in the error estimate
+# 0.02 (T_1 - T_3) - _ERR_D32 (T_2 - T_3), which is the order-5 step minus the
+# order-4 (27 T_3 - 8 T_2)/19.
+_ERR_D32 = 0.64 - 8 / 19
 
 # Factors by which the controller changes h: quarter octaves 2^(j/4) from
 # below its 0.1 floor on a rejection up to its growth cap of 4.
@@ -177,6 +192,34 @@ def _w_step(u, d0, h, k1, coeff, msq, alpha, mode, stats):
     return _combine(_M, incs)
 
 
+def _chain_increments(u, h, k1, coeff, msq, alpha, mode, stats):
+    """Increments (T_1, T_2, T_3) of j W-steps of size h/j from u, for j = 1,
+    2, 3; None on convexity loss.
+
+    The chains share k1 = f(u), and the i-th steps of the chains still
+    running are the rows of one W-step: three rows, then two with a row-wise
+    d0, then one. That is 21 RHS states in 11 calls besides k1.
+    """
+    inc = _w_step(u, 0.0, h * _CHAIN_STEPS, k1, coeff, msq, alpha, mode,
+                  stats)
+    if inc is None:
+        return None
+    done = [inc[0]]
+    d0 = inc[1:]
+    for i in (1, 2):
+        k, _ = _flow_rhs(u + d0, alpha, mode, stats)
+        if k is None:
+            return None
+        inc = _w_step(u, d0, h * _CHAIN_STEPS[i:], k, coeff, msq, alpha, mode,
+                      stats)
+        if inc is None:
+            return None
+        d0 = d0 + inc
+        done.append(d0[0])
+        d0 = d0[1:]
+    return done
+
+
 def _about_steiner_point(u, e):
     """u - s.e(theta), the support function about the Steiner point
     s = (2/n) e u, for e the (2, n) matrix of cos and sin at the nodes."""
@@ -192,18 +235,19 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
                  stats, max_accept=1 << 60, max_dt=np.inf):
     """Advance the flow state u in place until t_limit or max_accept steps.
 
-    Step control is W-step doubling with local extrapolation; the step is
-    also capped by the near-extinction guard CFL_COEFF * min_roc^(1 + alpha)
-    and by max_dt. The full step and the first half step run batched, as
-    the two rows of one W-step, so an accepted step evaluates the RHS at 11
-    states in 8 calls and makes 32 FFT calls. After each step the
-    controller's factor is floored onto _STEP_RATIOS, quarter octaves from
-    below 0.1 to 4. A step is rejected when a stage state fails the
-    convexity test or the error estimate is above tolerance or not finite.
-    The tolerance at each node is atol + rtol |u_s|, with u_s the support
-    function about the Steiner point (see the module docstring); it is
-    positive for a convex body wherever the origin is, so rtol bounds the
-    error at every node. Counts go to stats (a FlowStats).
+    Each step combines the chains of one, two and three W-steps (see the
+    module docstring) into an order-5 step, and estimates its error against
+    the order-4 combination; the step is also capped by the near-extinction
+    guard CFL_COEFF * min_roc^(1 + alpha) and by max_dt. The chains run as
+    rows of three batched W-steps, so an accepted step evaluates the RHS at
+    22 states in 12 calls and makes 48 FFT calls. After each step the
+    controller's factor 0.9 err^(-1/5) is floored onto _STEP_RATIOS, quarter
+    octaves from below 0.1 to 4. A step is rejected when a stage state
+    fails the convexity test or the error estimate is above tolerance or
+    not finite. The tolerance at each node is atol + rtol |u_s|, with u_s
+    the support function about the Steiner point (see the module
+    docstring); it is positive for a convex body wherever the origin is, so
+    rtol bounds the error at every node. Counts go to stats (a FlowStats).
 
     Returns (status, t, h_next); status is "reached_limit", "max_accept",
     "min_radius", "non_convex" (u fails the convexity test; it is not
@@ -216,8 +260,6 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
     msq = np.maximum(m * m - 1.0, 0.0)
     theta = 2.0 * np.pi * np.arange(n) / n  # AngularGrid(n).nodes
     e = np.stack([np.cos(theta), np.sin(theta)])
-    # step sizes of the full step and the first half step, as one column
-    halving = np.array([[1.0], [0.5]])
 
     for _ in range(100_000_000):
         if t >= t_limit:
@@ -250,46 +292,39 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
                 return "reached_limit", t_limit, h
             return "step_underflow", t, h_step
 
-        # increments of one full step and of two half steps; working with
-        # them, not with the states, keeps the rounding of u out of their
-        # difference
-        d2 = None
-        # both start from u with k1, so they run as the rows of one W-step
-        d1_dh = _w_step(u, 0.0, h_step * halving, k1, coeff, msq, alpha, mode,
-                        stats)
-        if d1_dh is not None:
-            d1, dh = d1_dh
-            kh, _ = _flow_rhs(u + dh, alpha, mode, stats)
-            if kh is not None:
-                dh2 = _w_step(u, dh, 0.5 * h_step, kh, coeff, msq, alpha, mode,
-                              stats)
-                if dh2 is not None:
-                    d2 = dh + dh2
-        if d2 is None:
+        chains = _chain_increments(u, h_step, k1, coeff, msq, alpha, mode,
+                                   stats)
+        if chains is None:
             stats.rejected_convexity += 1
             h = 0.25 * h_step
             continue
 
-        # the two half steps carry 1/(2^3 - 1) of the difference as their error
-        diff = d2 - d1
-        enorm = np.max(np.abs(diff) / escale) / 7.0
+        # with T_j = T + c (h/j)^4 + d (h/j)^5 + ..., the step
+        # 0.02 T_1 - 0.64 T_2 + 1.62 T_3 cancels c and d, and its error is
+        # estimated by its distance from the order-4 (27 T_3 - 8 T_2)/19;
+        # differences of the increments, not the increments themselves,
+        # carry the weights, so the rounding of T_3 is not amplified
+        t1, t2, t3 = chains
+        d31 = t1 - t3
+        d32 = t2 - t3
+        enorm = np.max(np.abs(0.02 * d31 - _ERR_D32 * d32) / escale)
         if not np.isfinite(enorm):
             enorm = 10.0
         if enorm > 1.0:
             stats.rejected_error += 1
-            h = h_step * _ratio_floor(max(0.9 * enorm ** -0.25, 0.1))
+            h = h_step * _ratio_floor(max(0.9 * enorm ** -0.2, 0.1))
             continue
 
-        u += d2 + diff / 7.0
+        u += t3 + (0.02 * d31 - 0.64 * d32)
         k1 = None
         n_acc += 1
         stats.count_step("landing" if landing else cap, h_step)
         if landing:
             return "reached_limit", t_limit, h
         t = t + h_step
-        # factors from one lattice: rounding in y2 - y1 then seldom changes
-        # the step sequence
-        fac = 4.0 if enorm < 1e-8 else _ratio_floor(min(0.9 * enorm ** -0.25, 4.0))
+        # factors from one lattice: rounding in the error estimate then
+        # seldom changes the step sequence
+        fac = 4.0 if enorm < 1e-8 else _ratio_floor(min(0.9 * enorm ** -0.2, 4.0))
         h = h_step * fac
         if n_acc >= max_accept:
             return "max_accept", t, h

@@ -206,7 +206,7 @@ def test_area_derivative_closed_forms(grid256):
 
 def test_area_law_circle(grid256):
     cfg = FlowConfig(alpha=0.5, mode="unnormalized", initial=circle_support(grid256),
-                     t_end=1.0, sample_every=40, store_snapshots=False)
+                     t_end=1.0, sample_every=10, store_snapshots=False)
     fit = area_law_fit(run(cfg))
     assert fit.exponent == pytest.approx(4.0 / 3.0, rel=0.01)
     assert fit.t_extinction == pytest.approx(oracles.circle_extinction_time(0.5),
@@ -272,18 +272,33 @@ def test_max_steps_reason(grid256):
     assert tr.n_steps == 20
 
 
-def test_stats_count_eleven_rhs_per_step(grid256):
-    # k1 = f(u) serves the step caps, the full step and the first half step
+def test_stats_count_twenty_two_rhs_per_step(grid256):
+    # k1 = f(u) serves the step caps and the first steps of all three chains
     cfg = FlowConfig(alpha=0.5, mode="unnormalized", initial=circle_support(grid256),
                      t_end=0.1, sample_dt=0.05)
     stats = run(cfg).stats
     assert stats.accepted > 0
     assert stats.rejected_error == stats.rejected_convexity == 0
-    assert stats.rhs_evals == 11 * stats.accepted
+    assert stats.rhs_evals == 22 * stats.accepted
+
+
+def test_step_is_order_five():
+    # one step of the unnormalized circle, landing at h: the local error of an
+    # order-5 step falls by 2^6 = 64 when h halves (by 2^5 = 32 at order 4)
+    errors = []
+    for h in (0.16, 0.08, 0.04):
+        u = np.ones(64)
+        stats = flow.FlowStats()
+        status, t, _ = flow.flow_advance(u, 0.0, h, h, 0.5, "unnormalized",
+                                         1e-2, 1e-2, 0.0, stats)
+        assert status == "reached_limit" and t == h and stats.accepted == 1
+        errors.append(abs(np.mean(u) - oracles.circle_radius_at(0.5, h)))
+    assert errors[0] >= 48 * errors[1]
+    assert errors[1] >= 48 * errors[2]
 
 
 def test_circle_extinction_step_count(grid256):
-    # quarter-octave changes of h; with powers of two this took 2,317 steps
+    # order-5 steps on a quarter-octave lattice of h take 343 steps
     cfg = FlowConfig(alpha=0.5, mode="unnormalized", initial=circle_support(grid256),
                      t_end=10.0, sample_every=200, store_snapshots=False)
     tr = run(cfg)
@@ -308,9 +323,9 @@ def test_translated_circle_extinction_step_count(grid256):
 
 def test_translated_body_area_gauge_step_count(grid256, rng):
     # the area gauge grows the translation like e^tau and its error counts
-    # in full, so the translated run takes a few more steps (about 1.08 times
-    # here; about 1.3 times for these bodies scaled to area pi), not twice as
-    # many as with an error scaled by |u|
+    # in full, so the translated run takes a few more steps, not twice as
+    # many as with an error scaled by |u|: 1.015 to 1.018 times here, and
+    # 1.098 to 1.106 times for these bodies scaled to area pi
     for _ in range(3):
         u = random_convex_support(grid256, rng)
         u = translate(u, steiner_point(u))
@@ -353,7 +368,9 @@ def test_error_scale_is_about_the_steiner_point(grid256, rng):
 @pytest.mark.parametrize("mode", ["unnormalized", "normalized_tau",
                                   "normalized_area"])
 def test_batched_w_step_equals_single_rows(grid256, rng, mode):
-    # the full step and the first half step run as two rows of one W-step
+    # the first steps of the three chains run as three rows of one W-step,
+    # and the second steps of the two longer chains as two rows, each from
+    # its own d0
     alpha, h = 0.4, 1e-3
     u = random_convex_support(grid256, rng).values
     k1, w = flow._flow_rhs(u, alpha, mode, flow.FlowStats())
@@ -361,14 +378,23 @@ def test_batched_w_step_equals_single_rows(grid256, rng, mode):
     m = np.arange(129, dtype=float)
     msq = np.maximum(m * m - 1.0, 0.0)
 
-    def step(h_col):
-        return flow._w_step(u, 0.0, h_col, k1, coeff, msq, alpha, mode,
+    def step(d0, h_col, k):
+        return flow._w_step(u, d0, h_col, k, coeff, msq, alpha, mode,
                             flow.FlowStats())
 
-    both = step(np.array([[h], [h / 2]]))
-    assert both.shape == (2, 256)
-    assert np.array_equal(both[0], step(h))
-    assert np.array_equal(both[1], step(h / 2))
+    first = step(0.0, h * flow._CHAIN_STEPS, k1)
+    assert first.shape == (3, 256)
+    for row, frac in zip(first, (1.0, 1 / 2, 1 / 3)):
+        assert np.array_equal(row, step(0.0, h * frac, k1))
+
+    d0 = first[1:]
+    k, _ = flow._flow_rhs(u + d0, alpha, mode, flow.FlowStats())
+    second = step(d0, h * flow._CHAIN_STEPS[1:], k)
+    assert second.shape == (2, 256)
+    for i, frac in enumerate((1 / 2, 1 / 3)):
+        k_row, _ = flow._flow_rhs(u + d0[i], alpha, mode, flow.FlowStats())
+        assert np.array_equal(k[i], k_row)
+        assert np.array_equal(second[i], step(d0[i], h * frac, k_row))
 
 
 def test_step_caps_sum_to_accepted():
@@ -401,9 +427,10 @@ def test_non_finite_state_is_non_convex():
 
 
 @pytest.mark.parametrize("poisoned_call, rejection", [
-    # calls 2 to 4 take the full step in row 0 and the first half step in row 1
-    (2, "rejected_convexity"),  # k2 of the full step: the k3 stage is not finite
-    (4, "rejected_error"),  # k4 of the full step: its result is not finite
+    # calls 2 to 4 take the first steps of the chains of one, two and three
+    # steps in rows 0, 1 and 2
+    (2, "rejected_convexity"),  # k2 of the one-step chain: its k3 stage is not finite
+    (4, "rejected_error"),  # k4 of the one-step chain: T_1 is not finite
 ])
 def test_non_finite_stage_rejects_step(monkeypatch, poisoned_call, rejection):
     real = flow._flow_rhs
