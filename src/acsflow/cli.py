@@ -136,8 +136,6 @@ def cmd_shrinker(args):
         seg = profile.segment
         if seg is not None:
             _write(out, "segment.csv", shrinker.segment_to_csv(seg))
-            if args.gnuplot:  # the plot draws segment.csv
-                _write(out, "plot.gp", _GNUPLOT_PROFILE)
         _write_json(out, "meta.json", {
             "command": "shrinker", "version": __version__,
             "alpha": alpha, "k": profile.k, "n": n,
@@ -233,9 +231,9 @@ def cmd_flow(args):
         sample_dt = 0.01
     config = flow.FlowConfig(
         alpha=alpha, mode=mode, initial=initial, t_end=args.t_end,
-        dt=args.dt, sample_every=args.sample_every, sample_dt=sample_dt,
+        sample_every=args.sample_every, sample_dt=sample_dt,
         stop_min_radius=args.stop_min_radius, rtol=args.rtol,
-        max_dt=args.max_dt, log_entropy=args.entropy)
+        log_entropy=args.entropy)
     trace = flow.run(config)
     record = {
         "alpha": alpha, "mode": mode, "terminal_reason": trace.terminal_reason,
@@ -262,8 +260,6 @@ def cmd_flow(args):
             "rows": len(trace), "accepted_steps": trace.n_steps,
             "stats": trace.stats.to_json_dict(),
         })
-        if args.gnuplot:
-            _write(out, "plot.gp", _GNUPLOT_TRACE)
     print(json_dumps(record))
     return 0
 
@@ -353,8 +349,6 @@ def cmd_modes(args):
         "measured_rho_rate": rec.get("measured_rho_rate"),
         "reports": reports,
     })
-    if args.gnuplot:
-        _write(target, "plot.gp", _GNUPLOT_MODES)
     print(json_dumps(rec))
     return 0
 
@@ -377,32 +371,6 @@ def cmd_entropy_table(args):
     return 0
 
 
-# -- gnuplot stubs ---------------------------------------------------------------
-
-_GNUPLOT_TRACE = """# gnuplot stub: flow diagnostics
-set datafile separator ','
-set key autotitle columnhead
-set logscale y
-plot 'trace.csv' using 1:2 with lines title 'area', \\
-     'trace.csv' using 1:3 with lines title 'length'
-pause -1
-"""
-
-_GNUPLOT_PROFILE = """# gnuplot stub: profile support function
-set datafile separator ','
-set polar
-plot 'segment.csv' using 1:2 with lines title 'U(theta)'
-pause -1
-"""
-
-_GNUPLOT_MODES = """# gnuplot stub: neutral-mode energy
-set datafile separator ','
-set key autotitle columnhead
-set logscale y
-plot 'modes.csv' using 1:(column('rho')) with lines title 'rho'
-pause -1
-"""
-
 # -- main ------------------------------------------------------------------------
 
 def _build_parser():
@@ -417,7 +385,6 @@ def _build_parser():
     p.add_argument("--n", default=None, help="grid size (default 512)")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--config", default=None)
-    p.add_argument("--gnuplot", action="store_true")
     p.set_defaults(func=cmd_shrinker, _options={
         "alpha": (float, None), "k": (_fold_arg, None), "n": (_grid_size, 512)})
 
@@ -441,22 +408,26 @@ def _build_parser():
     p.add_argument("--entropy", action="store_true", help="log entropy per sample")
     p.add_argument("--outdir", default=None)
     p.add_argument("--n", default=None)
-    p.add_argument("--dt", default=None)
-    p.add_argument("--sample-dt", dest="sample_dt", default=None)
-    p.add_argument("--sample-every", dest="sample_every", default=None)
-    p.add_argument("--stop-min-radius", dest="stop_min_radius", default=None)
+    p.add_argument("--sample-dt", dest="sample_dt", default=None,
+                   help="sample at multiples of this time, landing on each exactly "
+                        "(default: every --sample-every steps in unnorm mode, "
+                        "0.01 in tau and area modes)")
+    p.add_argument("--sample-every", dest="sample_every", default=None,
+                   help="sample after this many accepted steps when --sample-dt "
+                        "is not in use (default 1)")
+    p.add_argument("--stop-min-radius", dest="stop_min_radius", default=None,
+                   help="stop once the least radius of curvature falls below this "
+                        "(default 1e-3)")
     p.add_argument("--rtol", default=None,
                    help="bound on the estimated local error of each order-5 step, "
                         "relative to the support function about the Steiner point "
                         "(default 1e-12)")
-    p.add_argument("--max-dt", dest="max_dt", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--gnuplot", action="store_true")
     p.set_defaults(func=cmd_flow, _options={
         "alpha": (float, None), "init": (str, "circle"), "t_end": (float, None),
-        "n": (_grid_size, 256), "dt": (float, 1e-4), "sample_dt": (float, None),
+        "n": (_grid_size, 256), "sample_dt": (float, None),
         "sample_every": (int, 1), "stop_min_radius": (float, 1e-3),
-        "rtol": (float, 1e-12), "max_dt": (float, None)})
+        "rtol": (float, 1e-12)})
 
     p = sub.add_parser("modes", help="mode diagnostics of a stored trace")
     p.add_argument("--trace", required=True, help="flow output directory")
@@ -464,7 +435,6 @@ def _build_parser():
     p.add_argument("--mmax", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--gnuplot", action="store_true")
     p.set_defaults(func=cmd_modes, _options={"k": (int, None), "mmax": (int, 8)})
 
     p = sub.add_parser("entropy-table", help="profile entropies in order")

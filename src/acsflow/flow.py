@@ -50,15 +50,17 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import BadConfig, BadDomain, InsufficientData, NonConvex
 from .geometry import (CONVEXITY_RTOL, AngularGrid, SupportFunction,
-                       _strictly_convex, area, deriv2, require_convex)
+                       _steiner_point, _strictly_convex, area, deriv2,
+                       require_convex)
 
 _MODES = ("unnormalized", "normalized_tau", "normalized_area")
 
 CFL_COEFF = 0.2
+# size of the first step the controller tries; it adapts from there
+FIRST_DT = 1e-4
 
 # ROS34PW2 (Rang & Angermann, BIT 45, 2005) in the transformed variables of
 # Hairer & Wanner, Solving ODEs II, IV.7 (7.25): from the published alpha,
@@ -94,8 +96,8 @@ class FlowStats:
     """Work counts of the step controller, summed over the calls it is given to.
 
     Each accepted step is counted under the one cap that set its size:
-    the error controller, the extinction guard, max_dt or a landing on
-    t_limit; h_min and h_max are its extremes (None before the first).
+    the error controller, the extinction guard or a landing on t_limit;
+    h_min and h_max are its extremes (None before the first).
     """
 
     accepted: int = 0
@@ -104,7 +106,6 @@ class FlowStats:
     rhs_evals: int = 0  # states, so a batched call counts each of its rows
     cap_error: int = 0
     cap_guard: int = 0
-    cap_max_dt: int = 0
     cap_landing: int = 0
     h_min: float | None = None
     h_max: float | None = None
@@ -112,7 +113,7 @@ class FlowStats:
     def count_step(self, cap, h):
         """Count an accepted step of size h.
 
-        cap names the limit that set h: "error", "guard", "max_dt" or "landing".
+        cap names the limit that set h: "error", "guard" or "landing".
         """
         self.accepted += 1
         name = "cap_" + cap
@@ -223,7 +224,7 @@ def _chain_increments(u, h, k1, coeff, msq, alpha, mode, stats):
 def _about_steiner_point(u, e):
     """u - s.e(theta), the support function about the Steiner point
     s = (2/n) e u, for e the (2, n) matrix of cos and sin at the nodes."""
-    return u - ((2.0 / u.shape[-1]) * (e @ u)) @ e
+    return u - _steiner_point(u, e) @ e
 
 
 def _ratio_floor(x):
@@ -232,19 +233,18 @@ def _ratio_floor(x):
 
 
 def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
-                 stats, max_accept=1 << 60, max_dt=np.inf):
+                 stats, max_accept=1 << 60):
     """Advance the flow state u in place until t_limit or max_accept steps.
 
     Each step combines the chains of one, two and three W-steps (see the
     module docstring) into an order-5 step, and estimates its error against
     the order-4 combination; the step is also capped by the near-extinction
-    guard CFL_COEFF * min_roc^(1 + alpha) and by max_dt. The chains run as
-    rows of three batched W-steps, so an accepted step evaluates the RHS at
-    22 states in 12 calls and makes 48 FFT calls. After each step the
-    controller's factor 0.9 err^(-1/5) is floored onto _STEP_RATIOS, quarter
-    octaves from below 0.1 to 4. A step is rejected when a stage state
-    fails the convexity test or the error estimate is above tolerance or
-    not finite. The tolerance at each node is atol + rtol |u_s|, with u_s
+    guard CFL_COEFF * min_roc^(1 + alpha). The chains run as rows of three
+    batched W-steps, so an accepted step evaluates the RHS at 22 states in
+    12 calls and makes 48 FFT calls. After each step the controller's
+    factor 0.9 err^(-1/5) is floored onto _STEP_RATIOS, quarter octaves from
+    below 0.1 to 4. A step is rejected when a stage state fails the
+    convexity test or the error estimate is above tolerance or not finite. The tolerance at each node is atol + rtol |u_s|, with u_s
     the support function about the Steiner point (see the module
     docstring); it is positive for a convex body wherever the origin is, so
     rtol bounds the error at every node. Counts go to stats (a FlowStats).
@@ -280,8 +280,6 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
         cap = "error"
         if hguard < h:
             h, cap = hguard, "guard"
-        if max_dt < h:
-            h, cap = max_dt, "max_dt"
         # landing steps are clamped for output only; the controller keeps
         # proposing from the unclamped step so sampling does not perturb
         # the step sequence
@@ -338,16 +336,13 @@ class FlowConfig:
     mode: str
     initial: SupportFunction
     t_end: float
-    dt: float = 1e-4
     sample_every: int = 1
     sample_dt: float | None = None  # uniform-time sampling with exact landings
     stop_min_radius: float = 1e-3
     max_steps: int = 10_000_000
     rtol: float = 1e-12
     atol: float = 1e-15
-    max_dt: float | None = None  # extra step cap, e.g. for low-jitter sampling
     log_entropy: bool = False
-    store_snapshots: bool = True
 
 
 @dataclass
@@ -362,7 +357,7 @@ class FlowTrace:
     min_curvature: np.ndarray
     max_curvature: np.ndarray
     entropy: np.ndarray  # nan where not logged
-    snapshots: np.ndarray | None  # (rows, n) or None
+    snapshots: np.ndarray  # (rows, n)
     terminal_reason: str
     n_steps: int
     sample_dt: float | None = None
@@ -379,16 +374,16 @@ def _validate(config: FlowConfig):
     # circle extinction-law experiments
     if not 0.0 < config.alpha <= 1.0:
         raise BadConfig(f"alpha must lie in (0, 1], got {config.alpha}")
-    if not config.dt > 0.0:
-        raise BadConfig(f"dt must be positive, got {config.dt}")
     if not config.t_end > 0.0:
         raise BadConfig(f"t_end must be positive, got {config.t_end}")
     if config.sample_every < 1:
         raise BadConfig(f"sample_every must be >= 1, got {config.sample_every}")
     if config.sample_dt is not None and not config.sample_dt > 0.0:
         raise BadConfig(f"sample_dt must be positive, got {config.sample_dt}")
-    if config.max_dt is not None and not config.max_dt > 0.0:
-        raise BadConfig(f"max_dt must be positive, got {config.max_dt}")
+    tols = (config.rtol, config.atol)
+    if not all(math.isfinite(x) and x >= 0.0 for x in tols) or not any(tols):
+        raise BadConfig(f"rtol and atol must be finite and >= 0, not both 0; "
+                        f"got rtol {config.rtol}, atol {config.atol}")
     if config.max_steps < 1:
         raise BadConfig("max_steps must be >= 1")
     try:
@@ -405,11 +400,11 @@ def run(config: FlowConfig) -> FlowTrace:
     grid = config.initial.grid
     u = config.initial.values.copy()
     t = 0.0
-    h = config.dt
+    h = FIRST_DT
     stats = FlowStats()
 
     rows = []
-    snaps = [] if config.store_snapshots else None
+    snaps = []
 
     def record(t_now, values):
         w = deriv2(values) + values
@@ -420,8 +415,7 @@ def run(config: FlowConfig) -> FlowTrace:
             ent = entropy_max(SupportFunction(grid, values), config.alpha).value
         rows.append((t_now, a, ell, a / ell**2,
                      1.0 / float(np.max(w)), 1.0 / float(np.min(w)), ent))
-        if snaps is not None:
-            snaps.append(values.copy())
+        snaps.append(values.copy())
 
     record(t, u)
     reason = None
@@ -441,8 +435,7 @@ def run(config: FlowConfig) -> FlowTrace:
             max_accept = min(config.sample_every, steps_left)
         status, t, h = flow_advance(
             u, t, h, target, config.alpha, config.mode, config.rtol,
-            config.atol, config.stop_min_radius, stats, max_accept,
-            config.max_dt if config.max_dt is not None else np.inf)
+            config.atol, config.stop_min_radius, stats, max_accept)
         if status == "non_convex":
             reason = status  # state failed the check; do not record it
             break
@@ -462,7 +455,7 @@ def run(config: FlowConfig) -> FlowTrace:
         times=rows_arr[:, 0], area=rows_arr[:, 1], length=rows_arr[:, 2],
         iso_ratio=rows_arr[:, 3], min_curvature=rows_arr[:, 4],
         max_curvature=rows_arr[:, 5], entropy=rows_arr[:, 6],
-        snapshots=np.array(snaps) if snaps is not None else None,
+        snapshots=np.array(snaps),
         terminal_reason=reason, n_steps=stats.accepted,
         sample_dt=config.sample_dt, stats=stats)
 
@@ -500,6 +493,7 @@ def area_law_fit(trace: FlowTrace, min_rows=20) -> AreaLawFit:
     T is chosen to minimize the least-squares rms of log A against
     log(T - t); the asymptotic law has p = 2/(1 + alpha).
     """
+    from scipy.optimize import minimize_scalar
     t = trace.times
     a = trace.area
     if len(t) < min_rows:

@@ -19,8 +19,6 @@ from .errors import NonConvex
 # guard protects the negative curvature powers used by the flow.
 CONVEXITY_RTOL = 1e-8
 
-DEFAULT_N = 256
-
 
 @dataclass(frozen=True)
 class AngularGrid:
@@ -176,13 +174,20 @@ def embed(u: SupportFunction) -> np.ndarray:
     return np.stack([u.values * c - ut * s, u.values * s + ut * c], axis=1)
 
 
+def _steiner_point(values, e):
+    """(2/n) e u, the trapezoid rule for (1/pi) integral u e(theta), for e
+    the (2, n) matrix of cos and sin at the nodes."""
+    return (2.0 / values.shape[-1]) * (e @ values)
+
+
 def steiner_point(u: SupportFunction) -> np.ndarray:
     """Curvature-weighted boundary centroid; strictly interior for convex bodies.
 
     The curvature weight kappa ds is dtheta, so this is the mean of the
     boundary points over the uniform angle grid, (1/pi) integral u (cos, sin).
     """
-    return embed(u).mean(axis=0)
+    th = u.grid.nodes
+    return _steiner_point(u.values, np.stack([np.cos(th), np.sin(th)]))
 
 
 def _fourier_coefficients(values, m_max):

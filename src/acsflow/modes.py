@@ -96,8 +96,6 @@ def track_modes(trace: FlowTrace, k, m_max=None) -> ModeTrace:
             f"trace alpha {trace.alpha!r} is not 1/(k^2-1) = {alpha!r} for k = {k}")
     if trace.mode != "normalized_tau":
         raise BadConfig(f"mode tracking expects a normalized_tau trace, got {trace.mode!r}")
-    if trace.snapshots is None:
-        raise BadConfig("trace has no stored snapshots")
     dts = np.diff(trace.times)
     if len(dts) < 4:
         raise BadConfig("trace too short to track modes")
@@ -342,8 +340,6 @@ class ProjectionSeries:
 def projection_norm_series(trace: FlowTrace, decomposition: SpectralDecomposition
                            ) -> ProjectionSeries:
     """Unstable/neutral/stable energy split of v = u - h along a trace."""
-    if trace.snapshots is None:
-        raise BadConfig("trace has no stored snapshots")
     if trace.grid.n != decomposition.h.grid.n:
         raise GridMismatch("trace grid does not match the decomposition grid")
     _, (unstable, neutral, stable), remainder = energy_split(

@@ -303,13 +303,17 @@ def variation_eta(segment: ShrinkerSegment) -> VariationArc:
     return VariationArc(theta=theta.copy(), eta=eta, eta_theta=eta_theta, eta0=eta0)
 
 
+def _segment_entropy(alpha, seg):
+    """Entropy of the profile closed by seg, (alpha+1)/(2(alpha-1)) * log f(r_k)."""
+    return (alpha + 1.0) / (2.0 * (alpha - 1.0)) * math.log(seg.power_mean)
+
+
 def shrinker_entropy(alpha, k) -> float:
     """Entropy of the k-fold profile, (alpha+1)/(2(alpha-1)) * log f(r_k)."""
     if k == "circle":
         check_alpha(alpha)
         return 0.0
-    seg = _segment_for_k(alpha, k)
-    return (alpha + 1.0) / (2.0 * (alpha - 1.0)) * math.log(seg.power_mean)
+    return _segment_entropy(alpha, _segment_for_k(alpha, k))
 
 
 def entropy_ordering(alpha):
@@ -369,9 +373,9 @@ def assemble_profile(alpha, k, grid_n=None) -> ShrinkerProfile:
         raise AcsflowError(
             f"assembled profile residual {residual:.2e} exceeds {PROFILE_RESIDUAL_TOL}")
 
-    entropy = (alpha + 1.0) / (2.0 * (alpha - 1.0)) * math.log(seg.power_mean)
     return ShrinkerProfile(alpha=float(alpha), k=int(k), r_k=seg.r, h=h,
-                           entropy=entropy, residual=residual, segment=seg)
+                           entropy=_segment_entropy(alpha, seg), residual=residual,
+                           segment=seg)
 
 
 # -- export helpers -----------------------------------------------------------

@@ -2,6 +2,8 @@ import filecmp
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -31,7 +33,7 @@ def test_flow_rerun_is_byte_identical_and_feeds_modes(tmp_path, capsys):
     stats = json.loads(first)["stats"]
     assert stats["accepted"] == json.loads(first)["accepted_steps"] > 0
     assert stats["accepted"] == sum(stats[f"cap_{c}"]
-                                    for c in ("error", "guard", "max_dt", "landing"))
+                                    for c in ("error", "guard", "landing"))
 
     names = _files(a)
     assert names == _files(b)
@@ -135,6 +137,9 @@ def test_exit_codes(tmp_path, capsys):
     # 4: a config file that does not exist, and a non-convex initial body
     assert cli.main(flow + ["--config", str(tmp_path / "missing.json")]) == 4
     assert cli.main(flow + ["--init", "perturb:2,0.5"]) == 4
+    # 4: tolerances that are negative or not a number
+    assert cli.main(flow + ["--rtol=-1e-12"]) == 4
+    assert cli.main(flow + ["--rtol", "nan"]) == 4
     # 4: option values that are not numbers, on the command line or in a config
     spectrum = ["spectrum", "--alpha", "0.2", "--profile", "circle"]
     assert cli.main(spectrum + ["--n", "abc"]) == 4
@@ -184,24 +189,26 @@ def test_config_sets_flags_under_explicit_ones(tmp_path):
 
 def test_config_rejects_unknown_keys_and_non_bool_flags(tmp_path, capsys):
     flow = ["flow", "--alpha", "0.5", "--mode", "unnorm", "--n", "32", "--t-end", "0.01"]
+    # keys that name no option of flow, or a flag with a non-bool value
     for i, cfg in enumerate(({"entropyy": True}, {"entropy": "false"},
-                             {"_defaults": {}}, {"func": None})):
+                             {"_defaults": {}}, {"func": None}, {"dt": 1e-4},
+                             {"max-dt": 0.1}, {"gnuplot": True})):
         config = tmp_path / f"config{i}.json"
         config.write_text(json.dumps(cfg))
         assert cli.main(flow + ["--config", str(config)]) == 4
     assert capsys.readouterr().out == ""
 
 
-def test_shrinker_circle_gnuplot_writes_no_plot(tmp_path, capsys):
-    # plot.gp draws segment.csv, which only a k-fold profile has
+def test_shrinker_circle_writes_no_segment(tmp_path, capsys):
+    # segment.csv holds the shooting arc, which only a k-fold profile has
     out = str(tmp_path / "circle")
     assert cli.main(["shrinker", "--alpha", "0.2", "--k", "circle", "--n", "64",
-                     "--gnuplot", "--out", out]) == 0
+                     "--out", out]) == 0
     assert _files(out) == ["meta.json", "profile.json"]
     out = str(tmp_path / "k3")
     assert cli.main(["shrinker", "--alpha", "0.1", "--k", "3", "--n", "126",
-                     "--gnuplot", "--out", out]) == 0
-    assert _files(out) == ["meta.json", "plot.gp", "profile.json", "segment.csv"]
+                     "--out", out]) == 0
+    assert _files(out) == ["meta.json", "profile.json", "segment.csv"]
 
 
 def test_flow_file_init_records_its_grid(tmp_path, capsys):
@@ -299,3 +306,12 @@ def test_modes_reports_an_empty_snapshots_file(tmp_path, capsys, recwarn):
     assert out == ""
     assert err == f"error: cannot read {path}: the file is empty\n"
     assert len(recwarn) == 0
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported by the routines that use it, when they are called
+    code = "import sys, acsflow.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

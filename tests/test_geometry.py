@@ -216,12 +216,18 @@ def test_steiner_point_translated_circle(grid256):
 
 
 def test_steiner_point_equivariance(grid256, rng):
-    # s(K) = (1/pi) integral u (cos, sin): linear in u, moves with the body
+    # s(K) = (1/pi) integral u (cos, sin): linear in u, moves with the body,
+    # and the mean of the boundary points over the uniform angle grid
     u = random_convex_support(grid256, rng)
     p = steiner_point(u)
     th = grid256.nodes
     assert np.allclose(p, [2 * np.mean(u.values * np.cos(th)),
                            2 * np.mean(u.values * np.sin(th))], atol=1e-14)
+    for n in (64, 128, 256, 512, 1024):
+        body = translate(random_convex_support(AngularGrid(n), rng),
+                         rng.uniform(-0.3, 0.3, size=2))
+        err = np.max(np.abs(steiner_point(body) - embed(body).mean(axis=0)))
+        assert err <= 1e-15 * np.max(np.abs(body.values))
     assert np.allclose(steiner_point(translate(u, (0.3, -0.2))), p - [0.3, -0.2],
                        atol=1e-12)
     assert np.allclose(steiner_point(SupportFunction(grid256, 7.0 * u.values)), 7.0 * p,
