@@ -4,9 +4,10 @@ Subcommands: shrinker, spectrum, flow, modes, entropy-table. Each success
 prints exactly one JSON record to stdout; data files land under the output
 directory with fixed names (trace.csv, meta.json, snapshots.csv,
 spectrum.json, profile.json, segment.csv, modes.csv, residuals.json).
-Identical invocations produce byte-identical files: floats are formatted at
-17 significant digits in JSON and snapshots.csv and 12 in the other CSV
-files, and nothing carries timestamps.
+Identical invocations produce byte-identical files: JSON is written by
+json.dumps, whose floats are the shortest repr that round-trips exactly;
+snapshots.csv carries 17 significant digits and the other CSV files 12; and
+nothing carries timestamps.
 
 Exit codes: 2 for domain errors (inadmissible alpha/k, mismatched trace),
 3 for numerical failures, 4 for bad configuration or missing inputs.
@@ -21,9 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, entropy, flow, geometry, modes, shrinker, spectral
-from ._fmt import json_dumps
-from .errors import (AcsflowError, AlphaMismatch, BadConfig, BadDomain,
-                     OutOfRange)
+from .errors import AcsflowError, AlphaMismatch, BadConfig, OutOfRange
 
 EXIT_DOMAIN = 2
 EXIT_NUMERICAL = 3
@@ -96,7 +95,7 @@ def _write(path, name, text):
 
 
 def _write_json(path, name, obj):
-    _write(path, name, json_dumps(obj, indent=2) + "\n")
+    _write(path, name, json.dumps(obj, indent=2) + "\n")
 
 
 def _grid_size(value):
@@ -114,7 +113,8 @@ def _fold_tag(k):
 
 
 def _profile_grid_n(k, n):
-    """Largest multiple of 2k not exceeding n (reflection seams on nodes)."""
+    """The largest multiple of 2k not exceeding n, but at least 16k (reflection
+    seams on nodes); n itself for the circle."""
     if k == "circle":
         return n
     per = 2 * k
@@ -143,7 +143,7 @@ def cmd_shrinker(args):
             "fint_drift": None if seg is None else seg.fint_drift,
             "arc_solves": None if seg is None else seg.arc_solves,
         })
-    print(json_dumps(record))
+    print(json.dumps(record))
     return 0
 
 
@@ -181,7 +181,7 @@ def cmd_spectrum(args):
             "alpha": alpha, "profile": _fold_tag(profile.k),
             "n": profile.h.grid.n, "jmax": args.jmax,
         })
-    print(json_dumps(record))
+    print(json.dumps(record))
     return 0
 
 
@@ -260,7 +260,7 @@ def cmd_flow(args):
             "rows": len(trace), "accepted_steps": trace.n_steps,
             "stats": trace.stats.to_json_dict(),
         })
-    print(json_dumps(record))
+    print(json.dumps(record))
     return 0
 
 
@@ -349,7 +349,7 @@ def cmd_modes(args):
         "measured_rho_rate": rec.get("measured_rho_rate"),
         "reports": reports,
     })
-    print(json_dumps(rec))
+    print(json.dumps(rec))
     return 0
 
 
@@ -367,7 +367,7 @@ def cmd_entropy_table(args):
         _write_json(out, "meta.json", {
             "command": "entropy-table", "version": __version__, "alpha": alpha,
         })
-    print(json_dumps(record))
+    print(json.dumps(record))
     return 0
 
 
@@ -457,7 +457,7 @@ def main(argv=None):
     except (OutOfRange, AlphaMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (BadConfig, BadDomain) as exc:
+    except BadConfig as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AcsflowError as exc:

@@ -126,10 +126,3 @@ def entropy(u: SupportFunction, alpha) -> EntropyResult:
                               f"(|grad| = {np.linalg.norm(grad):.2e})")
         z, uz, f = z + t * step, uz_t, f_t
     raise OptimFailed(f"entropy point not located within {NEWTON_CAP} Newton steps")
-
-
-def check_subcritical_bound(u: SupportFunction, alpha) -> bool:
-    """Whether the entropy respects the universal log(2) bound (alpha <= 1/3)."""
-    if not 0.0 < alpha <= 1.0 / 3.0 + 1e-15:
-        raise OutOfRange(f"the log(2) bound applies for alpha in (0, 1/3], got {alpha}")
-    return entropy(u, alpha).value <= math.log(2.0) + 1e-8

@@ -54,20 +54,12 @@ class TooLarge(AcsflowError):
     """Perturbation amplitude violates the smallness precondition."""
 
 
-class MismatchBug(AcsflowError):
-    """Two supposedly identical closed-form expressions disagree."""
-
-
 class OrderingViolated(AcsflowError):
     """Computed shrinker entropies break the proven strict ordering."""
 
 
 class BadConfig(AcsflowError):
     """Invalid run configuration."""
-
-
-class BadDomain(AcsflowError):
-    """Argument outside the domain of an exact formula (e.g. t >= 0)."""
 
 
 class InsufficientData(AcsflowError):

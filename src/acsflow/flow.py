@@ -51,7 +51,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import BadConfig, BadDomain, InsufficientData, NonConvex
+from ._fmt import csv_table
+from .errors import BadConfig, InsufficientData, NonConvex
 from .geometry import (CONVEXITY_RTOL, AngularGrid, SupportFunction,
                        _steiner_point, _strictly_convex, area, deriv2,
                        require_convex)
@@ -244,10 +245,11 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
     12 calls and makes 48 FFT calls. After each step the controller's
     factor 0.9 err^(-1/5) is floored onto _STEP_RATIOS, quarter octaves from
     below 0.1 to 4. A step is rejected when a stage state fails the
-    convexity test or the error estimate is above tolerance or not finite. The tolerance at each node is atol + rtol |u_s|, with u_s
-    the support function about the Steiner point (see the module
-    docstring); it is positive for a convex body wherever the origin is, so
-    rtol bounds the error at every node. Counts go to stats (a FlowStats).
+    convexity test or the error estimate is above tolerance or not finite.
+    The tolerance at each node is atol + rtol |u_s|, with u_s the support
+    function about the Steiner point (see the module docstring); it is
+    positive for a convex body wherever the origin is, so rtol bounds the
+    error at every node. Counts go to stats (a FlowStats).
 
     Returns (status, t, h_next); status is "reached_limit", "max_accept",
     "min_radius", "non_convex" (u fails the convexity test; it is not
@@ -534,32 +536,8 @@ def entropy_monotonicity_check(trace: FlowTrace) -> float:
     return float(np.max(diffs))
 
 
-def renormalize_time(t, alpha) -> float:
-    """tau = -log(-t)/(1 + alpha); requires t < 0."""
-    if not t < 0.0:
-        raise BadDomain(f"renormalized time needs t < 0, got {t}")
-    return -math.log(-t) / (1.0 + alpha)
-
-
-def unrenormalize_time(tau, alpha) -> float:
-    return -math.exp(-(1.0 + alpha) * tau)
-
-
-def support_scale(tau, alpha) -> float:
-    """Factor (1 + alpha)^(-1/(1+alpha)) e^tau mapping u(t) to the tau gauge."""
-    return (1.0 + alpha) ** (-1.0 / (1.0 + alpha)) * math.exp(tau)
-
-
 def trace_to_csv(trace: FlowTrace) -> str:
-    from ._fmt import fmt_csv_float as f
-
-    lines = ["time,area,length,iso_ratio,min_curv,max_curv,entropy"]
-    for i in range(len(trace)):
-        ent = trace.entropy[i]
-        lines.append(",".join([
-            f(trace.times[i]), f(trace.area[i]), f(trace.length[i]),
-            f(trace.iso_ratio[i]), f(trace.min_curvature[i]),
-            f(trace.max_curvature[i]),
-            "" if math.isnan(ent) else f(ent),
-        ]))
-    return "\n".join(lines) + "\n"
+    return csv_table(
+        ("time", "area", "length", "iso_ratio", "min_curv", "max_curv", "entropy"),
+        (trace.times, trace.area, trace.length, trace.iso_ratio,
+         trace.min_curvature, trace.max_curvature, trace.entropy))

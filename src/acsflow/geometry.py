@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fmt import JSON_FMT
+from ._fmt import SNAPSHOT_FMT
 from .errors import NonConvex
 
 # min(u_thth + u) > CONVEXITY_RTOL * mean(u) declares strict convexity; the
@@ -61,26 +61,6 @@ class SupportFunction:
         return self.grid.n
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
-    min_radius_of_curvature: float
-    max_radius_of_curvature: float
-    is_strictly_convex: bool
-
-
-@dataclass(frozen=True)
-class FourierModes:
-    """Real coefficients of u = a0 + sum_m a[m-1] cos(m th) + b[m-1] sin(m th)."""
-
-    a0: float
-    a: np.ndarray
-    b: np.ndarray
-
-    @property
-    def m_max(self):
-        return len(self.a)
-
-
 def _wavenumbers(n):
     return np.arange(n // 2 + 1, dtype=float)
 
@@ -117,12 +97,6 @@ def _strictly_convex(w, ubar) -> bool:
     return bool(np.all(np.min(w, axis=-1, keepdims=True) > CONVEXITY_RTOL * ubar))
 
 
-def convexity_report(u: SupportFunction) -> ConvexityReport:
-    w = radius_of_curvature(u)
-    return ConvexityReport(float(np.min(w)), float(np.max(w)),
-                           _strictly_convex(w, np.mean(u.values)))
-
-
 def require_convex(u: SupportFunction) -> np.ndarray:
     """Radius-of-curvature array of a strictly convex body, else NonConvex."""
     w = radius_of_curvature(u)
@@ -131,10 +105,6 @@ def require_convex(u: SupportFunction) -> np.ndarray:
         raise NonConvex(f"min radius of curvature {np.min(w):.3e} <= tolerance "
                         f"{CONVEXITY_RTOL * ubar:.3e}")
     return w
-
-
-def curvature(u: SupportFunction) -> np.ndarray:
-    return 1.0 / require_convex(u)
 
 
 def area(u: SupportFunction) -> float:
@@ -147,10 +117,6 @@ def length(u: SupportFunction) -> float:
     """Boundary length, the integral of the radius of curvature."""
     w = require_convex(u)
     return u.grid.dtheta * float(np.sum(w))
-
-
-def isoperimetric_ratio(u: SupportFunction) -> float:
-    return area(u) / length(u) ** 2
 
 
 def translate(u: SupportFunction, z) -> SupportFunction:
@@ -191,7 +157,9 @@ def steiner_point(u: SupportFunction) -> np.ndarray:
 
 
 def _fourier_coefficients(values, m_max):
-    """(a0, a, b) of fourier_modes for each row of values (along the last axis)."""
+    """Leading real Fourier coefficients of each row of values (along the last
+    axis): values = a0 + sum_m a[m-1] cos(m th) + b[m-1] sin(m th) + higher
+    modes, with a_m = (1/pi) integral values cos(m th), for m = 1 .. m_max."""
     n = values.shape[-1]
     if not 0 < m_max < n // 2:
         raise ValueError(f"m_max must be in [1, {n // 2 - 1}], got {m_max}")
@@ -200,21 +168,6 @@ def _fourier_coefficients(values, m_max):
     a = 2.0 * spec[..., 1 : m_max + 1].real / n
     b = -2.0 * spec[..., 1 : m_max + 1].imag / n
     return a0, a, b
-
-
-def fourier_modes(u: SupportFunction, m_max: int) -> FourierModes:
-    """Leading real Fourier coefficients, a_m = (1/pi) integral u cos(m th)."""
-    a0, a, b = _fourier_coefficients(u.values, m_max)
-    return FourierModes(float(a0), a, b)
-
-
-def synthesize(grid: AngularGrid, modes: FourierModes) -> SupportFunction:
-    """Evaluate a truncated Fourier series on the grid (inverse of fourier_modes)."""
-    th = grid.nodes
-    vals = np.full(grid.n, modes.a0)
-    for m in range(1, modes.m_max + 1):
-        vals = vals + modes.a[m - 1] * np.cos(m * th) + modes.b[m - 1] * np.sin(m * th)
-    return SupportFunction(grid, vals)
 
 
 def circle_support(grid: AngularGrid, radius: float = 1.0, center=(0.0, 0.0)) -> SupportFunction:
@@ -264,7 +217,7 @@ def support_rows_to_csv(fh, rows) -> None:
     """Write each row of support values to the open file fh as one line of
     comma-separated values at 17 significant digits (an exact round trip),
     with no header."""
-    np.savetxt(fh, rows, fmt="%" + JSON_FMT, delimiter=",")
+    np.savetxt(fh, rows, fmt="%" + SNAPSHOT_FMT, delimiter=",")
 
 
 def support_rows_from_csv(fname) -> np.ndarray:

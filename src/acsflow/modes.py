@@ -22,15 +22,13 @@ quantitative runs.
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import (AlphaMismatch, BadConfig, GridMismatch, MismatchBug, OutOfRange,
-                     TooLarge)
+from ._fmt import csv_table
+from .errors import AlphaMismatch, BadConfig, OutOfRange, TooLarge
 from .flow import FlowTrace
 from .geometry import AngularGrid, SupportFunction, _fourier_coefficients
-from .spectral import SpectralDecomposition, energy_split
 
 RHO_SMALLNESS = 1e-2
 TRANSIENT_RULE = 5.0  # quasi-steady once lambda_2k * tau exceeds this
@@ -115,18 +113,10 @@ def track_modes(trace: FlowTrace, k, m_max=None) -> ModeTrace:
 
 
 def cstar(k) -> float:
-    """The rho-decay constant k^2 (4 - k^2)/6, cross-checked in exact
-    arithmetic against its unreduced rational form; MismatchBug on any
-    disagreement (which would indicate a transcription typo)."""
+    """The rho-decay constant k^2 (4 - k^2)/6."""
     if not (isinstance(k, (int, np.integer)) and k >= 3):
         raise OutOfRange(f"fold count must be an integer >= 3, got {k!r}")
-    a = Fraction(1, k * k - 1)
-    full = ((a + 1) * (a - 2 + (2 * a * a - a) * (1 - 4 * k * k))) / (
-        4 * a * a * (1 + a * (1 - 4 * k * k)))
-    compact = Fraction(k * k * (4 - k * k), 6)
-    if full != compact:
-        raise MismatchBug(f"decay-constant forms disagree at k = {k}: {full} vs {compact}")
-    return float(compact)
+    return k * k * (4 - k * k) / 6
 
 
 def _fd4(y, dt):
@@ -175,19 +165,26 @@ class ResidualReport:
         }
 
 
+def _stencil_rows(good, what):
+    """Indices of the true rows of good, less the 2 at each end that the
+    centered-difference stencil needs; TooLarge, saying what is too short,
+    when fewer than 5 remain."""
+    good[:2] = False
+    good[-2:] = False
+    idx = np.nonzero(good)[0]
+    if len(idx) < 5:
+        raise TooLarge(what)
+    return idx
+
+
 def _window(mt: ModeTrace):
     """Rows with rho within a factor two of its starting value, interior to
     the centered-difference stencil."""
     rho = mt.rho
     if np.max(rho) >= RHO_SMALLNESS:
         raise TooLarge(f"max rho = {np.max(rho):.2e} violates the smallness bound")
-    good = (rho >= 0.5 * rho[0]) & (rho <= 2.0 * rho[0])
-    good[:2] = False
-    good[-2:] = False
-    idx = np.nonzero(good)[0]
-    if len(idx) < 5:
-        raise TooLarge("fewer than 5 usable rows in the rho window")
-    return idx
+    return _stencil_rows((rho >= 0.5 * rho[0]) & (rho <= 2.0 * rho[0]),
+                         "fewer than 5 usable rows in the rho window")
 
 
 def residual_linear_modes(mt: ModeTrace) -> ResidualReport:
@@ -258,13 +255,8 @@ def residual_neutral_modes(mt: ModeTrace) -> ResidualReport:
 
 def quasi_steady_window(mt: ModeTrace):
     """Post-transient rows, lambda_2k * tau > 5, interior to the stencil."""
-    good = mt.lambda_2k * mt.tau > TRANSIENT_RULE
-    good[:2] = False
-    good[-2:] = False
-    idx = np.nonzero(good)[0]
-    if len(idx) < 5:
-        raise TooLarge("trace too short for the post-transient window")
-    return idx
+    return _stencil_rows(mt.lambda_2k * mt.tau > TRANSIENT_RULE,
+                         "trace too short for the post-transient window")
 
 
 @dataclass(frozen=True)
@@ -328,39 +320,10 @@ def quasi_steady_seed(grid: AngularGrid, k, eps, phase=0.0) -> SupportFunction:
     return SupportFunction(grid, vals)
 
 
-@dataclass(frozen=True)
-class ProjectionSeries:
-    tau: np.ndarray
-    unstable: np.ndarray  # squared weighted norms per row
-    neutral: np.ndarray
-    stable: np.ndarray
-    remainder: np.ndarray
-
-
-def projection_norm_series(trace: FlowTrace, decomposition: SpectralDecomposition
-                           ) -> ProjectionSeries:
-    """Unstable/neutral/stable energy split of v = u - h along a trace."""
-    if trace.grid.n != decomposition.h.grid.n:
-        raise GridMismatch("trace grid does not match the decomposition grid")
-    _, (unstable, neutral, stable), remainder = energy_split(
-        (trace.snapshots - decomposition.h.values).T, decomposition)
-    return ProjectionSeries(tau=trace.times.copy(), unstable=unstable, neutral=neutral,
-                            stable=stable, remainder=remainder)
-
-
 def mode_trace_to_csv(mt: ModeTrace) -> str:
-    from ._fmt import fmt_csv_float as f
-
     header = ["tau", "A0"]
+    columns = [mt.tau, mt.a0]
     for m in range(1, mt.m_max + 1):
         header.extend((f"A{m}", f"B{m}"))
-    header.extend(("rho", "Q"))
-    lines = [",".join(header)]
-    rho, q = mt.rho, mt.q
-    for i in range(len(mt.tau)):
-        row = [f(mt.tau[i]), f(mt.a0[i])]
-        for m in range(mt.m_max):
-            row.extend((f(mt.a[i, m]), f(mt.b[i, m])))
-        row.extend((f(rho[i]), f(q[i])))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        columns.extend((mt.a[:, m - 1], mt.b[:, m - 1]))
+    return csv_table(header + ["rho", "Q"], columns + [mt.rho, mt.q])

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._fmt import csv_table
 from .errors import (AcsflowError, EventNotFound, NoBracket, OrderingViolated,
                      OutOfRange, StepUnderflow)
 from .geometry import AngularGrid, SupportFunction, deriv2
@@ -73,16 +74,6 @@ class ShrinkerSegment:
     dspan_du: float  # dTheta/du_max
     dr_du: float  # dr/du_max
     arc_solves: int = 1  # arcs integrated to find this one
-
-
-@dataclass(frozen=True)
-class VariationArc:
-    """d/dr of the arc at fixed alpha, sampled on the parent segment's nodes."""
-
-    theta: np.ndarray
-    eta: np.ndarray
-    eta_theta: np.ndarray
-    eta0: float
 
 
 @dataclass(frozen=True)
@@ -139,22 +130,22 @@ def _solve(rhs, span, y0, events=None):
     return sol
 
 
-def integrate_arc(alpha, u_max, theta_out=None, eta0=0.0):
-    """The arc state y = (U, U', eta, eta', q) started from (u_max, 0, eta0, 0, 0).
+def integrate_arc(alpha, u_max, theta_out=None):
+    """The arc state y = (U, U', eta, eta', q) started from (u_max, 0, 1, 0, 0).
 
     eta solves the variational equation eta'' + eta + (1/alpha) U^(-1-1/alpha)
-    eta = 0, so eta0 = 1 makes it dU/du_max and eta0 = du_max/dr makes it dU/dr;
-    q' = U^(1 - 1/alpha). eta rides on the steps U chooses (ARC_ATOL), so U
-    does not depend on eta0. Without theta_out the arc stops at the
-    first interior minimum of U and the rows are the DOP853 step nodes, the
-    minimum last. With theta_out (increasing, >= 0) each interval is its own
-    solve, started from the state the previous one ended at, so every row is
-    an integrated value, never an interpolated one.
+    eta = 0 from eta(0) = 1, so it is dU/du_max; q' = U^(1 - 1/alpha). eta
+    rides on the steps U chooses (ARC_ATOL), so U does not depend on it.
+    Without theta_out the arc stops at the first interior minimum of U and the
+    rows are the DOP853 step nodes, the minimum last. With theta_out
+    (increasing, >= 0) each interval is its own solve, started from the state
+    the previous one ended at, so every row is an integrated value, never an
+    interpolated one.
 
     Returns (theta, y) with y of shape (5, len(theta)).
     """
     rhs = _arc_rhs(alpha)
-    y = np.array([u_max, 0.0, eta0, 0.0, 0.0])
+    y = np.array([u_max, 0.0, 1.0, 0.0, 0.0])
     if theta_out is None:
         sol = _solve(rhs, (0.0, THETA_SEARCH_MAX), y, events=_first_minimum)
         if sol.status == 0:
@@ -176,7 +167,7 @@ def solve_segment(alpha, u_max) -> ShrinkerSegment:
     check_alpha(alpha)
     if not u_max > 1.0:
         raise OutOfRange(f"u_max must exceed 1 (got {u_max}); U = 1 is the equilibrium")
-    theta, (u, ut, eta, eta_theta, quad) = integrate_arc(alpha, u_max, eta0=1.0)
+    theta, (u, ut, eta, eta_theta, quad) = integrate_arc(alpha, u_max)
     span = float(theta[-1])
     u_min = float(u[-1])
     fint = first_integral_value(alpha, u, ut)
@@ -246,22 +237,6 @@ def period_limit(alpha):
     return math.pi * math.sqrt(alpha / (1.0 + alpha))
 
 
-def period(alpha, r) -> float:
-    """Theta(alpha, r); the degenerate r = 1 case uses the analytic limit."""
-    check_alpha(alpha)
-    if r == 1.0:
-        return period_limit(alpha)
-    return segment_for_ratio(alpha, r).theta_span
-
-
-def f_of_r(alpha, r) -> float:
-    """Arc mean of U^(1 - 1/alpha); increasing in r with f(1) = 1."""
-    check_alpha(alpha)
-    if r == 1.0:
-        return 1.0
-    return segment_for_ratio(alpha, r).power_mean
-
-
 def max_fold_symmetry(alpha) -> int:
     """Largest admissible k (k >= 3, k < sqrt(1 + 1/alpha)), or 2 if none."""
     return max(2, math.ceil(math.sqrt(1.0 + 1.0 / alpha) - ADMISSIBILITY_GUARD) - 1)
@@ -284,23 +259,6 @@ def _segment_for_k(alpha, k) -> ShrinkerSegment:
     _check_fold(alpha, k)
     return _shoot(alpha, 1.1, math.pi / k,
                   lambda seg: (seg.theta_span, seg.dspan_du), f"theta = pi/{k}")
-
-
-def find_r_for_k(alpha, k) -> float:
-    """The unique ratio r with Theta(alpha, r) = pi/k."""
-    return _segment_for_k(alpha, k).r
-
-
-def variation_eta(segment: ShrinkerSegment) -> VariationArc:
-    """Arc of eta = d/dr U(r, .), normalized so eta(0) = du_max/dr.
-
-    eta(0) = 1 / (dr/du_max) comes from the segment's own end state; the arc
-    solves the variational ODE along the segment, sampled on its nodes.
-    """
-    eta0 = 1.0 / segment.dr_du
-    theta, (_, _, eta, eta_theta, _) = integrate_arc(
-        segment.alpha, segment.u_max, segment.samples.theta, eta0=eta0)
-    return VariationArc(theta=theta.copy(), eta=eta, eta_theta=eta_theta, eta0=eta0)
 
 
 def _segment_entropy(alpha, seg):
@@ -381,13 +339,8 @@ def assemble_profile(alpha, k, grid_n=None) -> ShrinkerProfile:
 # -- export helpers -----------------------------------------------------------
 
 def segment_to_csv(segment: ShrinkerSegment) -> str:
-    from ._fmt import fmt_csv_float as f
-
-    lines = ["theta,U,U_theta"]
     s = segment.samples
-    for th, u, ut in zip(s.theta, s.u, s.u_theta):
-        lines.append(f"{f(th)},{f(u)},{f(ut)}")
-    return "\n".join(lines) + "\n"
+    return csv_table(("theta", "U", "U_theta"), (s.theta, s.u, s.u_theta))
 
 
 def profile_to_json_dict(profile: ShrinkerProfile, theta=None) -> dict:

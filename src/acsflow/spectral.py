@@ -198,41 +198,22 @@ def decompose(h: SupportFunction, alpha, j_max=40) -> SpectralDecomposition:
         kernel_dim=int(np.sum(np.abs(lams) <= ZERO_TOL)))
 
 
-@dataclass(frozen=True)
-class Projection:
-    coefficients: np.ndarray
-    norm_unstable: float  # modes with lambda < -ZERO_TOL
-    norm_neutral: float
-    norm_stable: float
-    remainder: float  # energy beyond the retained basis
-
-    @property
-    def energies(self):
-        return (self.norm_unstable**2, self.norm_neutral**2, self.norm_stable**2)
-
-
 def energy_split(v, decomposition: SpectralDecomposition):
     """Coefficients of v in the retained eigenbasis, its unstable, neutral and
     stable energies, and the energy beyond the basis. v is one vector or a
     matrix whose columns are vectors; each result then has one entry per column.
+    GridMismatch unless v has one row per node of the decomposition's grid.
     """
     dec = decomposition
+    if np.shape(v)[0] != dec.h.grid.n:
+        raise GridMismatch(f"vectors of shape {np.shape(v)} on a grid of "
+                           f"{dec.h.grid.n} nodes")
     dtheta, b, lam = dec.h.grid.dtheta, dec.inner_product.weights, dec.eigenvalues
     coef = dtheta * (dec.eigenfunctions * b) @ v
     e_minus, e_zero, e_plus = (np.sum(coef[sel] ** 2, axis=0) for sel in (
         lam < -ZERO_TOL, np.abs(lam) <= ZERO_TOL, lam > ZERO_TOL))
     remainder = np.maximum(dtheta * (b @ (v * v)) - e_minus - e_zero - e_plus, 0.0)
     return coef, (e_minus, e_zero, e_plus), remainder
-
-
-def project(v: np.ndarray, decomposition: SpectralDecomposition) -> Projection:
-    """Coefficients of v in the retained eigenbasis plus split norms."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (decomposition.h.grid.n,):
-        raise GridMismatch(f"vector of shape {v.shape} on a grid of "
-                           f"{decomposition.h.grid.n} nodes")
-    coef, energies, remainder = energy_split(v, decomposition)
-    return Projection(coef, *(math.sqrt(e) for e in energies), float(remainder))
 
 
 def measure_growth_rate(h: SupportFunction, alpha, j, epsilon, tau_window,

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from acsflow import cli, geometry
+from acsflow import cli, geometry, shrinker, spectral
 
 
 def _files(root):
@@ -68,6 +68,10 @@ def test_shrinker_rerun_is_byte_identical(tmp_path, capsys):
     assert 0.0 <= meta["fint_drift"] < 1e-9
     assert list(meta)[-2:] == ["fint_drift", "arc_solves"]
     assert 1 <= meta["arc_solves"] <= 20
+    # JSON floats round-trip exactly
+    with open(os.path.join(a, "profile.json")) as fh:
+        h = json.load(fh)["h"]
+    assert h == shrinker.assemble_profile(1 / 24, 3, 510).h.values.tolist()
 
 
 def test_spectrum_rerun_is_byte_identical(tmp_path, capsys):
@@ -86,6 +90,9 @@ def test_spectrum_rerun_is_byte_identical(tmp_path, capsys):
         spec = json.load(fh)
     assert len(spec["backward_errors"]) == len(spec["residuals"]) == 40
     assert max(spec["backward_errors"]) <= 1e-12
+    # JSON floats round-trip exactly
+    profile = shrinker.assemble_profile(0.02, 3, 1020)
+    assert spec["eigenvalues"] == spectral.decompose(profile.h, 0.02).eigenvalues.tolist()
 
 
 def test_entropy_table_rerun_is_byte_identical(tmp_path, capsys):

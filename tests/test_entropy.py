@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from acsflow.entropy import check_subcritical_bound, entropy, entropy_at
+from acsflow.entropy import entropy, entropy_at
 from acsflow.errors import OutOfRange, PointOutside
 from acsflow.geometry import (SupportFunction, circle_support, ellipse_support,
                               random_convex_support, translate)
@@ -97,12 +97,7 @@ def test_subcritical_bound_random(grid256, rng):
     for alpha in (0.1, 0.2, 1 / 3):
         for _ in range(5):
             u = random_convex_support(grid256, rng)
-            assert check_subcritical_bound(u, alpha)
-
-
-def test_subcritical_bound_domain(grid256):
-    with pytest.raises(OutOfRange):
-        check_subcritical_bound(circle_support(grid256), 0.5)
+            assert entropy(u, alpha).value <= math.log(2.0) + 1e-8
 
 
 def test_value_dominates_probes(grid256, rng):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from acsflow import flow
-from acsflow.errors import BadConfig, BadDomain, InsufficientData
+from acsflow.errors import BadConfig, InsufficientData
 from acsflow.flow import (FlowConfig, area_derivative_check, area_law_fit,
-                          entropy_monotonicity_check, renormalize_time, rhs,
-                          run, support_scale, trace_to_csv, unrenormalize_time)
+                          entropy_monotonicity_check, rhs, run, trace_to_csv)
 from acsflow.geometry import (AngularGrid, SupportFunction, area, circle_support,
                               random_convex_support, rotate_nodes, steiner_point,
                               translate)
@@ -238,24 +237,6 @@ def test_entropy_check_requires_logging(grid256):
                      initial=_perturbed(grid256, 2, 0.1), t_end=0.2, sample_dt=0.1)
     with pytest.raises(InsufficientData):
         entropy_monotonicity_check(run(cfg))
-
-
-def test_renormalize_time_round_trip():
-    assert renormalize_time(-1.0, 0.37) == 0.0
-    assert renormalize_time(-math.exp(2.0), 1.0) == pytest.approx(-1.0, abs=1e-15)
-    for alpha in (0.2, 0.5):
-        for t in (-2.0, -0.3, -1e-4):
-            tau = renormalize_time(t, alpha)
-            assert unrenormalize_time(tau, alpha) == pytest.approx(t, rel=1e-14)
-    with pytest.raises(BadDomain):
-        renormalize_time(0.0, 0.5)
-    with pytest.raises(BadDomain):
-        renormalize_time(1.0, 0.5)
-
-
-def test_support_scale_factor():
-    assert support_scale(0.0, 0.5) == pytest.approx(1.5 ** (-1 / 1.5))
-    assert support_scale(1.0, 0.5) == pytest.approx(1.5 ** (-1 / 1.5) * math.e)
 
 
 def test_trace_csv_format(grid256):

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from acsflow.errors import NonConvex
-from acsflow.geometry import (AngularGrid, SupportFunction, area, circle_support,
-                              convexity_report, curvature, deriv1, deriv2,
-                              ellipse_support, embed, fourier_modes,
-                              isoperimetric_ratio, length, radius_of_curvature,
-                              random_convex_support, rotate_nodes, steiner_point,
+from acsflow.geometry import (AngularGrid, SupportFunction,
+                              _fourier_coefficients, area, circle_support,
+                              deriv1, deriv2, ellipse_support, embed, length,
+                              radius_of_curvature, random_convex_support,
+                              require_convex, rotate_nodes, steiner_point,
                               support_from_json, support_rows_from_csv,
-                              support_rows_to_csv, support_to_json, synthesize,
-                              translate)
+                              support_rows_to_csv, support_to_json, translate)
 from acsflow.spectral import spectral_d2_matrix
 
 import oracles
@@ -53,21 +52,22 @@ def test_radius_of_curvature_two_mode(grid256):
 
 
 def test_curvature_circles(grid256):
-    assert np.allclose(curvature(SupportFunction(grid256, np.full(256, 2.0))), 0.5)
-    assert np.allclose(curvature(circle_support(grid256)), 1.0)
+    big = SupportFunction(grid256, np.full(256, 2.0))
+    assert np.allclose(1.0 / require_convex(big), 0.5)
+    assert np.allclose(1.0 / require_convex(circle_support(grid256)), 1.0)
 
 
 def test_curvature_ellipse_tip(grid256):
     u = ellipse_support(grid256, 2.0, 1.0)
     # at theta = 0 the normal hits the major-axis tip where kappa = a/b^2
-    assert curvature(u)[0] == pytest.approx(2.0, rel=1e-9)
+    assert 1.0 / require_convex(u)[0] == pytest.approx(2.0, rel=1e-9)
 
 
 def test_curvature_raises_nonconvex(grid256):
     th = grid256.nodes
     bad = SupportFunction(grid256, 1 + 0.5 * np.cos(2 * th))
     with pytest.raises(NonConvex):
-        curvature(bad)
+        require_convex(bad)
 
 
 def test_area_circle_and_translation(grid256):
@@ -134,15 +134,19 @@ def test_embed_arclength_relation(rng):
     assert devs[0] / devs[1] > 3.0
 
 
+def _iso_ratio(u):
+    return area(u) / length(u) ** 2
+
+
 def test_isoperimetric_circle(grid256):
-    assert isoperimetric_ratio(circle_support(grid256)) == pytest.approx(
+    assert _iso_ratio(circle_support(grid256)) == pytest.approx(
         1 / (4 * np.pi), rel=1e-13)
-    assert isoperimetric_ratio(SupportFunction(grid256, np.full(256, 7.0))
-                               ) == pytest.approx(1 / (4 * np.pi), rel=1e-13)
+    assert _iso_ratio(SupportFunction(grid256, np.full(256, 7.0))
+                      ) == pytest.approx(1 / (4 * np.pi), rel=1e-13)
 
 
 def test_isoperimetric_ellipse_below_circle(grid256):
-    val = isoperimetric_ratio(ellipse_support(grid256, 3, 1))
+    val = _iso_ratio(ellipse_support(grid256, 3, 1))
     expected = oracles.ellipse_area(3, 1) / oracles.ellipse_length(3, 1) ** 2
     assert val == pytest.approx(expected, rel=1e-10)
     assert val < 1 / (4 * np.pi)
@@ -151,30 +155,33 @@ def test_isoperimetric_ellipse_below_circle(grid256):
 def test_isoperimetric_inequality_random(grid256, rng):
     for _ in range(20):
         u = random_convex_support(grid256, rng)
-        assert isoperimetric_ratio(u) <= 1 / (4 * np.pi) + 1e-12
+        assert _iso_ratio(u) <= 1 / (4 * np.pi) + 1e-12
 
 
 def test_fourier_modes_basic(grid256):
-    m = fourier_modes(circle_support(grid256), 5)
-    assert m.a0 == pytest.approx(1.0)
-    assert np.allclose(m.a, 0, atol=1e-15) and np.allclose(m.b, 0, atol=1e-15)
+    a0, a, b = _fourier_coefficients(circle_support(grid256).values, 5)
+    assert a0 == pytest.approx(1.0)
+    assert np.allclose(a, 0, atol=1e-15) and np.allclose(b, 0, atol=1e-15)
 
     th = grid256.nodes
-    m = fourier_modes(SupportFunction(grid256, 0.25 * np.sin(3 * th) + 1.0), 5)
-    assert m.b[2] == pytest.approx(0.25, abs=1e-15)
-    assert abs(m.a).max() < 1e-15
-    assert abs(np.delete(m.b, 2)).max() < 1e-15
+    a0, a, b = _fourier_coefficients(0.25 * np.sin(3 * th) + 1.0, 5)
+    assert b[2] == pytest.approx(0.25, abs=1e-15)
+    assert abs(a).max() < 1e-15
+    assert abs(np.delete(b, 2)).max() < 1e-15
 
 
 def test_fourier_round_trip(grid256, rng):
     u = random_convex_support(grid256, rng, max_mode=8)
-    back = synthesize(grid256, fourier_modes(u, 8))
-    assert np.allclose(back.values, u.values, atol=1e-14)
+    a0, a, b = _fourier_coefficients(u.values, 8)
+    m = np.arange(1, 9)[:, None]
+    th = grid256.nodes
+    back = a0 + a @ np.cos(m * th) + b @ np.sin(m * th)
+    assert np.allclose(back, u.values, atol=1e-14)
 
 
 def test_fourier_modes_validates_m_max(grid256):
     with pytest.raises(ValueError):
-        fourier_modes(circle_support(grid256), 128)
+        _fourier_coefficients(circle_support(grid256).values, 128)
 
 
 def test_scaling_covariance(grid256, rng):
@@ -191,7 +198,7 @@ def test_translation_invariance_suite(grid256, rng):
     v = translate(u, z)
     assert area(v) == pytest.approx(area(u), rel=1e-10)
     assert length(v) == pytest.approx(length(u), rel=1e-10)
-    assert isoperimetric_ratio(v) == pytest.approx(isoperimetric_ratio(u), rel=1e-10)
+    assert _iso_ratio(v) == pytest.approx(_iso_ratio(u), rel=1e-10)
 
 
 def test_spectral_exactness_trig_polynomial(grid256):
@@ -235,12 +242,12 @@ def test_steiner_point_equivariance(grid256, rng):
 
 
 def test_convexity_report(grid256):
-    rep = convexity_report(circle_support(grid256))
-    assert rep.is_strictly_convex
-    assert rep.min_radius_of_curvature == pytest.approx(1.0)
+    assert np.min(require_convex(circle_support(grid256))) == pytest.approx(1.0)
     th = grid256.nodes
-    flat = convexity_report(SupportFunction(grid256, 1 + 0.5 * np.cos(2 * th)))
-    assert not flat.is_strictly_convex
+    flat = SupportFunction(grid256, 1 + 0.5 * np.cos(2 * th))
+    assert np.min(radius_of_curvature(flat)) < 0.0
+    with pytest.raises(NonConvex):
+        require_convex(flat)
 
 
 def test_json_round_trip(grid256, rng):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,10 @@ from acsflow.errors import AlphaMismatch, BadConfig, OutOfRange, TooLarge
 from acsflow.flow import FlowConfig, run
 from acsflow.geometry import AngularGrid, SupportFunction, circle_support
 from acsflow.modes import (ModeTrace, alpha_for_fold, cstar, measure_cstar,
-                           mode_trace_to_csv, projection_norm_series,
-                           quasi_steady_check, quasi_steady_seed,
-                           residual_linear_modes, residual_neutral_modes,
-                           track_modes)
-from acsflow.spectral import decompose
+                           mode_trace_to_csv, quasi_steady_check,
+                           quasi_steady_seed, residual_linear_modes,
+                           residual_neutral_modes, track_modes)
+from acsflow.spectral import decompose, energy_split
 
 
 def _run_tau(u0, alpha, t_end, **kw):
@@ -35,6 +36,12 @@ def test_cstar_values():
     assert cstar(5) == -87.5
     for k in range(3, 13):
         assert cstar(k) == k * k * (4 - k * k) / 6.0
+        # the unreduced form, in exact arithmetic at alpha = 1/(k^2 - 1)
+        a = Fraction(1, k * k - 1)
+        full = ((a + 1) * (a - 2 + (2 * a * a - a) * (1 - 4 * k * k))) / (
+            4 * a * a * (1 + a * (1 - 4 * k * k)))
+        assert full == Fraction(k * k * (4 - k * k), 6)
+        assert cstar(k) == float(full)
     with pytest.raises(OutOfRange):
         cstar(2)
 
@@ -197,19 +204,19 @@ def test_projection_norm_series():
     eps = 1e-4
     u0 = SupportFunction(grid, h.values + eps * dec.eigenfunctions[j])
     tr = _run_tau(u0, 1 / 8, 0.02)
-    series = projection_norm_series(tr, dec)
-    assert series.unstable[0] == pytest.approx(eps**2, rel=1e-8)
-    assert series.neutral[0] < 1e-20 and series.stable[0] < 1e-20
+    _, (unstable, neutral, stable), _ = energy_split((tr.snapshots - h.values).T, dec)
+    assert unstable[0] == pytest.approx(eps**2, rel=1e-8)
+    assert neutral[0] < 1e-20 and stable[0] < 1e-20
 
     # neutral initialization stays neutral-dominated over a short window
     tr2 = _run_tau(_pure(grid, 3, 1e-3), 1 / 8, 2.0)
-    s2 = projection_norm_series(tr2, dec)
-    assert np.all(np.sqrt(s2.unstable) + np.sqrt(s2.stable)
-                  < 0.1 * np.sqrt(s2.neutral))
+    _, (unstable, neutral, stable), remainder = energy_split(
+        (tr2.snapshots - h.values).T, dec)
+    assert np.all(np.sqrt(unstable) + np.sqrt(stable) < 0.1 * np.sqrt(neutral))
     # parseval: splits plus remainder reproduce the weighted norm
     v_last = tr2.snapshots[-1] - 1.0
     total = dec.inner(v_last, v_last)
-    assert (s2.unstable[-1] + s2.neutral[-1] + s2.stable[-1] + s2.remainder[-1]
+    assert (unstable[-1] + neutral[-1] + stable[-1] + remainder[-1]
             ) == pytest.approx(total, rel=1e-9)
 
 
@@ -218,17 +225,17 @@ def test_projection_series_matches_rowwise_inner_products():
     grid = AngularGrid(128)
     dec = decompose(circle_support(grid), 1 / 8, j_max=12)
     tr = _run_tau(quasi_steady_seed(grid, 3, 1e-2), 1 / 8, 0.1)
-    series = projection_norm_series(tr, dec)
+    _, series, remainder = energy_split((tr.snapshots - 1.0).T, dec)
     lam = dec.eigenvalues
     for i, u in enumerate(tr.snapshots):
         v = u - 1.0
         coef = np.array([dec.inner(v, phi) for phi in dec.eigenfunctions])
         energies = [np.sum(coef[sel] ** 2) for sel in (lam < -1e-6, np.abs(lam) <= 1e-6,
                                                       lam > 1e-6)]
-        got = (series.unstable[i], series.neutral[i], series.stable[i])
+        got = tuple(e[i] for e in series)
         assert got == pytest.approx(energies, rel=1e-12, abs=1e-30)
         rest = dec.inner(v, v) - sum(energies)
-        assert series.remainder[i] == pytest.approx(rest, rel=1e-9, abs=1e-24)
+        assert remainder[i] == pytest.approx(rest, rel=1e-9, abs=1e-24)
 
 
 def test_mode_trace_csv(seeded_k3_trace):

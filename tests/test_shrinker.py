@@ -7,10 +7,9 @@ from scipy.optimize import brentq
 from acsflow import shrinker
 from acsflow.errors import OrderingViolated, OutOfRange
 from acsflow.geometry import deriv2
-from acsflow.shrinker import (assemble_profile, entropy_ordering, f_of_r,
-                              find_r_for_k, first_integral_value, period,
-                              period_limit, segment_for_ratio, shrinker_entropy,
-                              solve_segment, variation_eta)
+from acsflow.shrinker import (assemble_profile, entropy_ordering,
+                              first_integral_value, integrate_arc, period_limit,
+                              segment_for_ratio, shrinker_entropy, solve_segment)
 
 import oracles
 
@@ -46,7 +45,7 @@ def test_span_against_quadrature_oracle(alpha, u_max):
 
 @pytest.mark.parametrize("alpha", [1 / 8, 1 / 15, 1 / 24])
 def test_span_limit_at_small_amplitude(alpha):
-    got = period(alpha, 1 + 1e-8)
+    got = segment_for_ratio(alpha, 1 + 1e-8).theta_span
     assert abs(got - period_limit(alpha)) < 1e-6
 
 
@@ -54,7 +53,6 @@ def test_period_limit_values():
     assert period_limit(1 / 8) == pytest.approx(np.pi / 3)
     assert period_limit(1 / 24) == pytest.approx(np.pi / 5)
     assert period_limit(1 / 15) == pytest.approx(np.pi / 4)
-    assert period(1 / 8, 1.0) == period_limit(1 / 8)
 
 
 def test_segment_for_ratio_linearization():
@@ -106,46 +104,45 @@ def test_shooting_for_ratio_matches_brentq_in_few_arcs(alpha, r, monkeypatch):
 
 def test_span_monotone_in_r_and_alpha():
     rs = [1.2, 1.5, 2.0, 3.0]
-    spans = [period(1 / 8, r) for r in rs]
+    spans = [segment_for_ratio(1 / 8, r).theta_span for r in rs]
     assert all(a < b for a, b in zip(spans, spans[1:]))
     alphas = [0.05, 0.1, 0.2, 0.3]
-    spans_a = [period(a, 1.5) for a in alphas]
+    spans_a = [segment_for_ratio(a, 1.5).theta_span for a in alphas]
     assert all(a < b for a, b in zip(spans_a, spans_a[1:]))
 
 
 def test_find_r_for_k_admissibility():
     with pytest.raises(OutOfRange):
-        find_r_for_k(1 / 24, 5)  # k must stay strictly below sqrt(1 + 1/alpha)
+        shrinker._segment_for_k(1 / 24, 5)  # k must stay below sqrt(1 + 1/alpha)
     with pytest.raises(OutOfRange):
-        find_r_for_k(0.1, 5)
+        shrinker._segment_for_k(0.1, 5)
     with pytest.raises(OutOfRange):
-        find_r_for_k(1 / 24, 2)
+        shrinker._segment_for_k(1 / 24, 2)
     with pytest.raises(OutOfRange):
-        find_r_for_k(0.35, 3)
+        shrinker._segment_for_k(0.35, 3)
 
 
 def test_find_r_for_k_values():
-    r3 = find_r_for_k(1 / 24, 3)
-    r4 = find_r_for_k(1 / 24, 4)
+    r3 = shrinker._segment_for_k(1 / 24, 3).r
+    r4 = shrinker._segment_for_k(1 / 24, 4).r
     assert 1 < r4 < r3
-    assert period(1 / 24, r3) == pytest.approx(np.pi / 3, abs=1e-10)
-    assert period(1 / 24, r4) == pytest.approx(np.pi / 4, abs=1e-10)
+    assert segment_for_ratio(1 / 24, r3).theta_span == pytest.approx(np.pi / 3, abs=1e-10)
+    assert segment_for_ratio(1 / 24, r4).theta_span == pytest.approx(np.pi / 4, abs=1e-10)
 
 
 def test_bifurcation_from_circle():
     # just below alpha = 1/(k^2-1) the k-fold family detaches from the circle
-    r3 = find_r_for_k(1 / 8 - 1e-4, 3)
+    r3 = shrinker._segment_for_k(1 / 8 - 1e-4, 3).r
     assert 1 < r3 < 1.05
 
 
 def test_f_of_r_properties():
-    assert f_of_r(1 / 8, 1.0) == 1.0
     rs = [1.1, 1.5, 2.0, 3.0]
-    vals = [f_of_r(1 / 8, r) for r in rs]
+    vals = [segment_for_ratio(1 / 8, r).power_mean for r in rs]
     assert all(v > 1 for v in vals)
     assert all(a < b for a, b in zip(vals, vals[1:]))
     # r -> 1+ recovers the circle value
-    assert f_of_r(1 / 8, 1 + 1e-6) == pytest.approx(1.0, abs=1e-5)
+    assert segment_for_ratio(1 / 8, 1 + 1e-6).power_mean == pytest.approx(1.0, abs=1e-5)
 
 
 def test_f_of_r_against_quadrature_oracle():
@@ -154,34 +151,44 @@ def test_f_of_r_against_quadrature_oracle():
         oracles.arc_power_mean(1 / 24, seg.u_max), rel=1e-9)
 
 
+def _variation_cases():
+    return [(1 / 8, segment_for_ratio(1 / 8, 1.8).u_max),
+            (1 / 24, segment_for_ratio(1 / 24, 2.0).u_max),
+            (1 / 8, 1.3), (1 / 24, 1.8), (0.02, 3.0)]
+
+
 def test_variation_eta_boundary_identity():
-    alpha, r = 1 / 8, 1.8
-    seg = segment_for_ratio(alpha, r)
-    var = variation_eta(seg)
-    assert var.eta0 > 0.0
-    assert var.eta[0] == pytest.approx(var.eta0)
-    # d(span)/dr by central difference
-    delta = 1e-5 * (r - 1)
-    dspan = (period(alpha, r + delta) - period(alpha, r - delta)) / (2 * delta)
-    u_thth_end = seg.u_min ** (-1.0 / alpha) - seg.u_min
-    identity = var.eta_theta[-1] + u_thth_end * dspan
-    assert abs(identity) < 1e-5
+    # U'(Theta) = 0 at the arc's end for every u_max, so differentiating in
+    # u_max gives eta'(Theta) + U''(Theta) dTheta/du_max = 0; dTheta/du_max
+    # is the Newton slope dspan_du that _shoot uses
+    for alpha, u_max in _variation_cases():
+        seg = solve_segment(alpha, u_max)
+        _, y = integrate_arc(alpha, u_max)
+        assert y[2, 0] == 1.0
+        delta = 1e-4 * (u_max - 1)
+        dspan = (solve_segment(alpha, u_max + delta).theta_span
+                 - solve_segment(alpha, u_max - delta).theta_span) / (2 * delta)
+        assert seg.dspan_du == pytest.approx(dspan, rel=1e-7)
+        u_thth_end = seg.u_min ** (-1.0 / alpha) - seg.u_min
+        assert abs(y[3, -1] + u_thth_end * dspan) < 1e-5
 
 
 def test_variation_eta_matches_finite_difference():
-    alpha, r = 1 / 24, 2.0
-    seg = segment_for_ratio(alpha, r)
-    var = variation_eta(seg)
-    delta = 1e-4
-    up = segment_for_ratio(alpha, r + delta)
-    um = segment_for_ratio(alpha, r - delta)
-    span = min(seg.theta_span, up.theta_span, um.theta_span) * 0.95
-    thetas = np.linspace(0.0, span, 40)
-    _, hi = shrinker.integrate_arc(alpha, up.u_max, thetas)
-    _, lo = shrinker.integrate_arc(alpha, um.u_max, thetas)
-    fd = (hi[0] - lo[0]) / (2 * delta)
-    _, mid = shrinker.integrate_arc(alpha, seg.u_max, thetas, eta0=var.eta0)
-    assert np.max(np.abs(mid[2] - fd)) < 1e-5
+    # eta = dU/du_max along the arc, and the Newton slope dr/du_max, against
+    # central differences in u_max
+    for alpha, u_max in _variation_cases():
+        delta = 1e-4 * (u_max - 1)
+        seg = solve_segment(alpha, u_max)
+        hi = solve_segment(alpha, u_max + delta)
+        lo = solve_segment(alpha, u_max - delta)
+        assert seg.dr_du == pytest.approx((hi.r - lo.r) / (2 * delta), rel=1e-7)
+        span = min(seg.theta_span, hi.theta_span, lo.theta_span)
+        thetas = np.linspace(0.0, 0.95 * span, 40)
+        _, y_hi = integrate_arc(alpha, u_max + delta, thetas)
+        _, y_lo = integrate_arc(alpha, u_max - delta, thetas)
+        _, y = integrate_arc(alpha, u_max, thetas)
+        assert y[2, 0] == 1.0
+        assert np.max(np.abs(y[2] - (y_hi[0] - y_lo[0]) / (2 * delta))) < 1e-7
 
 
 def test_assemble_profile_circle():

@@ -6,7 +6,7 @@ from acsflow.errors import EigenFailed, GridMismatch, WindowEscaped
 from acsflow.geometry import AngularGrid, circle_support, deriv1
 from acsflow.shrinker import assemble_profile
 from acsflow.spectral import (WeightedInnerProduct, apply_L, circle_eigenvalues,
-                              decompose, measure_growth_rate, project,
+                              decompose, energy_split, measure_growth_rate,
                               spectrum_to_json_dict)
 
 
@@ -182,31 +182,31 @@ def test_phase_convention_deterministic():
 
 def test_project_basis_vectors(rng):
     dec = decompose(_circle(128), 1 / 8, j_max=10)
-    p = project(dec.eigenfunctions[2], dec)
+    coef, (unstable, _, _), _ = energy_split(dec.eigenfunctions[2], dec)
     e2 = np.zeros(10)
     e2[2] = 1.0
-    assert np.allclose(p.coefficients, e2, atol=1e-9)
-    assert p.norm_unstable == pytest.approx(1.0, abs=1e-9)
+    assert np.allclose(coef, e2, atol=1e-9)
+    assert np.sqrt(unstable) == pytest.approx(1.0, abs=1e-9)
 
     th = AngularGrid(128).nodes
-    neutral = project(np.cos(3 * th), dec)
-    assert neutral.norm_neutral == pytest.approx(np.sqrt(np.pi), rel=1e-9)
-    assert neutral.norm_unstable < 1e-9 and neutral.norm_stable < 1e-9
+    _, (unstable, neutral, stable), _ = energy_split(np.cos(3 * th), dec)
+    assert np.sqrt(neutral) == pytest.approx(np.sqrt(np.pi), rel=1e-9)
+    assert np.sqrt(unstable) < 1e-9 and np.sqrt(stable) < 1e-9
 
 
 def test_project_parseval(rng):
     dec = decompose(_circle(128), 1 / 8, j_max=12)
     v = rng.normal(scale=0.1, size=128)
-    p = project(v, dec)
+    coef, _, remainder = energy_split(v, dec)
     total = dec.inner(v, v)
-    recovered = float(np.sum(p.coefficients**2)) + p.remainder
+    recovered = float(np.sum(coef**2)) + remainder
     assert recovered == pytest.approx(total, rel=1e-9)
 
 
 def test_project_grid_mismatch():
     dec = decompose(_circle(128), 1 / 8, j_max=4)
     with pytest.raises(GridMismatch):
-        project(np.ones(64), dec)
+        energy_split(np.ones(64), dec)
 
 
 def _mode_index(dec, l, n):
