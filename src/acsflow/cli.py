@@ -409,7 +409,8 @@ def _build_parser():
     p.add_argument("--outdir", default=None)
     p.add_argument("--n", default=None)
     p.add_argument("--sample-dt", dest="sample_dt", default=None,
-                   help="sample at multiples of this time, landing on each exactly "
+                   help="sample at multiples of this time, from an order-5 "
+                        "interpolant of the steps, which do not stop there "
                         "(default: every --sample-every steps in unnorm mode, "
                         "0.01 in tau and area modes)")
     p.add_argument("--sample-every", dest="sample_every", default=None,

@@ -43,6 +43,18 @@ lattice of quarter octaves, 2^(j/4), floored from the controller's proposal
 at t_end, at the minimum-radius floor, on convexity loss, or on step
 underflow, and report which; the work counts go to FlowTrace.stats. rhs
 evaluates the same right-hand side for callers outside the marcher.
+
+Samples at fixed times do not end steps; only t_end does. A sample inside
+an accepted step from u_0 to u_1 comes from the step's continuous extension
+(Hairer, Norsett & Wanner, Solving ODEs I, II.6): the quintic Hermite
+interpolant of u, f = u' and g = u'' = J f at both ends, with J the Jacobian
+of the right-hand side. f(u_1) is the next step's k1, and each g costs one
+D2 apply. The interpolant is of order 5 in h, its error O(h^6), and the
+controller does not see that error. Against samples landed on at rtol 1e-14,
+a tau-gauge run of seed:3,1e-3 at alpha 1/8 (n 512, t_end 2, samples every
+0.01; 16 steps instead of 204) is off by at most 8.3e-12 (9e-16 when
+landing), and an area-gauge random body (n 256, same sampling; 432 steps
+instead of 504) by 9.5e-13 (7.7e-13 when landing).
 """
 
 import bisect
@@ -97,8 +109,11 @@ class FlowStats:
     """Work counts of the step controller, summed over the calls it is given to.
 
     Each accepted step is counted under the one cap that set its size:
-    the error controller, the extinction guard or a landing on t_limit;
-    h_min and h_max are its extremes (None before the first).
+    the error controller, the extinction guard or the landing on t_limit,
+    which is t_end in a run (samples do not end steps); h_min and h_max are
+    its extremes (None before the first). rhs_evals counts the states of
+    steps; dense_evals counts the work of samples inside steps: the J f
+    products, and each f formed for a sample only.
     """
 
     accepted: int = 0
@@ -110,6 +125,7 @@ class FlowStats:
     cap_landing: int = 0
     h_min: float | None = None
     h_max: float | None = None
+    dense_evals: int = 0
 
     def count_step(self, cap, h):
         """Count an accepted step of size h.
@@ -150,6 +166,35 @@ def _flow_rhs(u, alpha, mode, stats):
         return u - speed, w
     m = np.mean(w ** (1.0 - alpha), axis=-1, keepdims=True)
     return u - speed / m, w
+
+
+def _jacobian_product(w, v, alpha, mode):
+    """J v, for J the Jacobian of the right-hand side at a state whose
+    radii of curvature are w."""
+    lv = deriv2(v - v.sum() / v.shape[-1]) + v
+    a = alpha * w ** (-1.0 - alpha)
+    if mode == "unnormalized":
+        return a * lv
+    if mode == "normalized_tau":
+        return v + a * lv
+    # the area gauge divides the speed w^-alpha by m = mean(w^(1 - alpha))
+    speed = w ** -alpha
+    m = np.mean(speed * w)
+    dm = (1.0 - alpha) * np.mean(speed * lv)
+    return v + (a * lv + speed * (dm / m)) / m
+
+
+def _hermite(s, h, u0, u1, f0, f1, g0, g1):
+    """Rows of the quintic Hermite interpolant, over a step of size h, of the
+    values u, first derivatives f and second derivatives g at its ends, at
+    the fractions s (an array) of the step."""
+    s = s[:, None]
+    r = 1.0 - s
+    s3 = s ** 3
+    return (u0 + (s3 * (10.0 - 15.0 * s + 6.0 * s * s)) * (u1 - u0)
+            + (h * s * r ** 3 * (1.0 + 3.0 * s)) * f0
+            - (h * s3 * r * (4.0 - 3.0 * s)) * f1
+            + (0.5 * h * h) * ((s * s * r ** 3) * g0 + (s3 * r * r) * g1))
 
 
 def rhs(u: SupportFunction, alpha, mode) -> np.ndarray:
@@ -234,7 +279,7 @@ def _ratio_floor(x):
 
 
 def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
-                 stats, max_accept=1 << 60):
+                 stats, max_accept=1 << 60, sample_times=(), record=None):
     """Advance the flow state u in place until t_limit or max_accept steps.
 
     Each step combines the chains of one, two and three W-steps (see the
@@ -251,17 +296,52 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
     positive for a convex body wherever the origin is, so rtol bounds the
     error at every node. Counts go to stats (a FlowStats).
 
+    sample_times are ascending times in (t, t_limit). Steps do not end on
+    them: record(t_s, v) is called for each with v the state at t_s from
+    the continuous extension of the step that passes it (see the module
+    docstring). The samples inside a step whose end state fails the
+    convexity test are not recorded.
+
     Returns (status, t, h_next); status is "reached_limit", "max_accept",
     "min_radius", "non_convex" (u fails the convexity test; it is not
     stepped) or "step_underflow".
     """
     n_acc = 0
     k1 = None  # f(u), with W's coefficient, the guard and the error scale of u
+    g = None  # J f(u), once a sample needs it
+    step = None  # (t_0, h, u_0, f_0, g_0) of an accepted step with samples in it
+    i_s = 0  # index of the next sample time
     n = u.shape[0]
     m = np.arange(n // 2 + 1, dtype=float)
     msq = np.maximum(m * m - 1.0, 0.0)
     theta = 2.0 * np.pi * np.arange(n) / n  # AngularGrid(n).nodes
     e = np.stack([np.cos(theta), np.sin(theta)])
+
+    def sample_step(t_u, f_u, w_u):
+        """Record the samples up to t_u inside `step`, which ends at u at
+        time t_u; f_u = f(u) and w_u are the radii of curvature of u."""
+        nonlocal g, i_s
+        t0, hs, u0, f0, g0 = step
+        g = _jacobian_product(w_u, f_u, alpha, mode)
+        stats.dense_evals += 1
+        j = bisect.bisect_right(sample_times, t_u, lo=i_s)
+        ts = np.array(sample_times[i_s:j])
+        rows = _hermite((ts - t0) / hs, hs, u0, u, f0, f_u, g0, g)
+        for t_s, row in zip(sample_times[i_s:j], rows):
+            record(t_s, u if t_s == t_u else row)
+        i_s = j
+
+    def sample_end(t_u):
+        """sample_step at a return, where f(u) is formed for the samples
+        only; False when u fails the convexity test."""
+        if step is None:
+            return True
+        f_u, w_u = _flow_rhs(u, alpha, mode, FlowStats())
+        stats.dense_evals += 1
+        if f_u is None:
+            return False
+        sample_step(t_u, f_u, w_u)
+        return True
 
     for _ in range(100_000_000):
         if t >= t_limit:
@@ -271,6 +351,9 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
             k1, w = _flow_rhs(u, alpha, mode, stats)
             if k1 is None:
                 return "non_convex", t, h
+            if step is not None:
+                sample_step(t, k1, w)
+                step = None
             wmin = np.min(w)
             if wmin < stop_min_radius:
                 return "min_radius", t, h
@@ -282,9 +365,8 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
         cap = "error"
         if hguard < h:
             h, cap = hguard, "guard"
-        # landing steps are clamped for output only; the controller keeps
-        # proposing from the unclamped step so sampling does not perturb
-        # the step sequence
+        # the landing step is clamped for output only; the controller keeps
+        # proposing from the unclamped step
         landing = t + h >= t_limit
         h_step = t_limit - t if landing else h
         if h_step <= 1e-14 * max(1.0, abs(t)):
@@ -315,18 +397,28 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
             h = h_step * _ratio_floor(max(0.9 * enorm ** -0.2, 0.1))
             continue
 
+        t_next = t_limit if landing else t + h_step
+        if i_s < len(sample_times) and sample_times[i_s] <= t_next:
+            if g is None:
+                g = _jacobian_product(w, k1, alpha, mode)
+                stats.dense_evals += 1
+            step = (t, h_step, u.copy(), k1, g)
         u += t3 + (0.02 * d31 - 0.64 * d32)
-        k1 = None
+        k1 = g = None
         n_acc += 1
         stats.count_step("landing" if landing else cap, h_step)
+        t = t_next
         if landing:
-            return "reached_limit", t_limit, h
-        t = t + h_step
+            if not sample_end(t):
+                return "non_convex", t, h
+            return "reached_limit", t, h
         # factors from one lattice: rounding in the error estimate then
         # seldom changes the step sequence
         fac = 4.0 if enorm < 1e-8 else _ratio_floor(min(0.9 * enorm ** -0.2, 4.0))
         h = h_step * fac
         if n_acc >= max_accept:
+            if not sample_end(t):
+                return "non_convex", t, h
             return "max_accept", t, h
 
     return "step_underflow", t, h
@@ -339,7 +431,9 @@ class FlowConfig:
     initial: SupportFunction
     t_end: float
     sample_every: int = 1
-    sample_dt: float | None = None  # uniform-time sampling with exact landings
+    # samples at multiples of sample_dt, from the continuous extension of
+    # the steps, in place of every sample_every steps
+    sample_dt: float | None = None
     stop_min_radius: float = 1e-3
     max_steps: int = 10_000_000
     rtol: float = 1e-12
@@ -420,31 +514,27 @@ def run(config: FlowConfig) -> FlowTrace:
         snaps.append(values.copy())
 
     record(t, u)
+    sample_times = []
+    chunk = config.sample_every
+    if config.sample_dt is not None:
+        # exact multiples keep the sample spacing uniform to rounding; a
+        # final sliver shorter than a quarter interval is absorbed into t_end
+        dt = config.sample_dt
+        while (len(sample_times) + 1) * dt <= config.t_end - 0.25 * dt:
+            sample_times.append((len(sample_times) + 1) * dt)
+        chunk = config.max_steps
     reason = None
-    i_sample = 0
     while reason is None:
-        steps_left = config.max_steps - stats.accepted
-        if config.sample_dt is not None:
-            # exact multiples keep the sample spacing uniform to rounding;
-            # a final sliver shorter than a quarter interval is absorbed
-            i_sample += 1
-            target = i_sample * config.sample_dt
-            if target > config.t_end - 0.25 * config.sample_dt:
-                target = config.t_end
-            max_accept = steps_left
-        else:
-            target = config.t_end
-            max_accept = min(config.sample_every, steps_left)
         status, t, h = flow_advance(
-            u, t, h, target, config.alpha, config.mode, config.rtol,
-            config.atol, config.stop_min_radius, stats, max_accept)
+            u, t, h, config.t_end, config.alpha, config.mode, config.rtol,
+            config.atol, config.stop_min_radius, stats,
+            min(chunk, config.max_steps - stats.accepted), sample_times, record)
         if status == "non_convex":
             reason = status  # state failed the check; do not record it
             break
         record(t, u)
         if status == "reached_limit":
-            if t >= config.t_end:
-                reason = "reached_end"
+            reason = "reached_end"
         elif status == "max_accept":
             if stats.accepted >= config.max_steps:
                 reason = "max_steps"

@@ -217,8 +217,10 @@ def energy_split(v, decomposition: SpectralDecomposition):
 
 
 def measure_growth_rate(h: SupportFunction, alpha, j, epsilon, tau_window,
-                        decomposition=None, sample_dt=0.01, rtol=1e-10) -> float:
+                        decomposition=None) -> float:
     """Fit d/dtau log |(v, phi_j)_h| for the flow started at h + eps phi_j.
+
+    The flow runs at its default tolerances and is sampled every 0.01.
 
     The fitted rate approximates -lambda_j. For modes with a nonzero
     eigenvalue the run is rejected (WindowEscaped) if the nonlinear residual
@@ -236,8 +238,7 @@ def measure_growth_rate(h: SupportFunction, alpha, j, epsilon, tau_window,
     t0, t1 = tau_window
     u0 = SupportFunction(h.grid, h.values + epsilon * phi)
     trace = run(FlowConfig(alpha=alpha, mode="normalized_tau", initial=u0,
-                           t_end=t1, sample_dt=sample_dt, rtol=rtol,
-                           atol=1e-13, stop_min_radius=1e-6))
+                           t_end=t1, sample_dt=0.01, stop_min_radius=1e-6))
     if trace.terminal_reason != "reached_end":
         raise WindowEscaped(f"flow stopped early: {trace.terminal_reason}")
     sel = np.nonzero((trace.times >= t0 - 1e-12) & (trace.times <= t1 + 1e-12))[0]

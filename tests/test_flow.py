@@ -10,6 +10,7 @@ from acsflow.flow import (FlowConfig, area_derivative_check, area_law_fit,
 from acsflow.geometry import (AngularGrid, SupportFunction, area, circle_support,
                               random_convex_support, rotate_nodes, steiner_point,
                               translate)
+from acsflow.modes import quasi_steady_seed
 from acsflow.shrinker import assemble_profile
 
 import oracles
@@ -384,13 +385,49 @@ def test_batched_w_step_equals_single_rows(grid256, rng, mode):
 def test_step_caps_sum_to_accepted():
     # a loose tolerance lets the extinction guard bind late
     cfg = FlowConfig(alpha=0.5, mode="unnormalized",
-                     initial=circle_support(AngularGrid(32)), t_end=1.0,
+                     initial=circle_support(AngularGrid(32)), t_end=0.666,
                      sample_dt=0.1, rtol=1e-4, atol=1e-7)
     stats = run(cfg).stats
     caps = (stats.cap_error, stats.cap_guard, stats.cap_landing)
     assert min(caps) > 0
     assert sum(caps) == stats.accepted
     assert 0.0 < stats.h_min < stats.h_max
+
+
+@pytest.mark.parametrize("case, bound", [
+    ("tau", 2e-11),  # measured 8.3e-12
+    ("area", 2e-12),  # measured 1.1e-12
+], ids=["tau", "area"])
+def test_sampled_states_match_landing_reference(rng, case, bound):
+    # samples from the continuous extension of the steps against a run that
+    # lands on every sample time at rtol 1e-14
+    if case == "tau":
+        alpha, mode, u0 = 1 / 8, "normalized_tau", quasi_steady_seed(
+            AngularGrid(512), 3, 1e-3)
+    else:
+        grid = AngularGrid(256)
+        u0 = random_convex_support(grid, rng)
+        alpha, mode = 0.5, "normalized_area"
+        u0 = SupportFunction(grid, u0.values * math.sqrt(np.pi / area(u0)))
+    tr = run(FlowConfig(alpha=alpha, mode=mode, initial=u0, t_end=2.0,
+                        sample_dt=0.01))
+    assert tr.terminal_reason == "reached_end"
+
+    # the landing times: multiples of 0.01, the last sliver absorbed in 2.0
+    times = [0.0] + [i * 0.01 for i in range(1, 200)] + [2.0]
+    u, t, h = u0.values.copy(), 0.0, flow.FIRST_DT
+    stats = flow.FlowStats()
+    reference = [u.copy()]
+    for target in times[1:]:
+        status, t, h = flow.flow_advance(u, t, h, target, alpha, mode, 1e-14,
+                                         1e-15, 1e-3, stats)
+        assert status == "reached_limit" and t == target
+        reference.append(u.copy())
+
+    assert np.array_equal(tr.times, times)
+    assert np.max(np.abs(tr.snapshots - np.array(reference))) < bound
+    if case == "tau":
+        assert tr.n_steps <= stats.accepted / 10
 
 
 def _advance(u, mode="normalized_tau", t_limit=0.01):
