@@ -94,7 +94,7 @@ def _strictly_convex(w, ubar) -> bool:
 
     For rows of w, ubar is the column of their means and every row must pass.
     """
-    return bool(np.all(np.min(w, axis=-1, keepdims=True) > CONVEXITY_RTOL * ubar))
+    return bool((w > CONVEXITY_RTOL * ubar).all())
 
 
 def require_convex(u: SupportFunction) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from acsflow import flow
+from acsflow.entropy import entropy
 from acsflow.errors import BadConfig, InsufficientData
 from acsflow.flow import (FlowConfig, area_derivative_check, area_law_fit,
                           entropy_monotonicity_check, rhs, run, trace_to_csv)
@@ -267,6 +268,40 @@ def test_stats_count_twenty_two_rhs_per_step(grid256):
     assert stats.rhs_evals == 22 * stats.accepted
 
 
+@pytest.mark.parametrize("mode", ["unnormalized", "normalized_tau",
+                                  "normalized_area"])
+def test_accepted_step_fft_calls(monkeypatch, mode):
+    # stages run in Fourier space: the spectrum of u, one irfft and one rfft
+    # per RHS call (12 per step), and one irfft for the error and the step
+    counts = []
+    for name in ("rfft", "irfft"):
+        real = getattr(np.fft, name)
+
+        def counted(*args, real=real, **kwargs):
+            counts.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    u = 1.0 + 1e-2 * np.cos(3 * AngularGrid(64).nodes)
+    stats = flow.FlowStats()
+    status, _, _ = flow.flow_advance(u, 0.0, 1e-3, 1.0, 0.5, mode, 1e-8, 1e-11,
+                                     1e-3, stats, max_accept=4)
+    assert status == "max_accept" and stats.accepted == 4
+    assert stats.rejected_error == stats.rejected_convexity == 0
+    assert len(counts) == 26 * stats.accepted
+
+
+def test_entropy_evals_sum_over_samples(grid256):
+    cfg = dict(alpha=0.5, mode="normalized_area",
+               initial=_perturbed(grid256, 2, 0.1), t_end=0.2, sample_dt=0.1)
+    tr = run(FlowConfig(log_entropy=True, **cfg))
+    expected = sum(entropy(SupportFunction(grid256, row), 0.5).evaluations
+                   for row in tr.snapshots)
+    assert len(tr) == 3 and tr.stats.entropy_evals == expected > 0
+    assert list(tr.stats.to_json_dict())[-1] == "entropy_evals"
+    assert run(FlowConfig(**cfg)).stats.entropy_evals == 0
+
+
 def test_step_is_order_five():
     # one step of the unnormalized circle, landing at h: the local error of an
     # order-5 step falls by 2^6 = 64 when h halves (by 2^5 = 32 at order 4)
@@ -355,29 +390,27 @@ def test_error_scale_is_about_the_steiner_point(grid256, rng):
 def test_batched_w_step_equals_single_rows(grid256, rng, mode):
     # the first steps of the three chains run as three rows of one W-step,
     # and the second steps of the two longer chains as two rows, each from
-    # its own d0
+    # its own d0; states and increments are spectral, 256 // 2 + 2 columns
     alpha, h = 0.4, 1e-3
-    u = random_convex_support(grid256, rng).values
-    k1, w = flow._flow_rhs(u, alpha, mode, flow.FlowStats())
+    z = flow._spectrum(random_convex_support(grid256, rng).values)
+    k1, w = flow._flow_rhs(z, alpha, mode, flow.FlowStats())
     coeff = alpha * np.max(w ** (-alpha - 1.0))
-    m = np.arange(129, dtype=float)
-    msq = np.maximum(m * m - 1.0, 0.0)
 
     def step(d0, h_col, k):
-        return flow._w_step(u, d0, h_col, k, coeff, msq, alpha, mode,
+        return flow._w_step(z, d0, h_col, k, coeff, alpha, mode,
                             flow.FlowStats())
 
     first = step(0.0, h * flow._CHAIN_STEPS, k1)
-    assert first.shape == (3, 256)
+    assert first.shape == (3, 130)
     for row, frac in zip(first, (1.0, 1 / 2, 1 / 3)):
         assert np.array_equal(row, step(0.0, h * frac, k1))
 
     d0 = first[1:]
-    k, _ = flow._flow_rhs(u + d0, alpha, mode, flow.FlowStats())
+    k, _ = flow._flow_rhs(z + d0, alpha, mode, flow.FlowStats())
     second = step(d0, h * flow._CHAIN_STEPS[1:], k)
-    assert second.shape == (2, 256)
+    assert second.shape == (2, 130)
     for i, frac in enumerate((1 / 2, 1 / 3)):
-        k_row, _ = flow._flow_rhs(u + d0[i], alpha, mode, flow.FlowStats())
+        k_row, _ = flow._flow_rhs(z + d0[i], alpha, mode, flow.FlowStats())
         assert np.array_equal(k[i], k_row)
         assert np.array_equal(second[i], step(d0[i], h * frac, k_row))
 
