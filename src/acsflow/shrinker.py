@@ -46,11 +46,13 @@ THETA_SEARCH_MAX = 10.0 * math.pi
 # strict admissibility k < sqrt(1 + 1/alpha) with a guard for float noise
 ADMISSIBILITY_GUARD = 1e-9
 PROFILE_RESIDUAL_TOL = 1e-7
-# the shooter: arc solves per root find, the largest u_max it grows to, and
-# the step or bracket width, in ulps of u_max, at which it stops
+# the shooter: arc solves per root find, the largest u_max it grows to, the
+# step or bracket width, in ulps of u_max, at which it stops, and the largest
+# |value - target| / target it accepts
 SHOOT_MAX_ARCS = 40
 SHOOT_U_MAX_CAP = 1e8
 SHOOT_ULPS = 4
+SHOOT_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -196,30 +198,41 @@ def _shoot(alpha, u_max, target, end_value, what) -> ShrinkerSegment:
     bracket [lo, hi] learned so far: a Newton step that leaves it is replaced
     by bisection, or, while no hi is known, by growing u_max - 1 fourfold. The
     iteration stops when the step or the bracket is within SHOOT_ULPS ulps of
-    u_max and returns the last arc solved.
+    u_max, or when a Newton iterate fails to reduce |value - target| while
+    the best arc already meets SHOOT_RTOL (value's rounding noise is
+    reached). It returns the best arc solved.
     """
     lo, hi = 1.0, math.inf
+    best, best_err, newton = None, math.inf, False
     for count in range(1, SHOOT_MAX_ARCS + 1):
         seg = solve_segment(alpha, u_max)
         value, slope = end_value(seg)
+        err = abs(value - target)
+        if newton and err >= best_err and best_err <= SHOOT_RTOL * target:
+            break
+        if err < best_err:
+            best, best_err = seg, err
         if value < target:
             lo = u_max
         elif value > target:
             hi = u_max
         step = (target - value) / slope if slope > 0.0 else math.nan
         top = hi if hi < math.inf else 1.0 + 4.0 * (u_max - 1.0)
-        if not lo < u_max + step < top:
+        newton = lo < u_max + step < top
+        if not newton:
             step = (0.5 * (lo + hi) if hi < math.inf else top) - u_max
         tol = SHOOT_ULPS * math.ulp(u_max)
         if value == target or abs(step) <= tol or hi - lo <= tol:
-            if abs(value - target) > 1e-10 * target:
-                raise StepUnderflow(f"{what}: root find stalled at {value}")
-            return replace(seg, arc_solves=count)
+            break
         u_max += step
         if u_max > SHOOT_U_MAX_CAP:
             raise NoBracket(f"{what}: not attained below u_max = {SHOOT_U_MAX_CAP:g} "
                             f"(reached {value})")
-    raise StepUnderflow(f"{what}: no root within {SHOOT_MAX_ARCS} arc solves")
+    else:
+        raise StepUnderflow(f"{what}: no root within {SHOOT_MAX_ARCS} arc solves")
+    if best_err > SHOOT_RTOL * target:
+        raise StepUnderflow(f"{what}: root find stalled at {value}")
+    return replace(best, arc_solves=count)
 
 
 def segment_for_ratio(alpha, r) -> ShrinkerSegment:

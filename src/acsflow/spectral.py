@@ -7,22 +7,35 @@ always refer to -L, so negative eigenvalues are unstable directions.
 
 The eigenpairs are those of the symmetric-definite pencil
     -(v_thth + v) = mu b v,   lambda = alpha mu - 1,
-whose stiffness matrix has entries of size n^2 whatever the profile; only the
-diagonal mass matrix b spans many orders of magnitude (6e29 for the k3
-profile at alpha 0.01).
-One shift-invert Lanczos solve (ARPACK; Lehoucq, Sorensen & Yang, 1998) below
-the lowest mu, which is -1 (the scaling mode), returns the lowest pairs. Its
+whose stiffness matrix A is the circulant with symbol m^2 - 1, with entries
+of size n^2 whatever the profile; only the diagonal mass matrix b spans many
+orders of magnitude (6e29 for the k3 profile at alpha 0.01).
+
+The pencil is solved one symmetry sector at a time (Faessler & Stiefel, Group
+Theoretical Methods and Their Applications, 1992). When h repeats every
+s = n/k nodes, the shift by s commutes with the pencil, and each Bloch class
+q (v[j + p s] = exp(2 pi i q p / k) v[j]) is an s x s pencil of its own: A's
+block follows from its symbol by one irfft, and the mass stays the diagonal
+b[:s]. Classes 0 and k/2 are real; classes q and k - q are solved together
+as the real 2s x 2s embedding of their Hermitian block. A profile with no
+rotation symmetry is the case k = 1, one block holding the whole pencil.
+Each block gets one shift-invert Lanczos solve (ARPACK; Lehoucq, Sorensen &
+Yang, 1998) below the lowest mu, which is -1 (the scaling mode), for its
+lowest j_max pairs; the merged lowest j_max are then the lowest overall.
+
+The checks run on the full-length vectors lifted back to the n nodes. The
 contract is the pencil's normwise backward error (Tisseur, Linear Algebra
 Appl. 309, 2000)
     ||A v - mu B v|| / ((||A||_2 + |mu| ||B||_2) ||v||) <= BACKWARD_TOL
-for every retained pair. The weighted residual ||L phi + lambda phi||_h is
-reported as well; at small alpha it can be large for a correct pair, because
-the weight spans many orders of magnitude.
+for every retained pair, with A v formed by the spectral second derivative.
+The weighted residual ||L phi + lambda phi||_h is reported as well; at small
+alpha it can be large for a correct pair, because the weight spans many
+orders of magnitude. Each pair is labelled with its Bloch class and with its
+parity about theta = 0, read off the vector after the phase convention.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +43,7 @@ from .errors import EigenFailed, GridMismatch, OutOfRange, WindowEscaped
 from .geometry import SupportFunction, _fourier_coefficients, deriv2
 
 ZERO_TOL = 1e-6  # |lambda| at or below this counts as kernel
+PARITY_TOL = 1e-6  # max |phi(theta) -+ phi(-theta)| / max |phi| for even (odd)
 SHIFT = -1.5  # below every mu: at a profile only the scaling mode has mu < 0, at -1
 BACKWARD_TOL = 1e-12
 
@@ -88,6 +102,9 @@ class SpectralDecomposition:
     backward_errors: np.ndarray  # per pair, normwise backward error in the pencil
     morse_index: int
     kernel_dim: int
+    rotation_order: int  # k: the solve used h's invariance under rotation by 2 pi / k
+    bloch_classes: np.ndarray  # per pair, its Bloch class q in 0..k//2 (k - q is q)
+    parities: tuple  # per pair, 'even' or 'odd' about theta = 0, or None
 
     @property
     def h(self):
@@ -143,18 +160,52 @@ def _fix_phases(phi, lams):
     return phi
 
 
-@lru_cache(maxsize=8)
-def spectral_d2_matrix(n):
-    """Dense second-derivative operator: geometry.deriv2 of the identity, symmetrized.
+def _rotation_period(values, min_block):
+    """Smallest s >= min_block dividing n with values invariant under a shift
+    by s nodes; n itself when no smaller s qualifies."""
+    n = len(values)
+    for s in range(min_block, n):
+        if n % s == 0 and np.array_equal(np.roll(values, s), values):
+            return s
+    return n
 
-    Symmetrizing breaks exact circulance (entries along a diagonal differ
-    in the last bits) and the row sums are not exactly zero, so constants
-    are differentiated to rounding error of size n^2 * eps, not to 0.
+
+def _sector_blocks(n, s):
+    """(q, phases, block) for each Bloch class q = 0..k//2 of the circulant
+    A = -(d_thth + 1) under the shift by s = n/k nodes.
+
+    A class-q vector is v[j + p s] = zeta^p u[j] with zeta = exp(2 pi i q / k),
+    and A acts on u as the Hermitian s x s block H[i, j] = g_q[i - j], where
+    g_q[d] = sum_p a[(d - p s) mod n] zeta^p and g_q[d - s] = g_q[d] / zeta for
+    the column a of A. phases holds zeta^p for p = 0..k-1. The block is real
+    for q = 0 and q = k/2; otherwise it is returned as the real 2s x 2s
+    embedding [[Re H, -Im H], [Im H, Re H]] acting on (Re u, Im u), which
+    carries class q and its partner k - q with every eigenvalue doubled.
     """
-    mat = deriv2(np.eye(n))
-    mat = 0.5 * (mat + mat.T)
-    mat.setflags(write=False)
-    return mat
+    k = n // s
+    m = np.arange(n // 2 + 1, dtype=float)
+    a = np.fft.irfft(m * m - 1.0, n)  # A's symbol is m^2 - 1
+    g = np.fft.fft(a.reshape(k, s), axis=0)
+    d = np.subtract.outer(np.arange(s), np.arange(s))
+    for q in range(k // 2 + 1):
+        phases = np.exp(2j * np.pi * q * np.arange(k) / k)
+        block = g[q][d % s] * np.where(d < 0, phases[-1], 1.0)
+        block = 0.5 * (block + block.conj().T)
+        if 2 * q % k == 0:
+            yield q, phases.real, block.real
+        else:
+            x, y = block.real, block.imag
+            yield q, phases, np.block([[x, -y], [y, x]])
+
+
+def _parity(phi):
+    """'even' or 'odd' about theta = 0 per row of phi, None for neither."""
+    rev = (-np.arange(phi.shape[1])) % phi.shape[1]
+    even = np.max(np.abs(phi - phi[:, rev]), axis=1)
+    odd = np.max(np.abs(phi + phi[:, rev]), axis=1)
+    size = PARITY_TOL * np.max(np.abs(phi), axis=1)
+    return tuple("even" if e <= t else "odd" if o <= t else None
+                 for e, o, t in zip(even, odd, size))
 
 
 def decompose(h: SupportFunction, alpha, j_max=40) -> SpectralDecomposition:
@@ -163,39 +214,56 @@ def decompose(h: SupportFunction, alpha, j_max=40) -> SpectralDecomposition:
     Raises OutOfRange unless 1 <= j_max <= n - 1, and EigenFailed when ARPACK
     does not converge or a pair's backward error exceeds BACKWARD_TOL.
     """
+    import scipy.sparse
     import scipy.sparse.linalg
 
     ip = WeightedInnerProduct.build(h, alpha)
     n = h.grid.n
     if not 1 <= j_max <= n - 1:
         raise OutOfRange(f"j_max must lie in [1, {n - 1}], got {j_max}")
-    a = -(spectral_d2_matrix(n) + np.eye(n))
     b = ip.weights
-    try:
-        mus, vecs = scipy.sparse.linalg.eigsh(
-            a, k=j_max, M=np.diag(b), sigma=SHIFT, which="LM", v0=np.ones(n))
-    except scipy.sparse.linalg.ArpackError as exc:
-        raise EigenFailed(f"shift-invert Lanczos failed: {exc}")
-    order = np.argsort(mus, kind="stable")
-    mus, vecs = mus[order], vecs[:, order]
+    # blocks of more than j_max nodes, so that each supplies its lowest j_max
+    s = _rotation_period(h.values, j_max + 1)
+    k = n // s
+    mus, vecs, classes = [], [], []
+    for q, phases, block in _sector_blocks(n, s):
+        dim = len(block)
+        mass = scipy.sparse.dia_array((np.tile(b[:s], dim // s), 0), shape=(dim, dim))
+        try:
+            mu, u = scipy.sparse.linalg.eigsh(
+                block, k=min(j_max, dim - 1), M=mass, sigma=SHIFT, which="LM",
+                v0=np.ones(dim))
+        except scipy.sparse.linalg.ArpackError as exc:
+            raise EigenFailed(f"shift-invert Lanczos failed in Bloch class {q}: {exc}")
+        if dim > s:
+            u = u[:s] + 1j * u[s:]
+        # B-orthonormal in the block: the lift has B-norm^2 k (real) or k/2
+        lift = (phases[:, None, None] * u).real.reshape(n, -1)
+        vecs.append(lift.T / math.sqrt(k * s / dim))
+        mus.append(mu)
+        classes.append(np.full(len(mu), q))
+    mus, vecs, classes = (np.concatenate(x) for x in (mus, vecs, classes))
+    order = np.argsort(mus, kind="stable")[:j_max]
+    mus, vecs, classes = mus[order], vecs[order], classes[order]
 
     # A multiplies Fourier mode m by m^2 - 1, so ||A||_2 = max(1, (n//2)^2 - 1)
     scale = max(1.0, (n // 2) ** 2 - 1.0) + np.abs(mus) * np.max(b)
-    resid = a @ vecs - b[:, None] * vecs * mus
-    backward = np.linalg.norm(resid, axis=0) / (scale * np.linalg.norm(vecs, axis=0))
+    resid = -(deriv2(vecs) + vecs) - mus[:, None] * vecs * b
+    backward = np.linalg.norm(resid, axis=1) / (scale * np.linalg.norm(vecs, axis=1))
     if not np.max(backward) <= BACKWARD_TOL:
         raise EigenFailed(f"eigenpair backward error {np.max(backward):.3g} "
                           f"exceeds {BACKWARD_TOL:g}")
 
     lams = alpha * mus - 1.0
-    phi = _fix_phases(np.ascontiguousarray(vecs.T) / math.sqrt(h.grid.dtheta), lams)
+    phi = _fix_phases(vecs / math.sqrt(h.grid.dtheta), lams)
     residuals = np.array([ip.norm(apply_L(h, alpha, p) + lam * p)
                           for lam, p in zip(lams, phi)])
     return SpectralDecomposition(
         inner_product=ip, eigenvalues=lams, eigenfunctions=phi,
         residuals=residuals, backward_errors=backward,
         morse_index=int(np.sum(lams < -ZERO_TOL)),
-        kernel_dim=int(np.sum(np.abs(lams) <= ZERO_TOL)))
+        kernel_dim=int(np.sum(np.abs(lams) <= ZERO_TOL)),
+        rotation_order=k, bloch_classes=classes, parities=_parity(phi))
 
 
 def energy_split(v, decomposition: SpectralDecomposition):
@@ -270,4 +338,7 @@ def spectrum_to_json_dict(decomposition: SpectralDecomposition, profile_tag) -> 
         "kernel_dim": decomposition.kernel_dim,
         "backward_errors": [float(x) for x in decomposition.backward_errors],
         "residuals": [float(x) for x in decomposition.residuals],
+        "rotation_order": decomposition.rotation_order,
+        "bloch_classes": [int(q) for q in decomposition.bloch_classes],
+        "parities": list(decomposition.parities),
     }

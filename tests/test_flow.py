@@ -428,7 +428,7 @@ def test_step_caps_sum_to_accepted():
 
 
 @pytest.mark.parametrize("case, bound", [
-    ("tau", 2e-11),  # measured 8.3e-12
+    ("tau", 2e-11),  # measured 4.0e-12
     ("area", 2e-12),  # measured 1.1e-12
 ], ids=["tau", "area"])
 def test_sampled_states_match_landing_reference(rng, case, bound):

@@ -11,7 +11,6 @@ from acsflow.geometry import (AngularGrid, SupportFunction,
                               require_convex, rotate_nodes, steiner_point,
                               support_from_json, support_rows_from_csv,
                               support_rows_to_csv, support_to_json, translate)
-from acsflow.spectral import spectral_d2_matrix
 
 import oracles
 
@@ -280,8 +279,3 @@ def test_derivatives_act_on_rows(n, rng):
         for i in range(3):
             assert np.array_equal(stacked[i], deriv(rows[i]))
 
-
-@pytest.mark.parametrize("n", [64, 252, 510, 1024])
-def test_spectral_d2_matrix_is_deriv2_of_unit_vectors(n):
-    mat = np.array([deriv2(e) for e in np.eye(n)])
-    assert np.array_equal(spectral_d2_matrix(n), 0.5 * (mat + mat.T))

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from acsflow import shrinker
-from acsflow.errors import OrderingViolated, OutOfRange
+from acsflow.errors import OrderingViolated, OutOfRange, StepUnderflow
 from acsflow.geometry import deriv2
 from acsflow.shrinker import (assemble_profile, entropy_ordering,
                               first_integral_value, integrate_arc, period_limit,
@@ -75,13 +75,15 @@ def _check_shooting(monkeypatch, shoot, value_of, target):
     solve = shrinker.solve_segment
 
     def counted(alpha, u_max):
-        calls.append(u_max)
-        return solve(alpha, u_max)
+        calls.append(solve(alpha, u_max))
+        return calls[-1]
 
     monkeypatch.setattr(shrinker, "solve_segment", counted)
     seg = shoot()
     assert len(calls) <= 20
-    assert seg.u_max == calls[-1]  # the last arc solved is the one returned
+    # the arc returned is the one of those solved that comes closest to target
+    errors = [abs(value_of(c) - target) for c in calls]
+    assert seg.u_max == calls[int(np.argmin(errors))].u_max
     assert seg.arc_solves == len(calls)
     ref = brentq(lambda u: value_of(solve(seg.alpha, u)) - target,
                  seg.u_max * (1 - 1e-6), seg.u_max * (1 + 1e-6),
@@ -100,6 +102,18 @@ def test_shooting_for_k_matches_brentq_in_few_arcs(alpha, k, monkeypatch):
 def test_shooting_for_ratio_matches_brentq_in_few_arcs(alpha, r, monkeypatch):
     _check_shooting(monkeypatch, lambda: segment_for_ratio(alpha, r),
                     lambda seg: seg.r, r)
+
+
+def test_shooting_stops_at_the_noise_floor_and_raises_short_of_it():
+    alpha, target = 1 / 8 - 1e-4, np.pi / 3
+    # Theta(u_max) carries about 2e-14 of noise here; bisecting it took 16 arcs
+    assert shrinker._segment_for_k(alpha, 3).arc_solves <= 8
+
+    def jump(seg):  # steps over the target: no arc comes within 1e-10 of it
+        return seg.theta_span + math.copysign(1e-8, seg.theta_span - target), seg.dspan_du
+
+    with pytest.raises(StepUnderflow):
+        shrinker._shoot(alpha, 1.1, target, jump, "a jump over pi/3")
 
 
 def test_span_monotone_in_r_and_alpha():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from acsflow.errors import EigenFailed, GridMismatch, WindowEscaped
-from acsflow.geometry import AngularGrid, circle_support, deriv1
+from acsflow.geometry import (AngularGrid, circle_support, deriv1, deriv2,
+                              random_convex_support)
 from acsflow.shrinker import assemble_profile
 from acsflow.spectral import (WeightedInnerProduct, apply_L, circle_eigenvalues,
                               decompose, energy_split, measure_growth_rate,
@@ -109,6 +111,7 @@ def test_decompose_profiles_morse_kernel():
 
 
 @pytest.mark.parametrize("alpha,k,n", [
+    (0.03, 3, 1020), (0.03, 4, 1020), (0.03, 5, 1020),
     (0.02, 3, 1020), (0.02, 5, 1020), (0.02, 6, 1020),
     (0.01, 3, 2040), (0.01, 4, 2040), (0.01, 6, 2040), (0.01, 10, 2040),
 ])
@@ -123,6 +126,37 @@ def test_decompose_small_alpha_profiles(alpha, k, n):
     assert np.min(np.abs(ev)) <= 1e-9  # h_theta
     assert (dec.morse_index, dec.kernel_dim) == (2 * k - 1, 1)
     assert np.max(dec.backward_errors) <= 1e-12
+
+
+def test_sector_labels_at_k3_profile():
+    dec = decompose(assemble_profile(1 / 24, 3, 510).h, 1 / 24, j_max=12)
+    assert dec.rotation_order == 3
+    assert len(dec.bloch_classes) == len(dec.parities) == 12
+    ev = dec.eigenvalues
+    scaling = int(np.argmin(np.abs(ev + 1.0 + 1 / 24)))
+    assert (dec.bloch_classes[scaling], dec.parities[scaling]) == (0, "even")
+    translations = np.argsort(np.abs(ev + 1.0))[:2]
+    assert dec.bloch_classes[translations].tolist() == [1, 1]
+    assert sorted(dec.parities[j] for j in translations) == ["even", "odd"]
+    kernel = int(np.argmin(np.abs(ev)))
+    assert (dec.bloch_classes[kernel], dec.parities[kernel]) == (0, "odd")
+
+
+@pytest.mark.parametrize("alpha,build,k", [
+    (0.12, lambda: assemble_profile(0.12, 3, 252).h, 3),
+    (0.5, lambda: random_convex_support(AngularGrid(256), np.random.default_rng(3)), 1),
+], ids=["d3_profile", "asymmetric_body"])
+def test_sector_eigenvalues_match_the_dense_pencil(alpha, build, k):
+    # reference: the whole n x n pencil -(D2 + 1) v = mu b v, solved densely
+    h = build()
+    n = h.grid.n
+    d2 = deriv2(np.eye(n))
+    a = -(0.5 * (d2 + d2.T) + np.eye(n))
+    b = h.values ** (-1.0 - 1.0 / alpha)
+    mus = scipy.linalg.eigh(a, np.diag(b), eigvals_only=True)[:16]
+    dec = decompose(h, alpha, j_max=16)
+    assert dec.rotation_order == k
+    assert np.max(np.abs(dec.eigenvalues - (alpha * mus - 1.0))) <= 1e-9
 
 
 def test_decompose_raises_when_arpack_does_not_converge(monkeypatch):
@@ -277,3 +311,6 @@ def test_spectrum_json_shape():
     assert obj["profile"] == "circle"
     assert obj["morse_index"] == 3 and obj["kernel_dim"] == 0
     assert len(obj["eigenvalues"]) == 6
+    # the sector labels follow every earlier key
+    assert list(obj)[-3:] == ["rotation_order", "bloch_classes", "parities"]
+    assert len(obj["bloch_classes"]) == len(obj["parities"]) == 6
