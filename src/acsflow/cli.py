@@ -128,11 +128,9 @@ def cmd_shrinker(args):
     n = _profile_grid_n(k, args.n)
     profile = shrinker.assemble_profile(alpha, k, n)
     record = shrinker.profile_to_json_dict(profile)
-    record["n"] = n
-    record.pop("h")
     out = _ensure_outdir(args.out)
     if out:
-        _write_json(out, "profile.json", shrinker.profile_to_json_dict(profile))
+        _write_json(out, "profile.json", record)
         seg = profile.segment
         if seg is not None:
             _write(out, "segment.csv", shrinker.segment_to_csv(seg))
@@ -143,6 +141,8 @@ def cmd_shrinker(args):
             "fint_drift": None if seg is None else seg.fint_drift,
             "arc_solves": None if seg is None else seg.arc_solves,
         })
+    record["n"] = n
+    record.pop("h")
     print(json.dumps(record))
     return 0
 
@@ -284,8 +284,7 @@ def _trace_from_dir(path):
         grid = geometry.AngularGrid(int(meta["n"]))
         fields = {"alpha": float(meta["alpha"]), "mode": meta["mode"],
                   "terminal_reason": meta["terminal_reason"],
-                  "n_steps": int(meta["accepted_steps"]),
-                  "sample_dt": meta.get("sample_dt")}
+                  "n_steps": int(meta["accepted_steps"])}
     except (KeyError, TypeError, ValueError) as exc:
         raise _unreadable(meta_path, exc)
     try:

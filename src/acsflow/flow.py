@@ -48,10 +48,16 @@ every node; |u| of a body off the origin nears 0 at some nodes, where a
 bound relative to |u| would shrink to atol and set the step. h changes only
 by factors on a fixed lattice of quarter octaves, 2^(j/4), floored from the
 controller's proposal 0.9 err^(-1/5), so rounding in the error estimate
-seldom moves h. Runs stop at t_end, at the minimum-radius floor, on
-convexity loss, or on step underflow, and report which; the work counts go
-to FlowTrace.stats. rhs evaluates the same right-hand side for callers
-outside the marcher.
+seldom moves h. rhs evaluates the same right-hand side for callers outside
+the marcher.
+
+run makes one flow_advance call, and the marcher records every row of the
+trace after the initial one, in time order: the samples, at fixed times or
+every sample_every steps, and the state where it stops, once. It stops at
+t_end ("reached_end"), after max_steps steps ("max_steps"), at the
+minimum-radius floor ("min_radius"), on convexity loss ("non_convex"; that
+state is not recorded) or on step underflow ("step_underflow"), and returns
+which; the work counts go to FlowTrace.stats.
 
 Samples at fixed times do not end steps; only t_end does. A sample inside
 an accepted step from u_0 to u_1 comes from the step's continuous extension
@@ -85,6 +91,8 @@ _MODES = ("unnormalized", "normalized_tau", "normalized_area")
 CFL_COEFF = 0.2
 # size of the first step the controller tries; it adapts from there
 FIRST_DT = 1e-4
+# absolute floor of a run's error tolerance atol + rtol |u_s|
+ATOL = 1e-15
 
 # ROS34PW2 (Rang & Angermann, BIT 45, 2005) in the transformed variables of
 # Hairer & Wanner, Solving ODEs II, IV.7 (7.25): from the published alpha,
@@ -121,10 +129,10 @@ class FlowStats:
 
     Each accepted step is counted under the one cap that set its size:
     the error controller, the extinction guard or the landing on t_limit,
-    which is t_end in a run (samples do not end steps); h_min and h_max are
-    its extremes (None before the first). rhs_evals counts the states of
-    steps; dense_evals counts the work of samples inside steps: the J f
-    products, and each f formed for a sample only. entropy_evals sums the
+    which is t_end in a run (samples do not end steps, nor does max_steps);
+    h_min and h_max are its extremes (None before the first). rhs_evals
+    counts the states of steps; dense_evals counts the work of samples
+    inside steps: the J f products, and each f formed for a sample only. entropy_evals sums the
     evaluations of the entropy maximizations of a run's samples (0 when
     run does not log the entropy).
     """
@@ -324,8 +332,10 @@ def _ratio_floor(x):
 
 
 def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
-                 stats, max_accept=1 << 60, sample_times=(), record=None):
-    """Advance the flow state u in place until t_limit or max_accept steps.
+                 stats, max_steps=math.inf, sample_times=(), sample_every=None,
+                 record=None):
+    """Advance the flow state u in place until t_limit or a stop, recording
+    the rows of the run on the way.
 
     Each step combines the chains of one, two and three W-steps (see the
     module docstring) into an order-5 step, and estimates its error against
@@ -341,15 +351,19 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
     positive for a convex body wherever the origin is, so rtol bounds the
     error at every node. Counts go to stats (a FlowStats).
 
-    sample_times are ascending times in (t, t_limit). Steps do not end on
-    them: record(t_s, v) is called for each with v the state at t_s from
-    the continuous extension of the step that passes it (see the module
-    docstring). The samples inside a step whose end state fails the
-    convexity test are not recorded.
+    record(t_r, v) receives the rows in time order, all but the start,
+    which the caller records: with sample_times, ascending times in
+    (t, t_limit), the state at each from the continuous extension of the
+    step that passes it (steps do not end on them; see the module
+    docstring); with sample_every instead, every sample_every-th state; and
+    the state where the march stops, once, unless the status is
+    "non_convex". A row's state has passed the convexity test, except a
+    last state with no sample inside its step.
 
-    Returns (status, t, h_next); status is "reached_limit", "max_accept",
-    "min_radius", "non_convex" (u fails the convexity test; it is not
-    stepped) or "step_underflow".
+    Returns (status, t, h_next); status is "reached_end" (t is t_limit, or
+    the start when that is not before t_limit), "max_steps", "min_radius",
+    "non_convex" (a state failed the convexity test; the samples inside the
+    step that reached it are not recorded) or "step_underflow".
     """
     n_acc = 0
     # the spectrum z of u and k1 = f(u), spectral, with W's coefficient, the
@@ -358,9 +372,16 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
     fg = None  # f(u) and J f(u) at the nodes, once a sample needs them
     step = None  # (t_0, h, u_0, f_0, g_0) of an accepted step with samples in it
     i_s = 0  # index of the next sample time
+    t_row = t  # time of the last row; the caller records the start
     n = u.shape[0]
     theta = 2.0 * np.pi * np.arange(n) / n  # AngularGrid(n).nodes
     e = np.stack([np.cos(theta), np.sin(theta)])
+
+    def put(t_r, v):
+        nonlocal t_row
+        t_row = t_r
+        if record is not None:
+            record(t_r, v)
 
     def sample_step(t_u, f_u, w_u):
         """Record the samples up to t_u inside `step`, which ends at u at
@@ -374,25 +395,27 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
         ts = np.array(sample_times[i_s:j])
         rows = _hermite((ts - t0) / hs, hs, u0, u, f0, fg[0], g0, fg[1])
         for t_s, row in zip(sample_times[i_s:j], rows):
-            record(t_s, u if t_s == t_u else row)
+            put(t_s, u if t_s == t_u else row)
         i_s = j
 
-    def sample_end(t_u):
-        """sample_step at a return, where f(u) is formed for the samples
-        only; False when u fails the convexity test."""
-        if step is None:
-            return True
-        f_u, w_u = _flow_rhs(_spectrum(u), alpha, mode, FlowStats())
-        stats.dense_evals += 1
-        if f_u is None:
-            return False
-        sample_step(t_u, f_u, w_u)
-        return True
+    def stop(status, t_u, h_u):
+        """The return (status, t_u, h_u) once u at time t_u is recorded;
+        samples still pending inside the last step first need f(u), formed
+        for them only, and u failing the convexity test there makes the
+        status "non_convex"."""
+        if step is not None:
+            f_u, w_u = _flow_rhs(_spectrum(u), alpha, mode, FlowStats())
+            stats.dense_evals += 1
+            if f_u is None:
+                return "non_convex", t_u, h_u
+            sample_step(t_u, f_u, w_u)
+        if t_row != t_u:
+            put(t_u, u)
+        return status, t_u, h_u
 
-    for _ in range(100_000_000):
-        if t >= t_limit:
-            return "reached_limit", t, h
-
+    if t >= t_limit:
+        return "reached_end", t, h
+    while True:
         if k1 is None:
             z = _spectrum(u)
             k1, w = _flow_rhs(z, alpha, mode, stats)
@@ -401,9 +424,11 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
             if step is not None:
                 sample_step(t, k1, w)
                 step = None
+            if sample_every and n_acc % sample_every == 0 and t_row != t:
+                put(t, u)
             wmin = w.min()
             if wmin < stop_min_radius:
-                return "min_radius", t, h
+                return stop("min_radius", t, h)
             coeff = alpha * (w ** (-alpha - 1.0)).max()
             if mode == "normalized_area":
                 coeff = coeff / ((w ** (1.0 - alpha)).sum() / n)
@@ -418,8 +443,8 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
         h_step = t_limit - t if landing else h
         if h_step <= 1e-14 * max(1.0, abs(t)):
             if landing:
-                return "reached_limit", t_limit, h
-            return "step_underflow", t, h_step
+                return stop("reached_end", t_limit, h)
+            return stop("step_underflow", t, h_step)
 
         chains = _chain_increments(z, h_step, k1, coeff, alpha, mode, stats)
         if chains is None:
@@ -458,19 +483,13 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
         stats.count_step("landing" if landing else cap, h_step)
         t = t_next
         if landing:
-            if not sample_end(t):
-                return "non_convex", t, h
-            return "reached_limit", t, h
+            return stop("reached_end", t, h)
         # factors from one lattice: rounding in the error estimate then
         # seldom changes the step sequence
         fac = 4.0 if enorm < 1e-8 else _ratio_floor(min(0.9 * enorm ** -0.2, 4.0))
         h = h_step * fac
-        if n_acc >= max_accept:
-            if not sample_end(t):
-                return "non_convex", t, h
-            return "max_accept", t, h
-
-    return "step_underflow", t, h
+        if n_acc >= max_steps:
+            return stop("max_steps", t, h)
 
 
 @dataclass(frozen=True)
@@ -486,7 +505,6 @@ class FlowConfig:
     stop_min_radius: float = 1e-3
     max_steps: int = 10_000_000
     rtol: float = 1e-12
-    atol: float = 1e-15
     log_entropy: bool = False
 
 
@@ -505,7 +523,6 @@ class FlowTrace:
     snapshots: np.ndarray  # (rows, n)
     terminal_reason: str
     n_steps: int
-    sample_dt: float | None = None
     stats: FlowStats | None = None  # None for a trace read back from disk
 
     def __len__(self):
@@ -525,10 +542,8 @@ def _validate(config: FlowConfig):
         raise BadConfig(f"sample_every must be >= 1, got {config.sample_every}")
     if config.sample_dt is not None and not config.sample_dt > 0.0:
         raise BadConfig(f"sample_dt must be positive, got {config.sample_dt}")
-    tols = (config.rtol, config.atol)
-    if not all(math.isfinite(x) and x >= 0.0 for x in tols) or not any(tols):
-        raise BadConfig(f"rtol and atol must be finite and >= 0, not both 0; "
-                        f"got rtol {config.rtol}, atol {config.atol}")
+    if not (math.isfinite(config.rtol) and config.rtol >= 0.0):
+        raise BadConfig(f"rtol must be finite and >= 0, got {config.rtol}")
     if config.max_steps < 1:
         raise BadConfig("max_steps must be >= 1")
     try:
@@ -544,8 +559,6 @@ def run(config: FlowConfig) -> FlowTrace:
 
     grid = config.initial.grid
     u = config.initial.values.copy()
-    t = 0.0
-    h = FIRST_DT
     stats = FlowStats()
 
     rows = []
@@ -564,33 +577,20 @@ def run(config: FlowConfig) -> FlowTrace:
                      1.0 / float(np.max(w)), 1.0 / float(np.min(w)), ent))
         snaps.append(values.copy())
 
-    record(t, u)
+    record(0.0, u)
     sample_times = []
-    chunk = config.sample_every
+    sample_every = config.sample_every
     if config.sample_dt is not None:
         # exact multiples keep the sample spacing uniform to rounding; a
         # final sliver shorter than a quarter interval is absorbed into t_end
         dt = config.sample_dt
         while (len(sample_times) + 1) * dt <= config.t_end - 0.25 * dt:
             sample_times.append((len(sample_times) + 1) * dt)
-        chunk = config.max_steps
-    reason = None
-    while reason is None:
-        status, t, h = flow_advance(
-            u, t, h, config.t_end, config.alpha, config.mode, config.rtol,
-            config.atol, config.stop_min_radius, stats,
-            min(chunk, config.max_steps - stats.accepted), sample_times, record)
-        if status == "non_convex":
-            reason = status  # state failed the check; do not record it
-            break
-        record(t, u)
-        if status == "reached_limit":
-            reason = "reached_end"
-        elif status == "max_accept":
-            if stats.accepted >= config.max_steps:
-                reason = "max_steps"
-        else:
-            reason = status
+        sample_every = None
+    reason, _, _ = flow_advance(
+        u, 0.0, FIRST_DT, config.t_end, config.alpha, config.mode, config.rtol,
+        ATOL, config.stop_min_radius, stats, config.max_steps, sample_times,
+        sample_every, record)
 
     rows_arr = np.array(rows)
     return FlowTrace(
@@ -599,8 +599,7 @@ def run(config: FlowConfig) -> FlowTrace:
         iso_ratio=rows_arr[:, 3], min_curvature=rows_arr[:, 4],
         max_curvature=rows_arr[:, 5], entropy=rows_arr[:, 6],
         snapshots=np.array(snaps),
-        terminal_reason=reason, n_steps=stats.accepted,
-        sample_dt=config.sample_dt, stats=stats)
+        terminal_reason=reason, n_steps=stats.accepted, stats=stats)
 
 
 def area_derivative_check(u: SupportFunction, alpha, dt=1e-5) -> float:

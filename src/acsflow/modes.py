@@ -26,17 +26,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fmt import csv_table
-from .errors import AlphaMismatch, BadConfig, OutOfRange, TooLarge
+from .errors import AlphaMismatch, BadConfig, TooLarge
 from .flow import FlowTrace
 from .geometry import AngularGrid, SupportFunction, _fourier_coefficients
+from .shrinker import check_fold
 
 RHO_SMALLNESS = 1e-2
 TRANSIENT_RULE = 5.0  # quasi-steady once lambda_2k * tau exceeds this
 
 
 def alpha_for_fold(k) -> float:
-    if not (isinstance(k, (int, np.integer)) and k >= 3):
-        raise OutOfRange(f"fold count must be an integer >= 3, got {k!r}")
+    check_fold(k)
     return 1.0 / (k * k - 1.0)
 
 
@@ -114,8 +114,7 @@ def track_modes(trace: FlowTrace, k, m_max=None) -> ModeTrace:
 
 def cstar(k) -> float:
     """The rho-decay constant k^2 (4 - k^2)/6."""
-    if not (isinstance(k, (int, np.integer)) and k >= 3):
-        raise OutOfRange(f"fold count must be an integer >= 3, got {k!r}")
+    check_fold(k)
     return k * k * (4 - k * k) / 6
 
 
@@ -263,7 +262,6 @@ def quasi_steady_window(mt: ModeTrace):
 class QuasiSteadyReport:
     a0_max_dev: float  # max relative deviation of A_0 from rho/(4 alpha)
     q_max_dev: float  # same for Q against its adiabatic value
-    rows_used: int
 
 
 def quasi_steady_check(mt: ModeTrace) -> QuasiSteadyReport:
@@ -275,8 +273,7 @@ def quasi_steady_check(mt: ModeTrace) -> QuasiSteadyReport:
     a0_dev = np.abs(mt.a0[idx] - a0_target) / a0_target
     q_dev = np.abs(q - q_target) / np.abs(q_target)
     return QuasiSteadyReport(a0_max_dev=float(np.max(a0_dev)),
-                             q_max_dev=float(np.max(q_dev)),
-                             rows_used=len(idx))
+                             q_max_dev=float(np.max(q_dev)))
 
 
 @dataclass(frozen=True)
@@ -284,7 +281,6 @@ class CstarMeasurement:
     measured: float  # regression estimate of d(rho)/dtau / rho^2
     expected: float
     rel_error: float
-    rows_used: int
 
 
 def measure_cstar(mt: ModeTrace) -> CstarMeasurement:
@@ -297,8 +293,7 @@ def measure_cstar(mt: ModeTrace) -> CstarMeasurement:
     measured = slope / float(np.mean(rho)) ** 2
     expected = cstar(mt.k)
     return CstarMeasurement(measured=measured, expected=expected,
-                            rel_error=abs(measured - expected) / abs(expected),
-                            rows_used=len(idx))
+                            rel_error=abs(measured - expected) / abs(expected))
 
 
 def quasi_steady_seed(grid: AngularGrid, k, eps, phase=0.0) -> SupportFunction:

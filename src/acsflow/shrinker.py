@@ -89,6 +89,11 @@ class ShrinkerProfile:
     segment: ShrinkerSegment | None = field(repr=False)  # the arc; None for the circle
 
 
+def check_fold(k):
+    if not (isinstance(k, (int, np.integer)) and k >= 3):
+        raise OutOfRange(f"fold count must be an integer >= 3, got {k!r}")
+
+
 def check_alpha(alpha):
     if not 0.0 < alpha < 1.0:
         raise OutOfRange(f"alpha must lie in (0, 1), got {alpha}")
@@ -259,8 +264,7 @@ def _check_fold(alpha, k):
     check_alpha(alpha)
     if not alpha < 1.0 / 3.0:
         raise OutOfRange(f"k-fold profiles require alpha < 1/3, got {alpha}")
-    if not (isinstance(k, (int, np.integer)) and k >= 3):
-        raise OutOfRange(f"fold count must be an integer >= 3, got {k!r}")
+    check_fold(k)
     if not k < math.sqrt(1.0 + 1.0 / alpha) - ADMISSIBILITY_GUARD:
         raise OutOfRange(
             f"k = {k} is not admissible at alpha = {alpha}: "
@@ -356,9 +360,8 @@ def segment_to_csv(segment: ShrinkerSegment) -> str:
     return csv_table(("theta", "U", "U_theta"), (s.theta, s.u, s.u_theta))
 
 
-def profile_to_json_dict(profile: ShrinkerProfile, theta=None) -> dict:
-    if theta is None:
-        theta = period_limit(profile.alpha) if profile.k == "circle" else math.pi / profile.k
+def profile_to_json_dict(profile: ShrinkerProfile) -> dict:
+    theta = period_limit(profile.alpha) if profile.k == "circle" else math.pi / profile.k
     return {
         "alpha": profile.alpha,
         "k": profile.k if profile.k == "circle" else int(profile.k),

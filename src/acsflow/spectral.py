@@ -23,9 +23,9 @@ Each block gets one shift-invert Lanczos solve (ARPACK; Lehoucq, Sorensen &
 Yang, 1998) below the lowest mu, which is -1 (the scaling mode), for its
 lowest j_max pairs; the merged lowest j_max are then the lowest overall.
 
-The checks run on the full-length vectors lifted back to the n nodes. The
-contract is the pencil's normwise backward error (Tisseur, Linear Algebra
-Appl. 309, 2000)
+The checks run on the vectors returned: lifted back to the n nodes, with
+the phase convention applied. The contract is the pencil's normwise
+backward error (Tisseur, Linear Algebra Appl. 309, 2000)
     ||A v - mu B v|| / ((||A||_2 + |mu| ||B||_2) ||v||) <= BACKWARD_TOL
 for every retained pair, with A v formed by the spectral second derivative.
 The weighted residual ||L phi + lambda phi||_h is reported as well; at small
@@ -133,14 +133,16 @@ def _clusters(values, tol):
 
 
 def _fix_phases(phi, lams):
-    """Deterministic orientation: rotate near-degenerate pairs so one member
-    is even about theta = 0, then make the leading Fourier coefficient of
-    every eigenfunction positive in the (a0, a1, b1, a2, b2, ...) scan.
-    The rotation keeps an orthonormal pair orthonormal. Works in place."""
+    """Deterministic orientation: rotate degenerate pairs, whose eigenvalues
+    agree to BACKWARD_TOL relative, so one member is even about theta = 0,
+    then make the leading Fourier coefficient of every eigenfunction positive
+    in the (a0, a1, b1, a2, b2, ...) scan. The rotation keeps an orthonormal
+    pair orthonormal; a pair farther apart is two eigenpairs, which a
+    rotation would mix. Works in place."""
     n = phi.shape[1]
     rev = np.arange(n)
     rev = (-rev) % n
-    for grp in _clusters(lams, 1e-5):
+    for grp in _clusters(lams, BACKWARD_TOL):
         if len(grp) == 2:
             i, j = grp
             e1 = 0.5 * (phi[i] + phi[i][rev])
@@ -246,16 +248,15 @@ def decompose(h: SupportFunction, alpha, j_max=40) -> SpectralDecomposition:
     order = np.argsort(mus, kind="stable")[:j_max]
     mus, vecs, classes = mus[order], vecs[order], classes[order]
 
+    lams = alpha * mus - 1.0
+    phi = _fix_phases(vecs / math.sqrt(h.grid.dtheta), lams)
     # A multiplies Fourier mode m by m^2 - 1, so ||A||_2 = max(1, (n//2)^2 - 1)
     scale = max(1.0, (n // 2) ** 2 - 1.0) + np.abs(mus) * np.max(b)
-    resid = -(deriv2(vecs) + vecs) - mus[:, None] * vecs * b
-    backward = np.linalg.norm(resid, axis=1) / (scale * np.linalg.norm(vecs, axis=1))
+    resid = -(deriv2(phi) + phi) - mus[:, None] * phi * b
+    backward = np.linalg.norm(resid, axis=1) / (scale * np.linalg.norm(phi, axis=1))
     if not np.max(backward) <= BACKWARD_TOL:
         raise EigenFailed(f"eigenpair backward error {np.max(backward):.3g} "
                           f"exceeds {BACKWARD_TOL:g}")
-
-    lams = alpha * mus - 1.0
-    phi = _fix_phases(vecs / math.sqrt(h.grid.dtheta), lams)
     residuals = np.array([ip.norm(apply_L(h, alpha, p) + lam * p)
                           for lam, p in zip(lams, phi)])
     return SpectralDecomposition(

@@ -159,6 +159,24 @@ def test_sector_eigenvalues_match_the_dense_pencil(alpha, build, k):
     assert np.max(np.abs(dec.eigenvalues - (alpha * mus - 1.0))) <= 1e-9
 
 
+def test_returned_pairs_meet_the_backward_error_contract():
+    # (0.12, k3, n 252) has two pairs of distinct eigenvalues within 1e-5
+    # relative in Bloch class 0 (17.262976/17.263103 and 27.597226/27.597237);
+    # each returned pair, not only the solver's vectors, meets the contract
+    alpha = 0.12
+    h = assemble_profile(alpha, 3, 252).h
+    dec = decompose(h, alpha, j_max=40)
+    n = h.grid.n
+    b = dec.inner_product.weights
+    mus = (dec.eigenvalues + 1.0) / alpha
+    phi = dec.eigenfunctions
+    resid = -(deriv2(phi) + phi) - mus[:, None] * phi * b
+    scale = ((n // 2) ** 2 - 1.0 + np.abs(mus) * np.max(b)) * np.linalg.norm(phi, axis=1)
+    backward = np.linalg.norm(resid, axis=1) / scale
+    assert np.max(backward) <= 1e-12
+    assert np.allclose(backward, dec.backward_errors, rtol=0, atol=1e-15)
+
+
 def test_decompose_raises_when_arpack_does_not_converge(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise scipy.sparse.linalg.ArpackNoConvergence(
