@@ -6,50 +6,51 @@ Three gauges of the same motion:
   normalized_area  u_tau = -kappa^alpha / mean(kappa^(alpha-1)) + u
                                                  (enclosed area pinned to pi)
 
-One marcher, flow_advance: an order-5 Richardson extrapolation of a
-linearly implicit W-step (ROS34PW2, order 3). Its W is
-I - h gamma c P (d_thth + 1), with c = alpha max w^(-1-alpha) (divided by
-mean w^(1-alpha) in the area gauge) the largest coefficient of the true
-Jacobian alpha w^(-1-alpha) (d_thth + 1), and P dropping Fourier modes 0
-and 1, so W is diagonal in Fourier space with entries >= 1. A W-method keeps
-its order for any such approximate Jacobian, so the step is set by accuracy,
-not by the explicit stability limit of the stiffest mode. The stages run in
-Fourier space: a stage state, increment or RHS value is the spectral row
+One marcher, flow_advance: extrapolated linearly implicit Euler
+(Deuflhard, SIAM Rev. 27, 1985; Hairer & Wanner, Solving ODEs II, IV.9), of
+order 6. A step of size h runs, from u, chains of j substeps of size h/j for
+j = 1, 2, 3, 4, 5 and 7; a substep from the state u + d adds
+(h/j) W^-1 f(u + d) to d, with W = I - (h/j) c P (d_thth + 1),
+c = alpha max w^(-1-alpha) (divided by mean w^(1-alpha) in the area gauge)
+the largest coefficient of the true Jacobian alpha w^(-1-alpha) (d_thth + 1),
+and P dropping Fourier modes 0 and 1, so W is diagonal in Fourier space with
+entries >= 1. The linearly implicit Euler step is a W-method: for any such
+fixed approximate Jacobian the increment T_j of chain j has an error
+expansion in powers of h/j, so the step is set by accuracy, not by the
+explicit stability limit of the stiffest mode. Aitken-Neville extrapolation
+in 1/j to 0 combines the six increments into the order-6 step T_66; each of
+its levels adds a difference of increments over n_i / n_i-k - 1, so the
+rounding of an increment is not amplified. T_66 - T_65, the step minus the
+order-5 value of the tableau, is the error estimate. The substeps run in
+Fourier space: a substep state, increment or RHS value is the spectral row
 [rfft(v - mean v), mean v], the mean a trailing column that W leaves alone.
 The RHS forms w = u_thth + u by one irfft, takes the convexity test and the
 speed w^(-alpha) at the nodes, and returns f by one rfft of the speed; a W
-solve is one multiply by 1/(1 + h gamma c max(m^2 - 1, 0)) over the
+solve is one multiply by 1/(1 + (h/j) c max(m^2 - 1, 0)) over the
 wavenumbers m, with no FFT. Transforming v - mean(v), not v, keeps the
 rounding of the rfft of a constant out of w, so a centred circle stays round
 to the last bit.
 
-A step of size h runs three chains from u: one W-step of h, two of h/2 and
-three of h/3, with increments T_1, T_2 and T_3. Their errors expand as
-c (h/j)^4 + d (h/j)^5 + ..., so the step u += 0.02 T_1 - 0.64 T_2 + 1.62 T_3
-cancels both terms and is of order 5; the absolute values of its weights sum
-to 2.28, so it amplifies rounding little. The chains share k1 = f(u), which
-also supplies c and the near-extinction guard
-dt <= 0.2 * min(u_thth + u)^(1 + alpha). The i-th steps of the chains still
-running are the rows of one W-step: three rows with step sizes h, h/2 and
-h/3 from u, then two rows from their own states, then one. Rows of the
-batched FFTs, sums and minima are bitwise equal to the single-row calls, so
-batching changes no output. An accepted step thus evaluates the RHS at 22
-states in 12 calls and makes 26 FFT calls: one rfft forms the spectrum of u
-(u stays the state of record), each RHS call makes one irfft and one rfft,
-and one batched irfft returns the error estimate and the step to the nodes;
-a rejected step reuses k1. The error estimate is the step minus the order-4
-combination (27 T_3 - 8 T_2)/19; it is bounded node by node by
-atol + rtol |u_s|. Here u_s = u - s.e(theta) is the support function about
-the Steiner point s = (1/pi) integral u e(theta), that is u without its
-Fourier mode 1. The flow commutes with translations and u_s does not see
-them, so the tolerance does not depend on where the origin is. The Steiner
-point lies inside every convex body, so u_s > 0 and rtol bounds the error at
-every node; |u| of a body off the origin nears 0 at some nodes, where a
-bound relative to |u| would shrink to atol and set the step. h changes only
-by factors on a fixed lattice of quarter octaves, 2^(j/4), floored from the
-controller's proposal 0.9 err^(-1/5), so rounding in the error estimate
-seldom moves h. rhs evaluates the same right-hand side for callers outside
-the marcher.
+The chains share k1 = f(u), which also supplies c and the near-extinction
+guard dt <= 0.2 * min(u_thth + u)^(1 + alpha). The i-th substeps of the
+chains still running (those with j > i) are the rows of one RHS call: 5, 4,
+3, 2, 1 and 1 rows for i = 1 to 6. Rows of the batched FFTs, sums and minima
+are bitwise equal to the single-row calls, so batching changes no output. An
+accepted step thus evaluates the RHS at 17 states in 7 calls and makes 16
+FFT calls: one rfft forms the spectrum of u (u stays the state of record),
+each RHS call makes one irfft and one rfft, and one batched irfft returns the
+error estimate and the step to the nodes; a rejected step reuses k1. The
+error estimate is bounded node by node by atol + rtol |u_s|. Here
+u_s = u - s.e(theta) is the support function about the Steiner point
+s = (1/pi) integral u e(theta), that is u without its Fourier mode 1. The
+flow commutes with translations and u_s does not see them, so the tolerance
+does not depend on where the origin is. The Steiner point lies inside every
+convex body, so u_s > 0 and rtol bounds the error at every node; |u| of a
+body off the origin nears 0 at some nodes, where a bound relative to |u|
+would shrink to atol and set the step. h changes only by factors on a fixed
+lattice of quarter octaves, 2^(j/4), floored from the controller's proposal
+0.9 err^(-1/6), so rounding in the error estimate seldom moves h. rhs
+evaluates the same right-hand side for callers outside the marcher.
 
 run makes one flow_advance call, and the marcher records every row of the
 trace after the initial one, in time order: the samples, at fixed times or
@@ -63,14 +64,25 @@ Samples at fixed times do not end steps; only t_end does. A sample inside
 an accepted step from u_0 to u_1 comes from the step's continuous extension
 (Hairer, Norsett & Wanner, Solving ODEs I, II.6): the quintic Hermite
 interpolant of u, f = u' and g = u'' = J f at both ends, with J the Jacobian
-of the right-hand side. f(u_1) is the next step's k1, and each g costs one
-irfft, which also returns f to the nodes. The interpolant is of order 5 in
-h, its error O(h^6), and the controller does not see that error. Against
-samples landed on at rtol 1e-14, a tau-gauge run of seed:3,1e-3 at alpha 1/8
-(n 512, t_end 2, samples every 0.01; 16 steps instead of 204) is off by at
-most 4.0e-12 (0 when landing, which takes the reference's own 204 steps),
-and an area-gauge random body (n 256, same sampling; 432 steps instead of
-504) by 8.9e-13 (7.7e-13 when landing).
+of the right-hand side; each g costs one irfft, which also returns f to the
+nodes. A step with samples in it first forms f(u_1), which the next step
+reuses as its k1, and g_1. The interpolant is of order 5 in h, its error
+O(h^6), as large as the order-6 step's own, so it is bounded: at the
+fraction s of the step the error is estimated node by node as
+|top| min(1, |top| / |c|) s^3 (1 - s)^3. Here
+top = 6 (u_1 - u_0) - 3 h (f_0 + f_1) + h^2 (g_1 - g_0) / 2 is the quintic's
+s^5 coefficient, its correction over the quartic Hermite interpolant, and
+c = h^2 g_0 / 2 - 3 (u_1 - u_0) + h (2 f_0 + f_1) is the quartic's
+correction c s^2 (1 - s)^2 over the cubic one; |top| / |c| estimates the
+ratio of successive corrections, so the product estimates the next one,
+which the quintic leaves out (the quartic difference |top| s^3 (1 - s)^2
+alone overstates the error about tenfold). A step whose estimate exceeds
+atol + rtol |u_s| at one of its samples is rejected and shortened like any
+other. Against samples landed on at rtol 1e-14, a tau-gauge run of
+seed:3,1e-3 at alpha 1/8 (n 512, t_end 2, samples every 0.01; 20 steps
+instead of 204) is off by at most 2.1e-12 (1.1e-15 when landing, which takes
+the reference's own 204 steps), and an area-gauge random body (n 256, same
+sampling; 423 steps instead of 529) by 1.2e-12 (1.2e-12 when landing).
 """
 
 import bisect
@@ -94,33 +106,21 @@ FIRST_DT = 1e-4
 # absolute floor of a run's error tolerance atol + rtol |u_s|
 ATOL = 1e-15
 
-# ROS34PW2 (Rang & Angermann, BIT 45, 2005) in the transformed variables of
-# Hairer & Wanner, Solving ODEs II, IV.7 (7.25): from the published alpha,
-# Gamma and b, a = alpha Gamma^-1, c = diag(1/gamma) - Gamma^-1, m = b Gamma^-1.
-# Stage i solves W U_i = h gamma f(u + sum_j a_ij U_j) + gamma sum_j c_ij U_j
-# over j < i, and the step is u + sum_i m_i U_i. Rows of _A and _C are
-# stages 2 to 4.
-_GAMMA = 4.3586652150845900e-01
-_A = ((2.0,),
-      (1.4192173174557652, -2.5923221167296978e-01),
-      (4.1847604823191613, -2.8519201735549599e-01, 2.2942803602790423))
-_C = ((-4.5885607205580836,),
-      (-4.1847604823191613, 2.8519201735549599e-01),
-      (-6.3681792001283597, -6.7956209444668367, 2.8700986043310550))
-_M = (4.1847604823191613, -2.8519201735549599e-01, 2.2942803602790423, 1.0)
-
-# Step sizes, as fractions of h, of the chains of one, two and three W-steps
-# whose increments the Richardson step combines; a column, so that the first
-# steps of the chains run as the rows of one W-step.
-_CHAIN_STEPS = np.array([[1.0], [1 / 2], [1 / 3]])
-# Weight of T_2 - T_3 in the error estimate
-# 0.02 (T_1 - T_3) - _ERR_D32 (T_2 - T_3), which is the order-5 step minus the
-# order-4 (27 T_3 - 8 T_2)/19.
-_ERR_D32 = 0.64 - 8 / 19
+# Substep counts of the chains of linearly implicit Euler steps whose
+# increments the extrapolation combines, as a column of the chains' rows; at
+# substep i the chains with j > i run on, rows _LIVE[i - 1] onwards.
+_SEQ = (1, 2, 3, 4, 5, 7)
+_SEQ_COL = np.array(_SEQ, dtype=float)[:, None]
+_LIVE = tuple(bisect.bisect_right(_SEQ, i) for i in range(1, _SEQ[-1]))
+# Aitken-Neville divisors n_i / n_i-k - 1 of the extrapolation's level k
+_NEVILLE_DEN = tuple(_SEQ_COL[k:] / _SEQ_COL[:-k] - 1.0 for k in range(1, len(_SEQ)))
 
 # Factors by which the controller changes h: quarter octaves 2^(j/4) from
 # below its 0.1 floor on a rejection up to its growth cap of 4.
 _STEP_RATIOS = tuple(2.0 ** (j / 4) for j in range(-14, 9))
+# exponent of the controller: the error estimate and the sample bound are
+# both O(h^6)
+_EXPONENT = -1.0 / 6.0
 
 
 @dataclass
@@ -130,16 +130,23 @@ class FlowStats:
     Each accepted step is counted under the one cap that set its size:
     the error controller, the extinction guard or the landing on t_limit,
     which is t_end in a run (samples do not end steps, nor does max_steps);
-    h_min and h_max are its extremes (None before the first). rhs_evals
-    counts the states of steps; dense_evals counts the work of samples
-    inside steps: the J f products, and each f formed for a sample only. entropy_evals sums the
-    evaluations of the entropy maximizations of a run's samples (0 when
+    h_min and h_max are its extremes (None before the first). A step is
+    rejected for one reason: a substep state failed the convexity test, the
+    error estimate was above tolerance, or the estimated error of the
+    continuous extension was above tolerance at a sample inside the step
+    (see the module docstring). rhs_evals counts the states at which the
+    marcher evaluates the RHS: 17 per accepted step, at most 16 per rejected
+    one (k1 is reused), and f(u_1) of each step with samples in it, which
+    serves as the next step's k1 once that step is accepted.
+    dense_evals counts the J f products of the samples. entropy_evals sums
+    the evaluations of the entropy maximizations of a run's samples (0 when
     run does not log the entropy).
     """
 
     accepted: int = 0
     rejected_error: int = 0  # error estimate above tolerance
-    rejected_convexity: int = 0  # a stage state failed the convexity test
+    rejected_convexity: int = 0  # a substep state failed the convexity test
+    rejected_sample: int = 0  # a sample's estimated error above tolerance
     rhs_evals: int = 0  # states, so a batched call counts each of its rows
     cap_error: int = 0
     cap_guard: int = 0
@@ -254,6 +261,18 @@ def _hermite(s, h, u0, u1, f0, f1, g0, g1):
             + (0.5 * h * h) * ((s * s * r ** 3) * g0 + (s3 * r * r) * g1))
 
 
+def _extension_error(h, du, fg0, fg1):
+    """Estimated error, node by node and over s^3 (1 - s)^3 at the fraction s,
+    of the quintic Hermite interpolant of a step of size h and increment du,
+    given (f, g) at its ends (see the module docstring)."""
+    (f0, g0), (f1, g1) = fg0, fg1
+    hh = 0.5 * h * h
+    top = np.abs(6.0 * du - (3.0 * h) * (f0 + f1) + hh * (g1 - g0))
+    c = np.abs(hh * g0 - 3.0 * du + h * (2.0 * f0 + f1))
+    # |top| min(1, |top| / |c|), and 0 where top is 0
+    return top * top / np.maximum(np.maximum(c, top), np.finfo(float).tiny)
+
+
 def rhs(u: SupportFunction, alpha, mode) -> np.ndarray:
     """Right-hand side of the flow in the given gauge at u, as the marcher forms it."""
     if mode not in _MODES:
@@ -265,59 +284,37 @@ def rhs(u: SupportFunction, alpha, mode) -> np.ndarray:
     return _nodal(du)
 
 
-def _combine(coefs, arrays):
-    acc = coefs[0] * arrays[0]
-    for c, v in zip(coefs[1:], arrays[1:]):
-        acc = acc + c * v
-    return acc
+def _chain_increments(z, h, k1, coeff, alpha, mode, stats):
+    """Spectral increments T_j, one row per j in _SEQ, of j linearly implicit
+    Euler substeps of size h/j from the spectral state z; None on convexity
+    loss.
 
-
-def _w_step(z, d0, h, k1, coeff, alpha, mode, stats):
-    """Increment of one ROS34PW2 step of size h from z + d0, given
-    k1 = f(z + d0); states, increments and k1 are spectral (see _spectrum).
-
-    None on convexity loss. coeff is c of W = I - h gamma c P (d_thth + 1),
-    which is diagonal in Fourier space: a W solve multiplies by
-    1/(1 + h gamma c max(m^2 - 1, 0)), which is 1 on the mean column. h may
-    be a column of step sizes; the increment then has one row per step
-    size, each a step from the same z + d0. Each stage state adds d0 and its
-    other increments, summed, to z once.
+    A substep from z + d adds (h/j) f(z + d) / (1 + (h/j) c max(m^2 - 1, 0)),
+    a solve with W = I - (h/j) c P (d_thth + 1), which is 1 on the mean
+    column; coeff is c. The chains share k1 = f(z), and the i-th substeps of
+    the chains still running are the rows of one RHS call: 16 states in 6
+    calls besides k1.
     """
     _, msq = _symbols(2 * z.shape[-1] - 4)
-    inv_w = 1.0 / (1.0 + (h * _GAMMA * coeff) * msq)
-    incs = [((h * _GAMMA) * k1) * inv_w]
-    for a_row, c_row in zip(_A, _C):
-        f, _ = _flow_rhs(z + (d0 + _combine(a_row, incs)), alpha, mode, stats)
-        if f is None:
-            return None
-        incs.append(((h * _GAMMA) * f + _GAMMA * _combine(c_row, incs)) * inv_w)
-    return _combine(_M, incs)
-
-
-def _chain_increments(z, h, k1, coeff, alpha, mode, stats):
-    """Spectral increments (T_1, T_2, T_3) of j W-steps of size h/j from the
-    spectral state z, for j = 1, 2, 3; None on convexity loss.
-
-    The chains share k1 = f(z), and the i-th steps of the chains still
-    running are the rows of one W-step: three rows, then two with a row-wise
-    d0, then one. That is 21 RHS states in 11 calls besides k1.
-    """
-    inc = _w_step(z, 0.0, h * _CHAIN_STEPS, k1, coeff, alpha, mode, stats)
-    if inc is None:
-        return None
-    done = [inc[0]]
-    d0 = inc[1:]
-    for i in (1, 2):
-        k, _ = _flow_rhs(z + d0, alpha, mode, stats)
+    hj = h / _SEQ_COL
+    inv_w = 1.0 / (1.0 + (hj * coeff) * msq)
+    d = (hj * k1) * inv_w
+    for lo in _LIVE:
+        k, _ = _flow_rhs(z + d[lo:], alpha, mode, stats)
         if k is None:
             return None
-        inc = _w_step(z, d0, h * _CHAIN_STEPS[i:], k, coeff, alpha, mode, stats)
-        if inc is None:
-            return None
-        d0 = d0 + inc
-        done.append(d0[0])
-        d0 = d0[1:]
-    return done
+        d[lo:] += (hj[lo:] * k) * inv_w[lo:]
+    return d
+
+
+def _extrapolate(t):
+    """(T_66 - T_65, T_66) from the increments t (rows T_j, j in _SEQ, which
+    are overwritten) by the Aitken-Neville tableau in 1/j: level k adds to
+    each T_i,k the difference T_i,k - T_i-1,k over n_i / n_i-k - 1."""
+    for k, den in enumerate(_NEVILLE_DEN, 1):
+        corr = (t[k:] - t[k - 1:-1]) / den
+        t[k:] += corr
+    return corr[0], t[-1]
 
 
 def _about_steiner_point(u, e):
@@ -337,19 +334,21 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
     """Advance the flow state u in place until t_limit or a stop, recording
     the rows of the run on the way.
 
-    Each step combines the chains of one, two and three W-steps (see the
-    module docstring) into an order-5 step, and estimates its error against
-    the order-4 combination; the step is also capped by the near-extinction
-    guard CFL_COEFF * min_roc^(1 + alpha). The chains run as rows of three
-    batched W-steps in Fourier space, so an accepted step evaluates the RHS
-    at 22 states in 12 calls and makes 26 FFT calls. After each step the
-    controller's factor 0.9 err^(-1/5) is floored onto _STEP_RATIOS, quarter
-    octaves from below 0.1 to 4. A step is rejected when a stage state fails
-    the convexity test or the error estimate is above tolerance or not finite.
-    The tolerance at each node is atol + rtol |u_s|, with u_s the support
-    function about the Steiner point (see the module docstring); it is
-    positive for a convex body wherever the origin is, so rtol bounds the
-    error at every node. Counts go to stats (a FlowStats).
+    Each step extrapolates the chains of 1, 2, 3, 4, 5 and 7 linearly
+    implicit Euler substeps (see the module docstring) to an order-6 step,
+    and estimates its error by T_66 - T_65; the step is also capped by the
+    near-extinction guard CFL_COEFF * min_roc^(1 + alpha). The substeps run
+    as rows of batched RHS calls in Fourier space, so an accepted step
+    evaluates the RHS at 17 states in 7 calls and makes 16 FFT calls. After
+    each step the controller's factor 0.9 err^(-1/6) is floored onto
+    _STEP_RATIOS, quarter octaves from below 0.1 to 4. A step is rejected
+    when a substep state fails the convexity test, when the error estimate
+    is above tolerance or not finite, or when the estimated error of its
+    continuous extension is above tolerance at a sample inside it. The
+    tolerance at each node is atol + rtol |u_s|, with u_s the support
+    function about the Steiner point of the step's start (see the module
+    docstring); it is positive for a convex body wherever the origin is, so
+    rtol bounds the error at every node. Counts go to stats (a FlowStats).
 
     record(t_r, v) receives the rows in time order, all but the start,
     which the caller records: with sample_times, ascending times in
@@ -366,11 +365,6 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
     step that reached it are not recorded) or "step_underflow".
     """
     n_acc = 0
-    # the spectrum z of u and k1 = f(u), spectral, with W's coefficient, the
-    # guard and the error scale of u
-    k1 = None
-    fg = None  # f(u) and J f(u) at the nodes, once a sample needs them
-    step = None  # (t_0, h, u_0, f_0, g_0) of an accepted step with samples in it
     i_s = 0  # index of the next sample time
     t_row = t  # time of the last row; the caller records the start
     n = u.shape[0]
@@ -383,113 +377,113 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
         if record is not None:
             record(t_r, v)
 
-    def sample_step(t_u, f_u, w_u):
-        """Record the samples up to t_u inside `step`, which ends at u at
-        time t_u; f_u = f(u), spectral, and w_u are the radii of curvature
-        of u."""
-        nonlocal fg, i_s
-        t0, hs, u0, f0, g0 = step
-        fg = _jacobian_product(w_u, f_u, alpha, mode)
-        stats.dense_evals += 1
-        j = bisect.bisect_right(sample_times, t_u, lo=i_s)
-        ts = np.array(sample_times[i_s:j])
-        rows = _hermite((ts - t0) / hs, hs, u0, u, f0, fg[0], g0, fg[1])
-        for t_s, row in zip(sample_times[i_s:j], rows):
-            put(t_s, u if t_s == t_u else row)
-        i_s = j
-
     def stop(status, t_u, h_u):
-        """The return (status, t_u, h_u) once u at time t_u is recorded;
-        samples still pending inside the last step first need f(u), formed
-        for them only, and u failing the convexity test there makes the
-        status "non_convex"."""
-        if step is not None:
-            f_u, w_u = _flow_rhs(_spectrum(u), alpha, mode, FlowStats())
-            stats.dense_evals += 1
-            if f_u is None:
-                return "non_convex", t_u, h_u
-            sample_step(t_u, f_u, w_u)
+        """The return (status, t_u, h_u) once u at time t_u is recorded."""
         if t_row != t_u:
             put(t_u, u)
         return status, t_u, h_u
 
     if t >= t_limit:
         return "reached_end", t, h
+    # the spectrum z of u and k1 = f(u), spectral; fg holds f(u) and J f(u)
+    # at the nodes once a sample needs them
+    z = _spectrum(u)
+    k1, w = _flow_rhs(z, alpha, mode, stats)
+    fg = None
     while True:
         if k1 is None:
-            z = _spectrum(u)
-            k1, w = _flow_rhs(z, alpha, mode, stats)
-            if k1 is None:
-                return "non_convex", t, h
-            if step is not None:
-                sample_step(t, k1, w)
-                step = None
-            if sample_every and n_acc % sample_every == 0 and t_row != t:
-                put(t, u)
-            wmin = w.min()
-            if wmin < stop_min_radius:
-                return stop("min_radius", t, h)
-            coeff = alpha * (w ** (-alpha - 1.0)).max()
-            if mode == "normalized_area":
-                coeff = coeff / ((w ** (1.0 - alpha)).sum() / n)
-            hguard = CFL_COEFF * wmin ** (1.0 + alpha)
-            escale = atol + rtol * np.abs(_about_steiner_point(u, e))
-        cap = "error"
-        if hguard < h:
-            h, cap = hguard, "guard"
-        # the landing step is clamped for output only; the controller keeps
-        # proposing from the unclamped step
-        landing = t + h >= t_limit
-        h_step = t_limit - t if landing else h
-        if h_step <= 1e-14 * max(1.0, abs(t)):
-            if landing:
-                return stop("reached_end", t_limit, h)
-            return stop("step_underflow", t, h_step)
+            return "non_convex", t, h
+        if sample_every and n_acc % sample_every == 0 and t_row != t:
+            put(t, u)
+        wmin = w.min()
+        if wmin < stop_min_radius:
+            return stop("min_radius", t, h)
+        # W's coefficient, the guard and the error scale of u
+        coeff = alpha * (w ** (-alpha - 1.0)).max()
+        if mode == "normalized_area":
+            coeff = coeff / ((w ** (1.0 - alpha)).sum() / n)
+        hguard = CFL_COEFF * wmin ** (1.0 + alpha)
+        escale = atol + rtol * np.abs(_about_steiner_point(u, e))
+        while True:
+            cap = "error"
+            if hguard < h:
+                h, cap = hguard, "guard"
+            # the landing step is clamped for output only; the controller
+            # keeps proposing from the unclamped step
+            landing = t + h >= t_limit
+            h_step = t_limit - t if landing else h
+            if h_step <= 1e-14 * max(1.0, abs(t)):
+                if landing:
+                    return stop("reached_end", t_limit, h)
+                return stop("step_underflow", t, h_step)
 
-        chains = _chain_increments(z, h_step, k1, coeff, alpha, mode, stats)
-        if chains is None:
-            stats.rejected_convexity += 1
-            h = 0.25 * h_step
-            continue
+            chains = _chain_increments(z, h_step, k1, coeff, alpha, mode, stats)
+            if chains is None:
+                stats.rejected_convexity += 1
+                h = 0.25 * h_step
+                continue
+            # the error and the step return to the nodes in one batched irfft
+            err, du = _nodal(np.stack(_extrapolate(chains)))
+            enorm = (np.abs(err) / escale).max()
+            if not np.isfinite(enorm):
+                enorm = 10.0
+            if enorm > 1.0:
+                stats.rejected_error += 1
+                h = h_step * _ratio_floor(max(0.9 * enorm ** _EXPONENT, 0.1))
+                continue
 
-        # with T_j = T + c (h/j)^4 + d (h/j)^5 + ..., the step
-        # 0.02 T_1 - 0.64 T_2 + 1.62 T_3 cancels c and d, and its error is
-        # estimated by its distance from the order-4 (27 T_3 - 8 T_2)/19;
-        # differences of the increments, not the increments themselves,
-        # carry the weights, so the rounding of T_3 is not amplified; the
-        # error and the step return to the nodes in one batched irfft
-        t1, t2, t3 = chains
-        d31 = t1 - t3
-        d32 = t2 - t3
-        err, du = _nodal(np.stack((0.02 * d31 - _ERR_D32 * d32,
-                                   t3 + (0.02 * d31 - 0.64 * d32))))
-        enorm = (np.abs(err) / escale).max()
-        if not np.isfinite(enorm):
-            enorm = 10.0
-        if enorm > 1.0:
-            stats.rejected_error += 1
-            h = h_step * _ratio_floor(max(0.9 * enorm ** -0.2, 0.1))
-            continue
-
-        t_next = t_limit if landing else t + h_step
-        if i_s < len(sample_times) and sample_times[i_s] <= t_next:
+            t_next = t_limit if landing else t + h_step
+            j_s = bisect.bisect_right(sample_times, t_next, lo=i_s)
+            if j_s == i_s:
+                break
+            # samples inside the step: f(u_1), the next step's k1, and
+            # g_1 = J f(u_1) complete the quintic Hermite interpolant, whose
+            # estimated error is bounded at each sample
             if fg is None:
                 fg = _jacobian_product(w, k1, alpha, mode)
                 stats.dense_evals += 1
-            step = (t, h_step, u.copy(), *fg)
-        u += du
-        k1 = fg = None
+            u1 = u + du
+            z1 = _spectrum(u1)
+            f1, w1 = _flow_rhs(z1, alpha, mode, stats)
+            if f1 is None:
+                u[:] = u1
+                stats.count_step("landing" if landing else cap, h_step)
+                return "non_convex", t_next, h
+            fg1 = _jacobian_product(w1, f1, alpha, mode)
+            stats.dense_evals += 1
+            s = (np.array(sample_times[i_s:j_s]) - t) / h_step
+            est = _extension_error(h_step, du, fg, fg1)
+            ratio = (est / escale).max() * ((s * (1.0 - s)) ** 3).max()
+            if ratio <= 1.0:
+                break
+            stats.rejected_sample += 1
+            h = h_step * _ratio_floor(max(0.9 * ratio ** _EXPONENT, 0.1))
+
         n_acc += 1
         stats.count_step("landing" if landing else cap, h_step)
+        if j_s == i_s:
+            u += du
+            k1 = None
+        else:
+            rows = _hermite(s, h_step, u, u1, fg[0], fg1[0], fg[1], fg1[1])
+            u[:] = u1
+            for t_s, row in zip(sample_times[i_s:j_s], rows):
+                put(t_s, u if t_s == t_next else row)
+            i_s = j_s
+            z, k1, w, fg = z1, f1, w1, fg1
         t = t_next
         if landing:
             return stop("reached_end", t, h)
         # factors from one lattice: rounding in the error estimate then
         # seldom changes the step sequence
-        fac = 4.0 if enorm < 1e-8 else _ratio_floor(min(0.9 * enorm ** -0.2, 4.0))
+        fac = 4.0 if enorm < 1e-8 else _ratio_floor(min(0.9 * enorm ** _EXPONENT, 4.0))
         h = h_step * fac
         if n_acc >= max_steps:
             return stop("max_steps", t, h)
+        if k1 is None:
+            z = _spectrum(u)
+            k1, w = _flow_rhs(z, alpha, mode, stats)
+            fg = None
 
 
 @dataclass(frozen=True)
