@@ -419,7 +419,7 @@ def _build_parser():
                    help="stop once the least radius of curvature falls below this "
                         "(default 1e-3)")
     p.add_argument("--rtol", default=None,
-                   help="bound on the estimated local error of each order-5 step, "
+                   help="bound on the estimated local error of each order-6 step, "
                         "relative to the support function about the Steiner point "
                         "(default 1e-12)")
     p.add_argument("--config", default=None)

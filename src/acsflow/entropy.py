@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OptimFailed, OutOfRange, PointOutside
-from .geometry import SupportFunction, area, steiner_point
+from .geometry import SupportFunction, _basis, area, steiner_point
 
 # probes whose translated support dips below this are rejected, the integrand
 # u^(1-1/alpha) blows up at the boundary
@@ -57,8 +57,8 @@ def entropy_at(u: SupportFunction, z0, alpha) -> float:
     """Entropy of the body with the base point fixed at z0."""
     _check_alpha(alpha)
     area_term = 0.5 * math.log(area(u) / math.pi)
-    th = u.grid.nodes
-    uz = u.values - (z0[0] * np.cos(th) + z0[1] * np.sin(th))
+    c, s = _basis(u.n)
+    uz = u.values - (z0[0] * c + z0[1] * s)
     if np.min(uz) < BOUNDARY_GUARD:
         raise PointOutside(f"base point {tuple(z0)} is not strictly interior")
     return _value(uz, alpha) - area_term
@@ -83,8 +83,7 @@ def entropy(u: SupportFunction, alpha) -> EntropyResult:
     """
     _check_alpha(alpha)
     area_term = 0.5 * math.log(area(u) / math.pi)
-    th = u.grid.nodes
-    e = np.stack([np.cos(th), np.sin(th)])
+    e = _basis(u.n)
     vals = u.values
     power = 1.0 - 1.0 / alpha
     count = 0

@@ -22,14 +22,13 @@ in 1/j to 0 combines the six increments into the order-6 step T_66; each of
 its levels adds a difference of increments over n_i / n_i-k - 1, so the
 rounding of an increment is not amplified. T_66 - T_65, the step minus the
 order-5 value of the tableau, is the error estimate. The substeps run in
-Fourier space: a substep state, increment or RHS value is the spectral row
-[rfft(v - mean v), mean v], the mean a trailing column that W leaves alone.
-The RHS forms w = u_thth + u by one irfft, takes the convexity test and the
-speed w^(-alpha) at the nodes, and returns f by one rfft of the speed; a W
-solve is one multiply by 1/(1 + (h/j) c max(m^2 - 1, 0)) over the
-wavenumbers m, with no FFT. Transforming v - mean(v), not v, keeps the
-rounding of the rfft of a constant out of w, so a centred circle stays round
-to the last bit.
+Fourier space: a substep state, increment or RHS value is the spectral state
+of geometry, [rfft(v - mean v), mean v], the mean a trailing column that W
+leaves alone. The RHS forms w = u_thth + u by one irfft, as
+geometry.radius_of_curvature does, takes the convexity test and the speed
+w^(-alpha) at the nodes, and returns f by one rfft of the speed; a W solve
+is one multiply by 1/(1 + (h/j) c max(m^2 - 1, 0)) over the wavenumbers m,
+with no FFT.
 
 The chains share k1 = f(u), which also supplies c and the near-extinction
 guard dt <= 0.2 * min(u_thth + u)^(1 + alpha). The i-th substeps of the
@@ -86,7 +85,6 @@ sampling; 423 steps instead of 529) by 1.2e-12 (1.2e-12 when landing).
 """
 
 import bisect
-import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -95,8 +93,9 @@ import numpy as np
 from ._fmt import csv_table
 from .errors import BadConfig, InsufficientData, NonConvex
 from .geometry import (CONVEXITY_RTOL, AngularGrid, SupportFunction,
-                       _steiner_point, _strictly_convex, area, deriv2,
-                       require_convex)
+                       _about_steiner_point, _curvature_radii, _nodal,
+                       _spectrum, _strictly_convex, _symbols, area,
+                       radius_of_curvature, require_convex)
 
 _MODES = ("unnormalized", "normalized_tau", "normalized_area")
 
@@ -172,40 +171,6 @@ class FlowStats:
         return asdict(self)
 
 
-@functools.cache
-def _symbols(n):
-    """(1 - m^2, max(m^2 - 1, 0)) over the rfft wavenumbers m of n nodes: the
-    symbols of d_thth + 1 and of -P (d_thth + 1), the second with a trailing
-    0 for the mean column of a spectral state. Read-only, as they are shared."""
-    m = np.arange(n // 2 + 1, dtype=float)
-    lap = 1.0 - m * m
-    msq = np.append(np.maximum(m * m - 1.0, 0.0), 0.0)
-    lap.flags.writeable = msq.flags.writeable = False
-    return lap, msq
-
-
-def _spectrum(v):
-    """The spectral state [rfft(v - mean v), mean v] of nodal rows v, whose
-    number of nodes is even as on every AngularGrid.
-
-    The mean is carried as a trailing column: the rfft of a constant is not
-    exactly zero beyond bin 0, and transforming v - mean(v) keeps that
-    rounding out of w, so a circle stays exactly round.
-    """
-    n = v.shape[-1]
-    # np.mean(v, axis=-1), without its call overhead
-    vbar = v.sum(axis=-1, keepdims=True) / n
-    out = np.empty(v.shape[:-1] + (n // 2 + 2,), dtype=complex)
-    np.fft.rfft(v - vbar, out=out[..., :-1])
-    out[..., -1:] = vbar
-    return out
-
-
-def _nodal(x):
-    """Nodal rows of the spectral state x; the inverse of _spectrum."""
-    return np.fft.irfft(x[..., :-1]) + x[..., -1:].real
-
-
 def _flow_rhs(z, alpha, mode, stats):
     """Flow right-hand side at the spectral state z (see _spectrum); returns
     (f, w), f spectral like z and w = u_thth + u at the nodes.
@@ -215,10 +180,9 @@ def _flow_rhs(z, alpha, mode, stats):
     the row's mean, which every non-finite row fails too.
     """
     cols = z.shape[-1]
-    lap, _ = _symbols(2 * cols - 4)
     stats.rhs_evals += z.size // cols
+    w = _curvature_radii(z, 2 * cols - 4)
     zbar = z[..., -1:].real
-    w = np.fft.irfft(lap * z[..., :-1]) + zbar
     if not _strictly_convex(w, zbar):
         return None, w
     speed = _spectrum(w ** -alpha)
@@ -317,12 +281,6 @@ def _extrapolate(t):
     return corr[0], t[-1]
 
 
-def _about_steiner_point(u, e):
-    """u - s.e(theta), the support function about the Steiner point
-    s = (2/n) e u, for e the (2, n) matrix of cos and sin at the nodes."""
-    return u - _steiner_point(u, e) @ e
-
-
 def _ratio_floor(x):
     """The largest of _STEP_RATIOS not above x, for x >= _STEP_RATIOS[0]."""
     return _STEP_RATIOS[bisect.bisect_right(_STEP_RATIOS, x) - 1]
@@ -368,8 +326,6 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
     i_s = 0  # index of the next sample time
     t_row = t  # time of the last row; the caller records the start
     n = u.shape[0]
-    theta = 2.0 * np.pi * np.arange(n) / n  # AngularGrid(n).nodes
-    e = np.stack([np.cos(theta), np.sin(theta)])
 
     def put(t_r, v):
         nonlocal t_row
@@ -403,7 +359,7 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
         if mode == "normalized_area":
             coeff = coeff / ((w ** (1.0 - alpha)).sum() / n)
         hguard = CFL_COEFF * wmin ** (1.0 + alpha)
-        escale = atol + rtol * np.abs(_about_steiner_point(u, e))
+        escale = atol + rtol * np.abs(_about_steiner_point(u))
         while True:
             cap = "error"
             if hguard < h:
@@ -559,7 +515,7 @@ def run(config: FlowConfig) -> FlowTrace:
     snaps = []
 
     def record(t_now, values):
-        w = deriv2(values) + values
+        w = radius_of_curvature(values)
         a = 0.5 * grid.dtheta * float(np.sum(values * w))
         ell = grid.dtheta * float(np.sum(w))
         ent = math.nan
@@ -605,10 +561,10 @@ def area_derivative_check(u: SupportFunction, alpha, dt=1e-5) -> float:
     stats = FlowStats()
     flow_advance(vals, 0.0, dt / 8.0, dt / 2.0, alpha, "unnormalized",
                  1e-11, 1e-14, 0.0, stats)
-    w_mid = deriv2(vals) + vals
+    w_mid = radius_of_curvature(vals)
     flow_advance(vals, dt / 2.0, dt / 8.0, dt, alpha, "unnormalized",
                  1e-11, 1e-14, 0.0, stats)
-    a1 = 0.5 * grid.dtheta * float(np.sum(vals * (deriv2(vals) + vals)))
+    a1 = 0.5 * grid.dtheta * float(np.sum(vals * radius_of_curvature(vals)))
 
     lhs = (a1 - a0) / dt
     rhs_exact = -grid.dtheta * float(np.sum(w_mid ** (1.0 - alpha)))

@@ -1,12 +1,19 @@
 """Support-function representation of closed convex plane curves.
 
 A convex body is stored as samples of its support function u(theta) on a
-uniform periodic grid. Differentiation is spectral (FFT), quadrature is the
-uniform trapezoid rule; both are exact for band-limited data up to rounding.
-The radius of curvature is u_thth + u, so strict convexity of the sampled
-body means min(u_thth + u) > 0.
+uniform periodic grid; quadrature is the uniform trapezoid rule, exact for
+band-limited data up to rounding. Every object of the lab is built from one
+operator, d_thth + 1, kept here in one spectral form: the state
+[rfft(v - mean v), mean v] of nodal rows v (_spectrum, inverse _nodal), on
+which d_thth + 1 multiplies wavenumber m by 1 - m^2 (_symbols). The radius
+of curvature w = u_thth + u, whose minimum is > 0 on a strictly convex body,
+is formed from that state by radius_of_curvature and by the flow's marcher
+alike. Transforming v - mean(v), not v, keeps the rounding of the rfft of a
+constant out of w, so a centred circle's w is exactly constant. _basis holds
+the cos and sin rows behind the Steiner point and translations.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -61,32 +68,65 @@ class SupportFunction:
         return self.grid.n
 
 
-def _wavenumbers(n):
-    return np.arange(n // 2 + 1, dtype=float)
+@functools.cache
+def _symbols(n):
+    """(1 - m^2, max(m^2 - 1, 0)) over the rfft wavenumbers m of n nodes: the
+    symbols of d_thth + 1 and of -P (d_thth + 1), P dropping modes 0 and 1,
+    the second with a trailing 0 for the mean column of a spectral state.
+    Read-only, as they are shared."""
+    m = np.arange(n // 2 + 1, dtype=float)
+    lap = 1.0 - m * m
+    msq = np.append(np.maximum(m * m - 1.0, 0.0), 0.0)
+    lap.flags.writeable = msq.flags.writeable = False
+    return lap, msq
+
+
+@functools.cache
+def _basis(n):
+    """The (2, n) rows cos(theta_i) and sin(theta_i) at the nodes of
+    AngularGrid(n). Read-only, as it is shared."""
+    th = AngularGrid(n).nodes
+    e = np.stack([np.cos(th), np.sin(th)])
+    e.flags.writeable = False
+    return e
+
+
+def _spectrum(v):
+    """The spectral state [rfft(v - mean v), mean v] of nodal rows v."""
+    n = v.shape[-1]
+    # np.mean(v, axis=-1), without its call overhead
+    vbar = v.sum(axis=-1, keepdims=True) / n
+    out = np.empty(v.shape[:-1] + (n // 2 + 2,), dtype=complex)
+    np.fft.rfft(v - vbar, out=out[..., :-1])
+    out[..., -1:] = vbar
+    return out
+
+
+def _nodal(x):
+    """Nodal rows of the spectral state x of an AngularGrid's nodes; the
+    inverse of _spectrum."""
+    return np.fft.irfft(x[..., :-1]) + x[..., -1:].real
+
+
+def _curvature_radii(z, n):
+    """w = u_thth + u at the n nodes, from the spectral state z of u."""
+    lap, _ = _symbols(n)
+    return np.fft.irfft(lap * z[..., :-1], n) + z[..., -1:].real
 
 
 def deriv1(values):
     """Spectral first derivative of periodic nodal data, along the last axis."""
     n = values.shape[-1]
-    spec = np.fft.rfft(values)
-    m = _wavenumbers(n)
-    spec = spec * (1j * m)
+    spec = np.fft.rfft(values) * (1j * np.arange(n // 2 + 1, dtype=float))
     # The Nyquist cosine has no representable sine derivative on this grid.
     spec[..., -1] = 0.0
     return np.fft.irfft(spec, n)
 
 
-def deriv2(values):
-    """Spectral second derivative of periodic nodal data, along the last axis."""
-    n = values.shape[-1]
-    spec = np.fft.rfft(values)
-    m = _wavenumbers(n)
-    return np.fft.irfft(spec * (-(m * m)), n)
-
-
-def radius_of_curvature(u: SupportFunction) -> np.ndarray:
-    """Per-node u_thth + u, the radius of curvature in the normal-angle gauge."""
-    return deriv2(u.values) + u.values
+def radius_of_curvature(values) -> np.ndarray:
+    """Per-node u_thth + u of periodic nodal data, along the last axis: the
+    radius of curvature in the normal-angle gauge, (d_thth + 1) u."""
+    return _curvature_radii(_spectrum(values), values.shape[-1])
 
 
 def _strictly_convex(w, ubar) -> bool:
@@ -99,7 +139,7 @@ def _strictly_convex(w, ubar) -> bool:
 
 def require_convex(u: SupportFunction) -> np.ndarray:
     """Radius-of-curvature array of a strictly convex body, else NonConvex."""
-    w = radius_of_curvature(u)
+    w = radius_of_curvature(u.values)
     ubar = np.mean(u.values)
     if not _strictly_convex(w, ubar):
         raise NonConvex(f"min radius of curvature {np.min(w):.3e} <= tolerance "
@@ -122,8 +162,8 @@ def length(u: SupportFunction) -> float:
 def translate(u: SupportFunction, z) -> SupportFunction:
     """Support function of the same body with the origin moved to z."""
     zx, zy = float(z[0]), float(z[1])
-    th = u.grid.nodes
-    return SupportFunction(u.grid, u.values - (zx * np.cos(th) + zy * np.sin(th)))
+    c, s = _basis(u.n)
+    return SupportFunction(u.grid, u.values - (zx * c + zy * s))
 
 
 def rotate_nodes(u: SupportFunction, shift: int) -> SupportFunction:
@@ -134,26 +174,26 @@ def rotate_nodes(u: SupportFunction, shift: int) -> SupportFunction:
 def embed(u: SupportFunction) -> np.ndarray:
     """Boundary points X(theta_i), shape (n, 2)."""
     require_convex(u)
-    th = u.grid.nodes
     ut = deriv1(u.values)
-    c, s = np.cos(th), np.sin(th)
+    c, s = _basis(u.n)
     return np.stack([u.values * c - ut * s, u.values * s + ut * c], axis=1)
-
-
-def _steiner_point(values, e):
-    """(2/n) e u, the trapezoid rule for (1/pi) integral u e(theta), for e
-    the (2, n) matrix of cos and sin at the nodes."""
-    return (2.0 / values.shape[-1]) * (e @ values)
 
 
 def steiner_point(u: SupportFunction) -> np.ndarray:
     """Curvature-weighted boundary centroid; strictly interior for convex bodies.
 
     The curvature weight kappa ds is dtheta, so this is the mean of the
-    boundary points over the uniform angle grid, (1/pi) integral u (cos, sin).
+    boundary points over the uniform angle grid, (1/pi) integral u (cos, sin),
+    by the trapezoid rule (2/n) e u for e the cos and sin rows of _basis.
     """
-    th = u.grid.nodes
-    return _steiner_point(u.values, np.stack([np.cos(th), np.sin(th)]))
+    return (2.0 / u.n) * (_basis(u.n) @ u.values)
+
+
+def _about_steiner_point(values):
+    """u - s.e(theta), the support function u of nodal values about its
+    Steiner point s; u without its Fourier mode 1."""
+    e = _basis(values.shape[-1])
+    return values - ((2.0 / values.shape[-1]) * (e @ values)) @ e
 
 
 def _fourier_coefficients(values, m_max):
@@ -171,9 +211,8 @@ def _fourier_coefficients(values, m_max):
 
 
 def circle_support(grid: AngularGrid, radius: float = 1.0, center=(0.0, 0.0)) -> SupportFunction:
-    th = grid.nodes
-    vals = radius + center[0] * np.cos(th) + center[1] * np.sin(th)
-    return SupportFunction(grid, vals)
+    c, s = _basis(grid.n)
+    return SupportFunction(grid, radius + center[0] * c + center[1] * s)
 
 
 def ellipse_support(grid: AngularGrid, a: float, b: float) -> SupportFunction:
@@ -197,7 +236,7 @@ def random_convex_support(grid: AngularGrid, rng: np.random.Generator,
         pert += am * np.cos(m * th) + bm * np.sin(m * th)
     for _ in range(60):
         u = SupportFunction(grid, 1.0 + pert)
-        if np.min(radius_of_curvature(u)) >= min_radius:
+        if np.min(radius_of_curvature(u.values)) >= min_radius:
             return u
         pert *= 0.5
     return SupportFunction(grid, np.ones(grid.n))

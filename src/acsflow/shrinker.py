@@ -34,7 +34,7 @@ import numpy as np
 from ._fmt import csv_table
 from .errors import (AcsflowError, EventNotFound, NoBracket, OrderingViolated,
                      OutOfRange, StepUnderflow)
-from .geometry import AngularGrid, SupportFunction, deriv2
+from .geometry import AngularGrid, SupportFunction, radius_of_curvature
 
 SEGMENT_RTOL = 1e-12
 SEGMENT_ATOL = 1e-15
@@ -341,7 +341,7 @@ def assemble_profile(alpha, k, grid_n=None) -> ShrinkerProfile:
     vals = arc[np.minimum(j, per - j)]
     h = SupportFunction(AngularGrid(n), vals)
 
-    w = deriv2(vals) + vals
+    w = radius_of_curvature(vals)
     target = vals ** (-1.0 / alpha)
     residual = float(np.max(np.abs(w - target)) / np.max(target))
     if residual > PROFILE_RESIDUAL_TOL:

@@ -27,7 +27,7 @@ The checks run on the vectors returned: lifted back to the n nodes, with
 the phase convention applied. The contract is the pencil's normwise
 backward error (Tisseur, Linear Algebra Appl. 309, 2000)
     ||A v - mu B v|| / ((||A||_2 + |mu| ||B||_2) ||v||) <= BACKWARD_TOL
-for every retained pair, with A v formed by the spectral second derivative.
+for every retained pair, with A v formed by geometry's d_thth + 1.
 The weighted residual ||L phi + lambda phi||_h is reported as well; at small
 alpha it can be large for a correct pair, because the weight spans many
 orders of magnitude. Each pair is labelled with its Bloch class and with its
@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EigenFailed, GridMismatch, OutOfRange, WindowEscaped
-from .geometry import SupportFunction, _fourier_coefficients, deriv2
+from .geometry import (SupportFunction, _fourier_coefficients, _symbols,
+                       radius_of_curvature)
 
 ZERO_TOL = 1e-6  # |lambda| at or below this counts as kernel
 PARITY_TOL = 1e-6  # max |phi(theta) -+ phi(-theta)| / max |phi| for even (odd)
@@ -75,7 +76,7 @@ def apply_L(h: SupportFunction, alpha, v: np.ndarray) -> np.ndarray:
     if v.shape != (h.grid.n,):
         raise GridMismatch(f"vector of length {v.shape} on a grid of {h.grid.n} nodes")
     g = h.values ** (1.0 + 1.0 / alpha)
-    return alpha * g * (deriv2(v) + v) + v
+    return alpha * g * radius_of_curvature(v) + v
 
 
 def circle_eigenvalues(alpha, l_max) -> np.ndarray:
@@ -185,8 +186,8 @@ def _sector_blocks(n, s):
     carries class q and its partner k - q with every eigenvalue doubled.
     """
     k = n // s
-    m = np.arange(n // 2 + 1, dtype=float)
-    a = np.fft.irfft(m * m - 1.0, n)  # A's symbol is m^2 - 1
+    lap, _ = _symbols(n)
+    a = -np.fft.irfft(lap, n)  # A's symbol is m^2 - 1
     g = np.fft.fft(a.reshape(k, s), axis=0)
     d = np.subtract.outer(np.arange(s), np.arange(s))
     for q in range(k // 2 + 1):
@@ -245,14 +246,16 @@ def decompose(h: SupportFunction, alpha, j_max=40) -> SpectralDecomposition:
         mus.append(mu)
         classes.append(np.full(len(mu), q))
     mus, vecs, classes = (np.concatenate(x) for x in (mus, vecs, classes))
-    order = np.argsort(mus, kind="stable")[:j_max]
-    mus, vecs, classes = mus[order], vecs[order], classes[order]
-
-    lams = alpha * mus - 1.0
-    phi = _fix_phases(vecs / math.sqrt(h.grid.dtheta), lams)
+    # the phases are fixed on one candidate more than is kept, so that a
+    # degenerate pair split by the cut is rotated like any other
+    order = np.argsort(mus, kind="stable")[:j_max + 1]
+    lams = alpha * mus[order] - 1.0
+    phi = _fix_phases(vecs[order] / math.sqrt(h.grid.dtheta), lams)[:j_max]
+    order, lams = order[:j_max], lams[:j_max]
+    mus, classes = mus[order], classes[order]
     # A multiplies Fourier mode m by m^2 - 1, so ||A||_2 = max(1, (n//2)^2 - 1)
     scale = max(1.0, (n // 2) ** 2 - 1.0) + np.abs(mus) * np.max(b)
-    resid = -(deriv2(phi) + phi) - mus[:, None] * phi * b
+    resid = -radius_of_curvature(phi) - mus[:, None] * phi * b
     backward = np.linalg.norm(resid, axis=1) / (scale * np.linalg.norm(phi, axis=1))
     if not np.max(backward) <= BACKWARD_TOL:
         raise EigenFailed(f"eigenpair backward error {np.max(backward):.3g} "
@@ -269,7 +272,8 @@ def decompose(h: SupportFunction, alpha, j_max=40) -> SpectralDecomposition:
 
 def energy_split(v, decomposition: SpectralDecomposition):
     """Coefficients of v in the retained eigenbasis, its unstable, neutral and
-    stable energies, and the energy beyond the basis. v is one vector or a
+    stable energies, and the energy beyond the basis: the squared weighted
+    norm of v minus its projection on the basis. v is one vector or a
     matrix whose columns are vectors; each result then has one entry per column.
     GridMismatch unless v has one row per node of the decomposition's grid.
     """
@@ -281,7 +285,8 @@ def energy_split(v, decomposition: SpectralDecomposition):
     coef = dtheta * (dec.eigenfunctions * b) @ v
     e_minus, e_zero, e_plus = (np.sum(coef[sel] ** 2, axis=0) for sel in (
         lam < -ZERO_TOL, np.abs(lam) <= ZERO_TOL, lam > ZERO_TOL))
-    remainder = np.maximum(dtheta * (b @ (v * v)) - e_minus - e_zero - e_plus, 0.0)
+    rest = v - dec.eigenfunctions.T @ coef
+    remainder = dtheta * (b @ (rest * rest))
     return coef, (e_minus, e_zero, e_plus), remainder
 
 

@@ -6,7 +6,7 @@ import pytest
 from acsflow.errors import NonConvex
 from acsflow.geometry import (AngularGrid, SupportFunction,
                               _fourier_coefficients, area, circle_support,
-                              deriv1, deriv2, ellipse_support, embed, length,
+                              deriv1, ellipse_support, embed, length,
                               radius_of_curvature, random_convex_support,
                               require_convex, rotate_nodes, steiner_point,
                               support_from_json, support_rows_from_csv,
@@ -35,19 +35,19 @@ def test_support_validation(grid256):
 
 def test_radius_of_curvature_circle(grid256):
     u = circle_support(grid256)
-    assert np.allclose(radius_of_curvature(u), 1.0, atol=1e-13)
+    assert np.allclose(radius_of_curvature(u.values), 1.0, atol=1e-13)
 
 
 def test_radius_of_curvature_translated_circle(grid256):
     u = circle_support(grid256, 1.0, (0.3, 0.0))
-    assert np.allclose(radius_of_curvature(u), 1.0, atol=1e-13)
+    assert np.allclose(radius_of_curvature(u.values), 1.0, atol=1e-13)
 
 
 def test_radius_of_curvature_two_mode(grid256):
     eps = 0.05
     th = grid256.nodes
     u = SupportFunction(grid256, 1 + eps * np.cos(2 * th))
-    assert np.allclose(radius_of_curvature(u), 1 - 3 * eps * np.cos(2 * th), atol=1e-13)
+    assert np.allclose(radius_of_curvature(u.values), 1 - 3 * eps * np.cos(2 * th), atol=1e-13)
 
 
 def test_curvature_circles(grid256):
@@ -104,8 +104,8 @@ def test_translate_preserves_area(grid256, rng):
         u = random_convex_support(grid256, rng)
         z = rng.normal(scale=0.3, size=2)
         assert area(translate(u, z)) == pytest.approx(area(u), rel=1e-10)
-        assert np.allclose(radius_of_curvature(translate(u, z)),
-                           radius_of_curvature(u), atol=1e-12)
+        assert np.allclose(radius_of_curvature(translate(u, z).values),
+                           radius_of_curvature(u.values), atol=1e-12)
 
 
 def test_embed_circle(grid256):
@@ -125,7 +125,7 @@ def test_embed_arclength_relation(rng):
         grid = AngularGrid(n)
         u = random_convex_support(grid, np.random.default_rng(7))
         pts = embed(u)
-        w = radius_of_curvature(u)
+        w = radius_of_curvature(u.values)
         seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
         mid_w = 0.5 * (w + np.roll(w, -1))
         devs.append(np.max(np.abs(seg / (mid_w * grid.dtheta) - 1)))
@@ -205,7 +205,7 @@ def test_spectral_exactness_trig_polynomial(grid256):
     vals = 2.0 + 0.1 * np.cos(7 * th) - 0.05 * np.sin(20 * th)
     u = SupportFunction(grid256, vals)
     exact = 2.0 + (1 - 49) * 0.1 * np.cos(7 * th) - (1 - 400) * 0.05 * np.sin(20 * th)
-    w = radius_of_curvature(u)
+    w = radius_of_curvature(u.values)
     assert np.max(np.abs(w - exact)) / np.max(np.abs(exact)) < 1e-12
 
 
@@ -244,7 +244,7 @@ def test_convexity_report(grid256):
     assert np.min(require_convex(circle_support(grid256))) == pytest.approx(1.0)
     th = grid256.nodes
     flat = SupportFunction(grid256, 1 + 0.5 * np.cos(2 * th))
-    assert np.min(radius_of_curvature(flat)) < 0.0
+    assert np.min(radius_of_curvature(flat.values)) < 0.0
     with pytest.raises(NonConvex):
         require_convex(flat)
 
@@ -273,9 +273,31 @@ def test_csv_round_trip(grid256, rng):
 @pytest.mark.parametrize("n", [120, 256, 510, 1024])
 def test_derivatives_act_on_rows(n, rng):
     rows = rng.normal(size=(3, n))
-    for deriv in (deriv1, deriv2):
+    for deriv in (deriv1, radius_of_curvature):
         stacked = deriv(rows)
         assert stacked.shape == (3, n)
         for i in range(3):
             assert np.array_equal(stacked[i], deriv(rows[i]))
 
+
+@pytest.mark.parametrize("n", [120, 256, 1024])
+def test_centred_circle_radius_of_curvature_is_exact(n):
+    # w is formed from the spectrum of u - mean(u), so the rounding of the
+    # rfft of a constant never reaches it
+    w = radius_of_curvature(circle_support(AngularGrid(n), 0.7).values)
+    assert np.ptp(w) == 0.0
+    assert np.all(w == 0.7)
+
+
+def test_radius_of_curvature_at_an_odd_length(rng):
+    # an irfft without the length would return n - 1 values here
+    n = 121
+    th = 2.0 * np.pi * np.arange(n) / n
+    a, b = rng.normal(size=(2, 9))
+    v = 1.5 + sum(a[m] * np.cos(m * th) + b[m] * np.sin(m * th) for m in range(1, 9))
+    exact = 1.5 + sum((1 - m * m) * (a[m] * np.cos(m * th) + b[m] * np.sin(m * th))
+                      for m in range(1, 9))
+    w = radius_of_curvature(np.stack([v, 2.0 * v]))
+    assert w.shape == (2, n)
+    assert np.max(np.abs(w[0] - exact)) <= 1e-12 * np.max(np.abs(exact))
+    assert np.max(np.abs(w[1] - 2.0 * exact)) <= 2e-12 * np.max(np.abs(exact))

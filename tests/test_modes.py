@@ -234,7 +234,8 @@ def test_projection_series_matches_rowwise_inner_products():
                                                       lam > 1e-6)]
         got = tuple(e[i] for e in series)
         assert got == pytest.approx(energies, rel=1e-12, abs=1e-30)
-        rest = dec.inner(v, v) - sum(energies)
+        r = v - coef @ dec.eigenfunctions
+        rest = dec.inner(r, r)
         assert remainder[i] == pytest.approx(rest, rel=1e-9, abs=1e-24)
 
 

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from acsflow import shrinker
 from acsflow.errors import OrderingViolated, OutOfRange, StepUnderflow
-from acsflow.geometry import deriv2
+from acsflow.geometry import radius_of_curvature
 from acsflow.shrinker import (assemble_profile, entropy_ordering,
                               first_integral_value, integrate_arc, period_limit,
                               segment_for_ratio, shrinker_entropy, solve_segment)
@@ -220,7 +220,7 @@ def test_assemble_profile_threefold():
     # exact 3-fold symmetry and evenness by construction
     assert np.array_equal(vals, np.roll(vals, 170))
     assert np.array_equal(vals[1:], vals[1:][::-1])
-    w = deriv2(vals) + vals
+    w = radius_of_curvature(vals)
     target = vals ** (-24.0)
     assert np.max(np.abs(w - target)) / np.max(target) < 1e-7
 

@@ -4,8 +4,8 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from acsflow.errors import EigenFailed, GridMismatch, WindowEscaped
-from acsflow.geometry import (AngularGrid, circle_support, deriv1, deriv2,
-                              random_convex_support)
+from acsflow.geometry import (AngularGrid, circle_support, deriv1,
+                              radius_of_curvature, random_convex_support)
 from acsflow.shrinker import assemble_profile
 from acsflow.spectral import (WeightedInnerProduct, apply_L, circle_eigenvalues,
                               decompose, energy_split, measure_growth_rate,
@@ -142,6 +142,13 @@ def test_sector_labels_at_k3_profile():
     assert (dec.bloch_classes[kernel], dec.parities[kernel]) == (0, "odd")
 
 
+def test_degenerate_pair_split_by_the_cut_is_labelled():
+    # the 12th and 13th eigenpairs at (0.03, k5, n 1020) are one degenerate
+    # pair of Bloch class 1; the kept member is rotated to a parity too
+    dec = decompose(assemble_profile(0.03, 5, 1020).h, 0.03, j_max=12)
+    assert all(p in ("even", "odd") for p in dec.parities)
+
+
 @pytest.mark.parametrize("alpha,build,k", [
     (0.12, lambda: assemble_profile(0.12, 3, 252).h, 3),
     (0.5, lambda: random_convex_support(AngularGrid(256), np.random.default_rng(3)), 1),
@@ -150,7 +157,8 @@ def test_sector_eigenvalues_match_the_dense_pencil(alpha, build, k):
     # reference: the whole n x n pencil -(D2 + 1) v = mu b v, solved densely
     h = build()
     n = h.grid.n
-    d2 = deriv2(np.eye(n))
+    m = np.fft.fftfreq(n, 1.0 / n)
+    d2 = np.fft.ifft(np.fft.fft(np.eye(n)) * -(m * m)).real
     a = -(0.5 * (d2 + d2.T) + np.eye(n))
     b = h.values ** (-1.0 - 1.0 / alpha)
     mus = scipy.linalg.eigh(a, np.diag(b), eigvals_only=True)[:16]
@@ -170,7 +178,7 @@ def test_returned_pairs_meet_the_backward_error_contract():
     b = dec.inner_product.weights
     mus = (dec.eigenvalues + 1.0) / alpha
     phi = dec.eigenfunctions
-    resid = -(deriv2(phi) + phi) - mus[:, None] * phi * b
+    resid = -radius_of_curvature(phi) - mus[:, None] * phi * b
     scale = ((n // 2) ** 2 - 1.0 + np.abs(mus) * np.max(b)) * np.linalg.norm(phi, axis=1)
     backward = np.linalg.norm(resid, axis=1) / scale
     assert np.max(backward) <= 1e-12
