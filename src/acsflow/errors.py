@@ -17,12 +17,9 @@ class OutOfRange(AcsflowError):
     """Parameter outside the admissible domain (alpha, k, r, ...)."""
 
 
-class EventNotFound(AcsflowError):
-    """Profile ODE produced no curvature-monotone arc endpoint in the search span."""
-
-
 class StepUnderflow(AcsflowError):
-    """Adaptive integrator drove the step size below the representable floor."""
+    """An arc quadrature, its Newton solves or a shooting root find did not
+    reach its tolerance."""
 
 
 class NoBracket(AcsflowError):

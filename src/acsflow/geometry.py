@@ -118,8 +118,9 @@ def deriv1(values):
     """Spectral first derivative of periodic nodal data, along the last axis."""
     n = values.shape[-1]
     spec = np.fft.rfft(values) * (1j * np.arange(n // 2 + 1, dtype=float))
-    # The Nyquist cosine has no representable sine derivative on this grid.
-    spec[..., -1] = 0.0
+    if n % 2 == 0:
+        # The Nyquist cosine has no representable sine derivative on this grid.
+        spec[..., -1] = 0.0
     return np.fft.irfft(spec, n)
 
 

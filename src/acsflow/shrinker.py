@@ -7,42 +7,54 @@ either by r or by the k-fold closure condition Theta = pi/k. Reflecting and
 repeating the arc 2k times yields the support function h of the closed k-fold
 symmetric profile, which satisfies h_thth + h = h^(-1/alpha).
 
-The arc ODE has the first integral
-    U'^2 + U^2 + (2 alpha / (1 - alpha)) U^(1 - 1/alpha) = C,
-which every returned segment is checked against.
+The arc ODE has the first integral U'^2 + V(U) = C, V(U) = U^2 + b U^p with
+b = 2 alpha/(1 - alpha) and p = 1 - 1/alpha, so an arc is a quadrature
+(solve_segment). With log U = c + d cos(phi), c and d the midpoint and
+half-width of [log u_min, log u_max],
+    dtheta/dphi = U/sqrt(g),   g = (C - V(U)) / (d sin(phi))^2,
+is smooth, even and 2 pi-periodic in phi, so the midpoint rule converges
+exponentially; in log U the singularity of U^p at U = 0 stays out of reach,
+however small u_min is. The N nodes give the cosine coefficients a_m of dtheta/dphi;
+N doubles until the last quarter of them is below ARC_TAIL_RTOL a_0. Then
+Theta = pi a_0, theta(phi) = a_0 phi + sum_m a_m sin(m phi)/m, and the power
+mean of U^p over the arc uses the same nodes.
 
-Every arc is integrated by scipy's solve_ivp with DOP853 (integrate_arc).
-The state carries, beside (U, U'), the variation eta = dU/du_max (started at
-eta(0) = 1, eta'(0) = 0) and the running quadrature q of U^(1 - 1/alpha). A
-segment stops at the first interior minimum of U, located by a terminal event
-on U' rising through zero; a resampled arc is integrated interval by interval,
-landing exactly on each requested angle.
+C - V(U) is never formed as a difference of V values, which loses every digit
+near the circle. With E(y) = e^y - 1 - y >= 0 and l = log(U/U0), which is
+d (cos(phi) - 1) about u_max and d (cos(phi) + 1) about u_min, expanding
+about an end U0 of the arc (where V(U0) = C),
+    C - V(U) = -l U0 V'(U0) - U0^2 E(2 l) - b U0^p E(p l),
+whose first term bounds the sum; each node takes the end whose bound is the
+smaller. Likewise V(e^s) - V(1) = E(2 s) + b E(p s), and u_min solves
+V(u_min) = V(u_max) by Newton in s = log U.
 
-Since U'(Theta) = 0 and U(Theta) = U_min, the end state gives both shooting
-slopes at no extra cost (shooting with the variational equation):
-    dTheta/du_max = -eta'(Theta) / (U_min^(-1/alpha) - U_min),
-    dr/du_max     = (U_min - u_max eta(Theta)) / U_min^2.
-One safeguarded Newton iteration in u_max (_shoot) solves both Theta = pi/k
-and r(u_max) = r with them.
+The shooting slopes cost no further arc: dr/du_max has the closed form
+    dr/du_max = (u_min - u_max V'(u_max)/V'(u_min)) / u_min^2,
+and dTheta/du_max is the complex step Im Theta(u_max + i h)/h through the
+quadrature. One safeguarded Newton iteration in u_max (_shoot) solves both
+Theta = pi/k and r(u_max) = r with them.
 """
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from ._fmt import csv_table
-from .errors import (AcsflowError, EventNotFound, NoBracket, OrderingViolated,
-                     OutOfRange, StepUnderflow)
+from .errors import (AcsflowError, NoBracket, OrderingViolated, OutOfRange,
+                     StepUnderflow)
 from .geometry import AngularGrid, SupportFunction, radius_of_curvature
 
-SEGMENT_RTOL = 1e-12
-SEGMENT_ATOL = 1e-15
-# per component of (U, U', eta, eta', q): eta and eta' are left out of the
-# step-size control, so the steps, and with them Theta(u_max) and r(u_max),
-# are those of U alone
-ARC_ATOL = np.array([SEGMENT_ATOL, SEGMENT_ATOL, np.inf, np.inf, SEGMENT_ATOL])
-THETA_SEARCH_MAX = 10.0 * math.pi
+# the arc quadrature: N starts at ARC_N_START and doubles up to ARC_N_MAX; the
+# rounding noise of the coefficients a_m is about 1e-16 a_0 at every N
+ARC_N_START = 32
+ARC_N_MAX = 4096
+ARC_TAIL_RTOL = 1e-14
+# the imaginary part of the complex step in log u_max, relative to log u_max
+ARC_STEP = 1e-20
+# Newton iterations for u_min and for the phi of profile nodes
+ARC_NEWTON_MAX = 100
 # strict admissibility k < sqrt(1 + 1/alpha) with a guard for float noise
 ADMISSIBILITY_GUARD = 1e-9
 PROFILE_RESIDUAL_TOL = 1e-7
@@ -53,6 +65,9 @@ SHOOT_MAX_ARCS = 40
 SHOOT_U_MAX_CAP = 1e8
 SHOOT_ULPS = 4
 SHOOT_RTOL = 1e-10
+
+# Taylor coefficients of E(y)/y^2 = (e^y - 1 - y)/y^2, summed for |y| < 1
+_E_TAYLOR = np.array([1.0 / math.factorial(j + 2) for j in range(18)])
 
 
 @dataclass(frozen=True)
@@ -69,13 +84,59 @@ class ShrinkerSegment:
     theta_span: float
     u_max: float
     u_min: float
-    samples: ArcSamples = field(repr=False)
     first_integral: float
-    fint_drift: float
     power_mean: float  # mean of U^(1 - 1/alpha) over the arc
     dspan_du: float  # dTheta/du_max
     dr_du: float  # dr/du_max
-    arc_solves: int = 1  # arcs integrated to find this one
+    # cosine coefficients a_m of dtheta/dphi, where log U = c + d cos(phi)
+    rate_coefficients: np.ndarray = field(repr=False, compare=False)
+    arc_solves: int = 1  # arc quadratures solved to find this one
+
+    def _theta(self, phi):
+        """theta(phi) and dtheta/dphi from the cosine series."""
+        a = self.rate_coefficients
+        m = np.arange(1, len(a))
+        mphi = np.multiply.outer(phi, m)
+        return a[0] * phi + np.sin(mphi) @ (a[1:] / m), a[0] + np.cos(mphi) @ a[1:]
+
+    def _u(self, phi):
+        s_max, s_min = math.log(self.u_max), math.log(self.u_min)
+        return np.exp(0.5 * (s_max + s_min) + 0.5 * (s_max - s_min) * np.cos(phi))
+
+    def u_at(self, theta):
+        """U at angles theta in [0, Theta], by Newton on theta(phi) = theta."""
+        phi = theta * (math.pi / self.theta_span)
+        last = math.inf
+        for _ in range(ARC_NEWTON_MAX):
+            value, rate = self._theta(phi)
+            step = (value - theta) / rate
+            phi = phi - step
+            big = float(np.max(np.abs(step)))
+            # quadratic convergence until the rounding noise of theta(phi)
+            if not big < 0.5 * last:
+                break
+            last = big
+        if not big <= 1e-12:
+            raise StepUnderflow(f"arc nodes: Newton on theta(phi) stalled at {big:.2e}")
+        return self._u(phi)
+
+    @cached_property
+    def samples(self) -> ArcSamples:
+        """The quadrature nodes and both ends, with U_theta = -U d sin(phi) / (dtheta/dphi)."""
+        phi = _midpoints(len(self.rate_coefficients))[0]
+        theta, rate = self._theta(phi)
+        u = self._u(phi)
+        u_theta = -0.5 * math.log(self.u_max / self.u_min) * u * np.sin(phi) / rate
+        return ArcSamples(np.concatenate(([0.0], theta, [self.theta_span])),
+                          np.concatenate(([self.u_max], u, [self.u_min])),
+                          np.concatenate(([0.0], u_theta, [0.0])))
+
+    @cached_property
+    def fint_drift(self) -> float:
+        """Largest relative departure of the samples from U'^2 + V(U) = C."""
+        s = self.samples
+        fint = first_integral_value(self.alpha, s.u, s.u_theta)
+        return float(np.max(np.abs(fint - self.first_integral)) / abs(self.first_integral))
 
 
 @dataclass(frozen=True)
@@ -105,93 +166,110 @@ def first_integral_value(alpha, u, u_theta):
     return u_theta**2 + u**2 + (2.0 * alpha / (1.0 - alpha)) * u ** (1.0 - 1.0 / alpha)
 
 
-def _arc_rhs(alpha):
-    inv_alpha = 1.0 / alpha
-
-    def rhs(theta, y):
-        u, u_theta, eta, eta_theta, _ = y
-        upow = u ** -inv_alpha
-        return [u_theta, upow - u, eta_theta,
-                -(1.0 + inv_alpha * upow / u) * eta, u * upow]
-
-    return rhs
+def _e(y, scale=0.0):
+    """e^scale E(y), E(y) = e^y - 1 - y >= 0, of a 1-d array, real or complex,
+    without cancellation, and without overflow where e^(scale + y) is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = y * y * (np.vander(y, len(_E_TAYLOR), increasing=True) @ _E_TAYLOR)
+        return np.where(np.abs(y) < 1.0, np.exp(scale) * series,
+                        np.exp(scale + y) - np.exp(scale) * (1.0 + y))
 
 
-def _first_minimum(theta, y):
-    return y[1]
+def _dv(p, s):
+    """V'(U) = 2 (U - U^(p-1)) at U = e^s, without cancellation near U = 1."""
+    return -2.0 * np.exp(s) * np.expm1((p - 2.0) * s)
 
 
-_first_minimum.terminal = True
-_first_minimum.direction = 1.0  # U' rising through zero: a minimum of U
+def _log_u_min(p, b, x_max):
+    """s = log u_min, the root below 0 of W(s) = E(2 s) + b E(p s) = W(log u_max).
 
-
-def _solve(rhs, span, y0, events=None):
-    # imported on first use: scipy.integrate adds about 40 ms to the start-up
-    # of every command, and flow and modes never integrate an arc
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=SEGMENT_RTOL,
-                    atol=ARC_ATOL, events=events)
-    if sol.status < 0:
-        raise StepUnderflow(f"profile ODE: {sol.message}")
-    return sol
-
-
-def integrate_arc(alpha, u_max, theta_out=None):
-    """The arc state y = (U, U', eta, eta', q) started from (u_max, 0, 1, 0, 0).
-
-    eta solves the variational equation eta'' + eta + (1/alpha) U^(-1-1/alpha)
-    eta = 0 from eta(0) = 1, so it is dU/du_max; q' = U^(1 - 1/alpha). eta
-    rides on the steps U chooses (ARC_ATOL), so U does not depend on it.
-    Without theta_out the arc stops at the first interior minimum of U and the
-    rows are the DOP853 step nodes, the minimum last. With theta_out
-    (increasing, >= 0) each interval is its own solve, started from the state
-    the previous one ended at, so every row is an integrated value, never an
-    interpolated one.
-
-    Returns (theta, y) with y of shape (5, len(theta)).
+    W is convex and decreasing for s < 0, so Newton from a start below the
+    root climbs to it monotonically. Two starts lie below it: log(1 - x_max),
+    the mirror image of u_max (V is steeper below U = 1 than above), and the
+    root of b U^p = C; the larger one is close to the root both near the
+    circle and for large arcs.
     """
-    rhs = _arc_rhs(alpha)
-    y = np.array([u_max, 0.0, 1.0, 0.0, 0.0])
-    if theta_out is None:
-        sol = _solve(rhs, (0.0, THETA_SEARCH_MAX), y, events=_first_minimum)
-        if sol.status == 0:
-            raise EventNotFound("no interior minimum of U before theta = 10*pi")
-        return sol.t, sol.y
-    theta_out = np.asarray(theta_out, dtype=float)
-    out = np.empty((5, len(theta_out)))
-    theta = 0.0
-    for i, theta_next in enumerate(theta_out):
-        if theta_next > theta:
-            y = _solve(rhs, (theta, theta_next), y).y[:, -1]
-            theta = theta_next
-        out[:, i] = y
-    return theta_out, out
+    def w(s):
+        e = _e(np.array([2.0 * s, p * s]))
+        return float(e[0] + b * e[1])
+
+    w_max = w(math.log1p(x_max))
+    s = math.log1p((w_max + 1.0) / b) / p
+    if x_max < 1.0:
+        s = max(s, math.log1p(-x_max))
+    last = math.inf
+    for _ in range(ARC_NEWTON_MAX):
+        step = (w(s) - w_max) / (2.0 * (math.expm1(p * s) - math.expm1(2.0 * s)))
+        # the steps rise and shrink until rounding noise takes over
+        if not 0.0 < step < last:
+            return s
+        s += step
+        if step <= 4.0 * math.ulp(s):
+            return s
+        last = step
+    raise StepUnderflow(f"arc: no u_min within {ARC_NEWTON_MAX} Newton steps")
+
+
+@lru_cache(maxsize=None)
+def _midpoints(n):
+    """phi_j = (j + 1/2) pi/n, sin(phi_j), cos(phi_j) - 1 and cos(phi_j) + 1
+    without cancellation, and the phase factors of a DCT-II by rfft."""
+    phi = (np.arange(n) + 0.5) * (np.pi / n)
+    return (phi, np.sin(phi), -2.0 * np.sin(0.5 * phi) ** 2, 2.0 * np.cos(0.5 * phi) ** 2,
+            np.exp(-0.5j * np.pi * np.arange(n) / n))
+
+
+def _arc_rate(p, b, s_max, s_min, n):
+    """dtheta/dphi and U^p at the n midpoint nodes; s_max and s_min are the
+    complex steps of log u_max and log u_min."""
+    _, sin, to_max, to_min, _ = _midpoints(n)
+    d = 0.5 * (s_max - s_min)
+    s_end = np.array([s_max, s_min])
+    lead_end = np.exp(s_end) * _dv(p, s_end)  # U0 V'(U0)
+    # expand about the end whose first term |l U0 V'(U0)| is the smaller
+    end = np.where(np.abs(to_max * lead_end[0]) <= np.abs(to_min * lead_end[1]), 0, 1)
+    s0 = s_end[end]
+    l = d * np.where(end == 0, to_max, to_min)
+    e = _e(np.concatenate((2.0 * l, p * l)), np.concatenate((2.0 * s0, p * s0)))
+    c_minus_v = -l * lead_end[end] - e[:n] - b * e[n:]
+    return np.exp(s0 + l) * d * sin / np.sqrt(c_minus_v), np.exp(p * (s0 + l))
 
 
 def solve_segment(alpha, u_max) -> ShrinkerSegment:
-    """Integrate one monotone arc from (u_max, 0) to its first minimum."""
+    """One monotone arc from (u_max, 0) to its first minimum, by quadrature."""
     check_alpha(alpha)
     if not u_max > 1.0:
         raise OutOfRange(f"u_max must exceed 1 (got {u_max}); U = 1 is the equilibrium")
-    theta, (u, ut, eta, eta_theta, quad) = integrate_arc(alpha, u_max)
-    span = float(theta[-1])
-    u_min = float(u[-1])
-    fint = first_integral_value(alpha, u, ut)
-    c0 = float(first_integral_value(alpha, u_max, 0.0))
-    drift = float(np.max(np.abs(fint - c0)) / abs(c0))
+    p, b = 1.0 - 1.0 / alpha, 2.0 * alpha / (1.0 - alpha)
+    s_max = math.log1p(u_max - 1.0)
+    s_min = _log_u_min(p, b, u_max - 1.0)
+    u_min = math.exp(s_min)
+    du_min = float(_dv(p, s_max) / _dv(p, s_min))  # du_min/du_max
+    step = ARC_STEP * s_max
+    s_hi, s_lo = complex(s_max, step), complex(s_min, step * du_min * u_max / u_min)
+    n = ARC_N_START
+    while True:
+        rate, upow = _arc_rate(p, b, s_hi, s_lo, n)
+        spec = np.fft.rfft(np.concatenate((rate.real, rate.real[::-1])))[:n]
+        a = (spec * _midpoints(n)[4]).real / n
+        a[0] *= 0.5
+        if np.max(np.abs(a[-(n // 4):])) <= ARC_TAIL_RTOL * a[0]:
+            break
+        if n >= ARC_N_MAX:
+            raise StepUnderflow(f"arc quadrature at u_max = {u_max!r}: no convergence "
+                                f"with {n} nodes")
+        n *= 2
     return ShrinkerSegment(
         alpha=float(alpha),
         r=u_max / u_min,
-        theta_span=span,
+        theta_span=float(math.pi * a[0]),
         u_max=float(u_max),
         u_min=u_min,
-        samples=ArcSamples(theta, u, ut),
-        first_integral=c0,
-        fint_drift=drift,
-        power_mean=float(quad[-1] / span),
-        dspan_du=float(-eta_theta[-1] / (u_min ** (-1.0 / alpha) - u_min)),
-        dr_du=float((u_min - u_max * eta[-1]) / u_min**2),
+        first_integral=float(first_integral_value(alpha, u_max, 0.0)),
+        power_mean=float(upow.real @ rate.real / np.sum(rate.real)),
+        dspan_du=float(math.pi * np.mean(rate.imag) / (step * u_max)),
+        dr_du=(u_min - u_max * du_min) / u_min**2,
+        rate_coefficients=a,
     )
 
 
@@ -202,10 +280,11 @@ def _shoot(alpha, u_max, target, end_value, what) -> ShrinkerSegment:
     u_max that lies below target as u_max -> 1. Every iterate stays inside the
     bracket [lo, hi] learned so far: a Newton step that leaves it is replaced
     by bisection, or, while no hi is known, by growing u_max - 1 fourfold. The
-    iteration stops when the step or the bracket is within SHOOT_ULPS ulps of
-    u_max, or when a Newton iterate fails to reduce |value - target| while
-    the best arc already meets SHOOT_RTOL (value's rounding noise is
-    reached). It returns the best arc solved.
+    iteration stops when value is within an ulp of target, when the Newton
+    step, the step taken or the bracket is within SHOOT_ULPS ulps of u_max,
+    or when a Newton iterate fails to reduce |value - target| while the best
+    arc already meets SHOOT_RTOL (value's rounding noise is reached). It
+    returns the best arc solved.
     """
     lo, hi = 1.0, math.inf
     best, best_err, newton = None, math.inf, False
@@ -222,6 +301,10 @@ def _shoot(alpha, u_max, target, end_value, what) -> ShrinkerSegment:
         elif value > target:
             hi = u_max
         step = (target - value) / slope if slope > 0.0 else math.nan
+        # the noise floor: no arc comes closer than an ulp of target, and a
+        # Newton step this short does not move u_max off its bracket end
+        if err <= math.ulp(target) or abs(step) <= SHOOT_ULPS * math.ulp(u_max):
+            break
         top = hi if hi < math.inf else 1.0 + 4.0 * (u_max - 1.0)
         newton = lo < u_max + step < top
         if not newton:
@@ -315,10 +398,9 @@ def assemble_profile(alpha, k, grid_n=None) -> ShrinkerProfile:
     """Closed profile support function on a uniform grid.
 
     For integer k the grid size must be a multiple of 2k so the reflection
-    seams fall on grid nodes. The arc Theta = pi/k is found by shooting, then
-    re-integrated with one DOP853 solve per grid interval, each landing exactly
-    on the next node angle (no interpolation); the profile carries that arc's
-    segment.
+    seams fall on grid nodes. The arc Theta = pi/k is found by shooting; the
+    grid nodes of its span come from its cosine series (ShrinkerSegment.u_at),
+    and the profile carries that arc's segment.
     """
     if k == "circle":
         check_alpha(alpha)
@@ -333,8 +415,7 @@ def assemble_profile(alpha, k, grid_n=None) -> ShrinkerProfile:
         raise ValueError(f"grid_n must be a multiple of 2k = {2 * k}, got {n}")
     seg = _segment_for_k(alpha, k)
     m = n // (2 * k)
-    theta_out = np.arange(m + 1) * (2.0 * np.pi / n)
-    _, (arc, _, _, _, _) = integrate_arc(alpha, seg.u_max, theta_out)
+    arc = seg.u_at(np.arange(m + 1) * (2.0 * np.pi / n))
 
     per = n // k
     j = np.arange(n) % per

@@ -1,9 +1,11 @@
 """Independent oracles used by the tests.
 
-Everything here avoids the code paths under test: the profile arc quantities
-come from the conserved energy of the arc ODE plus Gauss quadrature, never
-from time stepping; the ellipse values come from closed forms and scipy's
-elliptic integrals; the shrinking-circle law is integrated by hand.
+Everything here avoids the code paths under test. The profile arc quantities
+come two ways: from the conserved energy of the arc ODE plus Gauss quadrature
+(the package's substitution, but a direct C - E(U) that loses its digits near
+the circle), and by integrating the arc ODE itself with DOP853. The ellipse
+values come from closed forms and scipy's elliptic integrals; the
+shrinking-circle law is integrated by hand.
 """
 
 import numpy as np
@@ -54,6 +56,37 @@ def arc_power_mean(alpha, u_max, nquad=400):
     integral = _arc_quadrature(alpha, u_max,
                                lambda u: u ** (1.0 - 1.0 / alpha), nquad)
     return integral / span
+
+
+def arc_dop853(alpha, u_max):
+    """(span, u_min, power mean) of the arc by DOP853 on the arc ODE.
+
+    The state is U = 1 + x v with x = u_max - 1, so that v, v' and the event
+    v' = 0 at the minimum are of unit size however close the arc is to the
+    circle, plus the running integral of U^(1 - 1/alpha). The right-hand side
+    (U^(-1/alpha) - U)/x is formed with expm1 and log1p.
+    """
+    # imported here: the benchmark's workload checks import this module too
+    from scipy.integrate import solve_ivp
+
+    x = u_max - 1.0
+
+    def rhs(theta, y):
+        v, dv, _ = y
+        xv = x * v
+        l = np.log1p(xv)
+        return [dv, (np.expm1(-l / alpha) - xv) / x, np.exp((1.0 - 1.0 / alpha) * l)]
+
+    def minimum(theta, y):
+        return y[1]
+
+    minimum.terminal, minimum.direction = True, 1.0
+    sol = solve_ivp(rhs, (0.0, 10.0 * np.pi), [1.0, 0.0, 0.0], method="DOP853",
+                    rtol=1e-13, atol=1e-15, events=minimum)
+    assert sol.status == 1, "no minimum of U within theta = 10 pi"
+    span = float(sol.t_events[0][0])
+    v, _, q = sol.y_events[0][0]
+    return span, 1.0 + x * v, q / span
 
 
 def ellipse_area(a, b):

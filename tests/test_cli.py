@@ -322,3 +322,14 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_profiles_leave_scipy_integrate_unloaded():
+    # arcs are quadratures of the first integral: no ODE solver is imported
+    code = ("import sys; from acsflow.shrinker import assemble_profile, entropy_ordering; "
+            "assemble_profile(1 / 24, 3, 510); entropy_ordering(0.03); "
+            "print('scipy.integrate' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -301,3 +301,16 @@ def test_radius_of_curvature_at_an_odd_length(rng):
     assert w.shape == (2, n)
     assert np.max(np.abs(w[0] - exact)) <= 1e-12 * np.max(np.abs(exact))
     assert np.max(np.abs(w[1] - 2.0 * exact)) <= 2e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("n", [121, 255])
+def test_deriv1_at_an_odd_length(n, rng):
+    # at odd n the last rfft bin is an ordinary mode, not the Nyquist cosine
+    th = 2.0 * np.pi * np.arange(n) / n
+    m_top = n // 2
+    assert np.max(np.abs(deriv1(np.sin(m_top * th)) - m_top * np.cos(m_top * th))) <= 1e-10 * m_top
+    a, b = rng.normal(size=(2, m_top + 1))
+    ms = range(1, m_top + 1)
+    v = sum(a[m] * np.cos(m * th) + b[m] * np.sin(m * th) for m in ms)
+    exact = sum(m * (b[m] * np.cos(m * th) - a[m] * np.sin(m * th)) for m in ms)
+    assert np.max(np.abs(deriv1(v) - exact)) <= 1e-12 * n * np.max(np.abs(exact))

@@ -8,7 +8,7 @@ from acsflow import shrinker
 from acsflow.errors import OrderingViolated, OutOfRange, StepUnderflow
 from acsflow.geometry import radius_of_curvature
 from acsflow.shrinker import (assemble_profile, entropy_ordering,
-                              first_integral_value, integrate_arc, period_limit,
+                              first_integral_value, period_limit,
                               segment_for_ratio, shrinker_entropy, solve_segment)
 
 import oracles
@@ -36,17 +36,41 @@ def test_segment_invariants():
     assert np.max(np.abs(c - seg.first_integral)) / seg.first_integral < 1e-9
 
 
-@pytest.mark.parametrize("alpha,u_max", [(1 / 8, 1.5), (1 / 24, 1.8), (1 / 15, 1.3)])
+def _check_against_dop853(seg):
+    span, u_min, power_mean = oracles.arc_dop853(seg.alpha, seg.u_max)
+    assert abs(seg.theta_span - span) <= 1e-12
+    assert abs(seg.u_min - u_min) <= 1e-13
+    assert seg.power_mean == pytest.approx(power_mean, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha,u_max", [(1 / 8, 1.5), (1 / 24, 1.8), (1 / 15, 1.3),
+                                         (0.3, 1.4), (0.02, 3.0), (0.005, 1.93)])
 def test_span_against_quadrature_oracle(alpha, u_max):
+    # against both oracles: the Gauss quadrature and DOP853 on the arc ODE
     seg = solve_segment(alpha, u_max)
     assert seg.theta_span == pytest.approx(oracles.arc_span(alpha, u_max), abs=1e-9)
     assert seg.u_min == pytest.approx(oracles.arc_u_min(alpha, u_max), abs=1e-11)
+    assert seg.power_mean == pytest.approx(oracles.arc_power_mean(alpha, u_max), rel=1e-9)
+    _check_against_dop853(seg)
+
+
+@pytest.mark.parametrize("alpha,r", [(1 / 8, 1 + 1e-8), (1 / 8, 1 + 1e-6),
+                                     (1 / 24, 1 + 1e-8), (0.005, 1 + 1e-6)])
+def test_near_circle_arc_against_dop853_oracle(alpha, r):
+    # the Gauss oracle's C - E(U) has no digits left this close to the circle
+    _check_against_dop853(segment_for_ratio(alpha, r))
+
+
+@pytest.mark.parametrize("alpha,k", [(0.005, 14), (0.01, 10)])
+def test_arc_near_its_bifurcation_against_dop853_oracle(alpha, k):
+    # k just below sqrt(1 + 1/alpha): u_max - 1 is about 3e-3
+    _check_against_dop853(shrinker._segment_for_k(alpha, k))
 
 
 @pytest.mark.parametrize("alpha", [1 / 8, 1 / 15, 1 / 24])
 def test_span_limit_at_small_amplitude(alpha):
     got = segment_for_ratio(alpha, 1 + 1e-8).theta_span
-    assert abs(got - period_limit(alpha)) < 1e-6
+    assert abs(got - period_limit(alpha)) < 1e-12
 
 
 def test_period_limit_values():
@@ -171,38 +195,25 @@ def _variation_cases():
             (1 / 8, 1.3), (1 / 24, 1.8), (0.02, 3.0)]
 
 
-def test_variation_eta_boundary_identity():
-    # U'(Theta) = 0 at the arc's end for every u_max, so differentiating in
-    # u_max gives eta'(Theta) + U''(Theta) dTheta/du_max = 0; dTheta/du_max
-    # is the Newton slope dspan_du that _shoot uses
+def test_span_slope_matches_central_difference():
+    # dspan_du, the Newton slope of Theta = pi/k, is a complex step through
+    # the arc quadrature
     for alpha, u_max in _variation_cases():
         seg = solve_segment(alpha, u_max)
-        _, y = integrate_arc(alpha, u_max)
-        assert y[2, 0] == 1.0
         delta = 1e-4 * (u_max - 1)
         dspan = (solve_segment(alpha, u_max + delta).theta_span
                  - solve_segment(alpha, u_max - delta).theta_span) / (2 * delta)
         assert seg.dspan_du == pytest.approx(dspan, rel=1e-7)
-        u_thth_end = seg.u_min ** (-1.0 / alpha) - seg.u_min
-        assert abs(y[3, -1] + u_thth_end * dspan) < 1e-5
 
 
-def test_variation_eta_matches_finite_difference():
-    # eta = dU/du_max along the arc, and the Newton slope dr/du_max, against
-    # central differences in u_max
+def test_ratio_slope_matches_central_difference():
+    # dr_du, the Newton slope of r(u_max) = r, has a closed form
     for alpha, u_max in _variation_cases():
-        delta = 1e-4 * (u_max - 1)
         seg = solve_segment(alpha, u_max)
-        hi = solve_segment(alpha, u_max + delta)
-        lo = solve_segment(alpha, u_max - delta)
-        assert seg.dr_du == pytest.approx((hi.r - lo.r) / (2 * delta), rel=1e-7)
-        span = min(seg.theta_span, hi.theta_span, lo.theta_span)
-        thetas = np.linspace(0.0, 0.95 * span, 40)
-        _, y_hi = integrate_arc(alpha, u_max + delta, thetas)
-        _, y_lo = integrate_arc(alpha, u_max - delta, thetas)
-        _, y = integrate_arc(alpha, u_max, thetas)
-        assert y[2, 0] == 1.0
-        assert np.max(np.abs(y[2] - (y_hi[0] - y_lo[0]) / (2 * delta))) < 1e-7
+        delta = 1e-4 * (u_max - 1)
+        dr = (solve_segment(alpha, u_max + delta).r
+              - solve_segment(alpha, u_max - delta).r) / (2 * delta)
+        assert seg.dr_du == pytest.approx(dr, rel=1e-7)
 
 
 def test_assemble_profile_circle():
@@ -238,6 +249,21 @@ def test_shrinker_entropy_ordering_1_24():
     rows = entropy_ordering(1 / 24)
     assert rows[0] == ("circle", 0.0)
     assert [tag for tag, _ in rows] == ["circle", 4, 3]
+
+
+def test_entropy_ordering_reaches_small_alpha():
+    # alpha 0.005 holds twelve k-fold families, k = 14 just below its
+    # bifurcation from the circle
+    alpha = 0.005
+    rows = entropy_ordering(alpha)
+    assert [tag for tag, _ in rows] == ["circle"] + list(range(14, 2, -1))
+    values = [e for _, e in rows]
+    assert all(a > b for a, b in zip(values, values[1:]))
+    c = (alpha + 1) / (2 * (alpha - 1))
+    for k, e in rows[1:]:
+        span, _, power_mean = oracles.arc_dop853(alpha, shrinker._segment_for_k(alpha, k).u_max)
+        assert abs(span - np.pi / k) <= 1e-12
+        assert abs(e - c * math.log(power_mean)) <= 1e-9 * abs(c)
 
 
 def test_entropy_ordering_single_family():
