@@ -9,8 +9,11 @@ json.dumps, whose floats are the shortest repr that round-trips exactly;
 snapshots.csv carries 17 significant digits and the other CSV files 12; and
 nothing carries timestamps.
 
-Exit codes: 2 for domain errors (inadmissible alpha/k, mismatched trace),
-3 for numerical failures, 4 for bad configuration or missing inputs.
+Each option is declared once, to argparse, which parses the command line and
+the keys of a --config file alike (see _parse). Exit codes: 2 for domain
+errors (inadmissible alpha/k, mismatched trace), 3 for numerical failures,
+4 for bad configuration or missing inputs and for every usage error, of the
+command line or of a config key; --help exits 0.
 """
 
 import argparse
@@ -29,9 +32,18 @@ EXIT_NUMERICAL = 3
 EXIT_CONFIG = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser of the command line and config files alike, and of each
+    subcommand: no abbreviated options, and a usage error is a BadConfig."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise BadConfig(f"{self.prog}: {message}")
+
+
 def _load_config(path):
-    if path is None:
-        return {}
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -42,44 +54,31 @@ def _load_config(path):
     return cfg
 
 
-def _merge(args, config):
-    """Apply config-file values underneath explicitly passed flags.
-
-    Every key must name an option of the subcommand. A store_true flag takes
-    only true or false; any other option takes a string or a number, kept as
-    the string the command line would have given. An option still at None,
-    or a flag still at False, was not passed, so the config file sets it.
-    """
+def _parse(argv):
+    """The options of argv and of its --config file, whose keys read as options
+    right after the subcommand, so that the command line's win: --key=value
+    for a string or a number (_ read as -; the = keeps a negative number a
+    value), and --key for true or false. argparse then rejects in the file
+    what it rejects on the command line."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    config, options = _load_config(args.config), []
     for key, value in config.items():
-        attr = key.replace("-", "_")
-        if attr in ("func", "command", "config") or attr.startswith("_") \
-                or not hasattr(args, attr):
-            raise BadConfig(f"config key {key!r} is not an option of {args.command}")
-        current = getattr(args, attr)
-        if isinstance(current, bool):
-            if not isinstance(value, bool):
-                raise BadConfig(f"config key {key!r} is a flag and takes true or false, "
-                                f"got {value!r}")
-        elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
-            raise BadConfig(f"config key {key!r} takes a string or a number, got {value!r}")
-        else:
-            value = str(value)
-        if current is None or current is False:
-            setattr(args, attr, value)
-
-
-def _convert(args):
-    """Give every option in the subcommand's table its type, or its default
-    when it was not passed. A value that does not convert is a BadConfig."""
-    for attr, (convert, default) in args._options.items():
-        value = getattr(args, attr)
-        if value is None:
-            setattr(args, attr, default)
-            continue
-        try:
-            setattr(args, attr, convert(value))
-        except ValueError as exc:
-            raise BadConfig(f"--{attr.replace('_', '-')} {value!r}: {exc}")
+        name = key.replace("_", "-")
+        if key in ("config", "help") or not name.replace("-", "_").isidentifier() \
+                or not isinstance(value, (str, int, float)):
+            raise BadConfig(f"config file {args.config}: {key}: {value!r} sets no option")
+        options.append(f"--{name}" if isinstance(value, bool) else f"--{name}={value}")
+    at = argv.index(args.command) + 1
+    try:
+        merged = parser.parse_args(argv[:at] + options + argv[at:])
+    except BadConfig as exc:
+        raise BadConfig(f"config file {args.config}: {exc}") from None
+    for attr in (key.replace("-", "_") for key, value in config.items() if value is False):
+        setattr(merged, attr, getattr(args, attr))  # as the command line left it
+    return merged
 
 
 def _ensure_outdir(path):
@@ -99,34 +98,46 @@ def _write_json(path, name, obj):
 
 
 def _grid_size(value):
-    n = int(value)
-    geometry.AngularGrid(n)  # ValueError unless even and >= 16
-    return n
+    """An AngularGrid size: an even integer >= 16."""
+    try:
+        return geometry.AngularGrid(int(value)).n
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _fold_arg(value):
+    """A fold count: 'circle' or an integer."""
     return value if value == "circle" else int(value)
+
+
+def _profile_tag(value):
+    """'circle' or 'k<int>', as the fold count 'circle' or the int."""
+    if value == "circle":
+        return value
+    if not value.startswith("k"):
+        raise ValueError(value)
+    return int(value[1:])
 
 
 def _fold_tag(k):
     return "circle" if k == "circle" else f"k{int(k)}"
 
 
-def _profile_grid_n(k, n):
-    """The largest multiple of 2k not exceeding n, but at least 16k (reflection
-    seams on nodes); n itself for the circle."""
-    if k == "circle":
-        return n
-    per = 2 * k
-    return max(per * 8, per * (n // per))
+def _profile(alpha, k, n):
+    """The profile of fold count k at alpha on n nodes; for k >= 1, n is
+    rounded down to a multiple of 2k (reflection seams on nodes), but to at
+    least 16k."""
+    if k != "circle" and k > 0:
+        n = 2 * k * max(8, n // (2 * k))
+    return shrinker.assemble_profile(alpha, k, n)
 
 
 # -- shrinker ------------------------------------------------------------------
 
 def cmd_shrinker(args):
-    alpha, k = args.alpha, args.k
-    n = _profile_grid_n(k, args.n)
-    profile = shrinker.assemble_profile(alpha, k, n)
+    alpha = args.alpha
+    profile = _profile(alpha, args.k, args.n)
+    n = profile.h.grid.n
     record = shrinker.profile_to_json_dict(profile)
     out = _ensure_outdir(args.out)
     if out:
@@ -149,21 +160,9 @@ def cmd_shrinker(args):
 
 # -- spectrum ------------------------------------------------------------------
 
-def _profile_for_tag(alpha, tag, n):
-    if tag == "circle":
-        return shrinker.assemble_profile(alpha, "circle", n)
-    if not tag.startswith("k"):
-        raise BadConfig(f"profile must be 'circle' or 'k<int>', got {tag!r}")
-    try:
-        k = int(tag[1:])
-    except ValueError:
-        raise BadConfig(f"profile must be 'circle' or 'k<int>', got {tag!r}")
-    return shrinker.assemble_profile(alpha, k, _profile_grid_n(k, n))
-
-
 def cmd_spectrum(args):
     alpha = args.alpha
-    profile = _profile_for_tag(alpha, args.profile, args.n)
+    profile = _profile(alpha, args.profile, args.n)
     dec = spectral.decompose(profile.h, alpha, j_max=args.jmax)
     record = {
         "alpha": alpha,
@@ -222,8 +221,6 @@ def _initial_from_spec(spec, n):
 
 def cmd_flow(args):
     alpha = args.alpha
-    if args.mode not in _MODE_NAMES:
-        raise BadConfig(f"--mode must be one of {sorted(_MODE_NAMES)}, got {args.mode!r}")
     mode = _MODE_NAMES[args.mode]
     initial = _initial_from_spec(args.init, args.n)
     sample_dt = args.sample_dt
@@ -373,86 +370,80 @@ def cmd_entropy_table(args):
 # -- main ------------------------------------------------------------------------
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="acsflow",
         description="Numerical experiments for the alpha-curve shortening flow")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("shrinker", help="construct a contracting profile")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--k", required=True, help="integer >= 3 or 'circle'")
-    p.add_argument("--n", default=None, help="grid size (default 512)")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_shrinker, _options={
-        "alpha": (float, None), "k": (_fold_arg, None), "n": (_grid_size, 512)})
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--k", type=_fold_arg, required=True, help="integer >= 3 or 'circle'")
+    p.add_argument("--n", type=_grid_size, default=512,
+                   help="grid size (default %(default)s)")
+    p.add_argument("--out", help="output directory")
+    p.set_defaults(func=cmd_shrinker)
 
     p = sub.add_parser("spectrum", help="eigendecomposition at a profile")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--profile", required=True, help="'circle' or 'k<int>'")
-    p.add_argument("--jmax", default=None,
-                   help="number of eigenpairs, from 1 to n - 1 (default 40)")
-    p.add_argument("--n", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_spectrum, _options={
-        "alpha": (float, None), "jmax": (int, 40), "n": (_grid_size, 512)})
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--profile", type=_profile_tag, required=True,
+                   help="'circle' or 'k<int>'")
+    p.add_argument("--jmax", type=int, default=40,
+                   help="number of eigenpairs, from 1 to n - 1 (default %(default)s)")
+    p.add_argument("--n", type=_grid_size, default=512,
+                   help="grid size (default %(default)s)")
+    p.add_argument("--out", help="output directory")
+    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("flow", help="time-integrate the flow")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--mode", required=True, help="unnorm | tau | area")
-    p.add_argument("--init", default=None,
-                   help="circle | file:<path> | perturb:<m>,<eps> | seed:<k>,<eps>")
-    p.add_argument("--t-end", dest="t_end", required=True)
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--mode", choices=_MODE_NAMES, required=True)
+    p.add_argument("--init", default="circle",
+                   help="circle | file:<path> | perturb:<m>,<eps> | seed:<k>,<eps> "
+                        "(default %(default)s)")
+    p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--entropy", action="store_true", help="log entropy per sample")
-    p.add_argument("--outdir", default=None)
-    p.add_argument("--n", default=None)
-    p.add_argument("--sample-dt", dest="sample_dt", default=None,
+    p.add_argument("--outdir", help="output directory")
+    p.add_argument("--n", type=_grid_size, default=256,
+                   help="grid size (default %(default)s)")
+    p.add_argument("--sample-dt", type=float,
                    help="sample at multiples of this time, from an order-5 "
                         "interpolant of the steps, which do not stop there "
                         "(default: every --sample-every steps in unnorm mode, "
                         "0.01 in tau and area modes)")
-    p.add_argument("--sample-every", dest="sample_every", default=None,
+    p.add_argument("--sample-every", type=int, default=flow.FlowConfig.sample_every,
                    help="sample after this many accepted steps when --sample-dt "
-                        "is not in use (default 1)")
-    p.add_argument("--stop-min-radius", dest="stop_min_radius", default=None,
+                        "is not in use (default %(default)s)")
+    p.add_argument("--stop-min-radius", type=float,
+                   default=flow.FlowConfig.stop_min_radius,
                    help="stop once the least radius of curvature falls below this "
-                        "(default 1e-3)")
-    p.add_argument("--rtol", default=None,
+                        "(default %(default)s)")
+    p.add_argument("--rtol", type=float, default=flow.FlowConfig.rtol,
                    help="bound on the estimated local error of each order-6 step, "
                         "relative to the support function about the Steiner point "
-                        "(default 1e-12)")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_flow, _options={
-        "alpha": (float, None), "init": (str, "circle"), "t_end": (float, None),
-        "n": (_grid_size, 256), "sample_dt": (float, None),
-        "sample_every": (int, 1), "stop_min_radius": (float, 1e-3),
-        "rtol": (float, 1e-12)})
+                        "(default %(default)s)")
+    p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("modes", help="mode diagnostics of a stored trace")
     p.add_argument("--trace", required=True, help="flow output directory")
-    p.add_argument("--k", required=True)
-    p.add_argument("--mmax", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_modes, _options={"k": (int, None), "mmax": (int, 8)})
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--mmax", type=int, default=8,
+                   help="highest mode tracked, at least 2k (default %(default)s)")
+    p.add_argument("--out", help="output directory (default: --trace)")
+    p.set_defaults(func=cmd_modes)
 
     p = sub.add_parser("entropy-table", help="profile entropies in order")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_entropy_table, _options={"alpha": (float, None)})
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--out", help="output directory")
+    p.set_defaults(func=cmd_entropy_table)
 
+    for p in sub.choices.values():
+        p.add_argument("--config", help="JSON file of options, under the command line's")
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _load_config(getattr(args, "config", None))
-        _merge(args, config)
-        _convert(args)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except (OutOfRange, AlphaMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)

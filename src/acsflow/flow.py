@@ -3,15 +3,15 @@
 Three gauges of the same motion:
   unnormalized     u_t   = -kappa^alpha
   normalized_tau   u_tau = -kappa^alpha + u      (exponential rescaling)
-  normalized_area  u_tau = -kappa^alpha / mean(kappa^(alpha-1)) + u
-                                                 (enclosed area pinned to pi)
+  normalized_area  u_tau = -kappa^alpha / m + u,  m = mean(kappa^(alpha-1)) pi / A
+                                                 (enclosed area A kept)
 
 One marcher, flow_advance: extrapolated linearly implicit Euler
 (Deuflhard, SIAM Rev. 27, 1985; Hairer & Wanner, Solving ODEs II, IV.9), of
 order 6. A step of size h runs, from u, chains of j substeps of size h/j for
 j = 1, 2, 3, 4, 5 and 7; a substep from the state u + d adds
 (h/j) W^-1 f(u + d) to d, with W = I - (h/j) c P (d_thth + 1),
-c = alpha max w^(-1-alpha) (divided by mean w^(1-alpha) in the area gauge)
+c = alpha max w^(-1-alpha) (divided by m in the area gauge)
 the largest coefficient of the true Jacobian alpha w^(-1-alpha) (d_thth + 1),
 and P dropping Fourier modes 0 and 1, so W is diagonal in Fourier space with
 entries >= 1. The linearly implicit Euler step is a W-method: for any such
@@ -93,8 +93,8 @@ import numpy as np
 from ._fmt import csv_table
 from .errors import BadConfig, InsufficientData, NonConvex
 from .geometry import (CONVEXITY_RTOL, AngularGrid, SupportFunction,
-                       _about_steiner_point, _curvature_radii, _nodal,
-                       _spectrum, _strictly_convex, _symbols, area,
+                       _about_steiner_point, _area_weights, _curvature_radii,
+                       _nodal, _spectrum, _strictly_convex, _symbols, area,
                        radius_of_curvature, require_convex)
 
 _MODES = ("unnormalized", "normalized_tau", "normalized_area")
@@ -171,6 +171,17 @@ class FlowStats:
         return asdict(self)
 
 
+def _area_gauge(z, w, speed):
+    """(m, Q) of the area gauge at the spectral states z, rows of them, whose
+    radii of curvature are w and speeds w^-alpha are speed: Q = sum(u w),
+    from z by Parseval, and m = sum(w^(1 - alpha)) / Q, which is
+    mean(w^(1 - alpha)) pi / A(u), so that
+    dA/dtau = 2 A - (2 pi / m) mean(w^(1 - alpha)) = 0."""
+    zv = z.view(float)
+    q = np.einsum("...j,...j,j->...", zv, zv, _area_weights(w.shape[-1]))[..., None]
+    return np.einsum("...j,...j->...", w, speed)[..., None] / q, q
+
+
 def _flow_rhs(z, alpha, mode, stats):
     """Flow right-hand side at the spectral state z (see _spectrum); returns
     (f, w), f spectral like z and w = u_thth + u at the nodes.
@@ -185,19 +196,20 @@ def _flow_rhs(z, alpha, mode, stats):
     zbar = z[..., -1:].real
     if not _strictly_convex(w, zbar):
         return None, w
-    speed = _spectrum(w ** -alpha)
+    speed = w ** -alpha
+    f = _spectrum(speed)
     if mode == "unnormalized":
-        return -speed, w
+        return -f, w
     if mode == "normalized_tau":
-        return z - speed, w
-    m = (w ** (1.0 - alpha)).sum(axis=-1, keepdims=True) / w.shape[-1]
-    return z - speed / m, w
+        return z - f, w
+    m, _ = _area_gauge(z, w, speed)
+    return z - f / m, w
 
 
-def _jacobian_product(w, v, alpha, mode):
+def _jacobian_product(z, w, v, alpha, mode):
     """(v, J v) at the nodes, for the spectral v (see _spectrum) and J the
-    Jacobian of the right-hand side at a state whose radii of curvature
-    are w; one batched irfft forms v and (d_thth + 1) v."""
+    Jacobian of the right-hand side at the spectral state z, whose radii of
+    curvature are w; one batched irfft forms v and (d_thth + 1) v."""
     lap, _ = _symbols(w.shape[-1])
     vn, lv = np.fft.irfft(np.stack((v[:-1], lap * v[:-1]))) + v[-1].real
     a = alpha * w ** (-1.0 - alpha)
@@ -205,10 +217,12 @@ def _jacobian_product(w, v, alpha, mode):
         return vn, a * lv
     if mode == "normalized_tau":
         return vn, vn + a * lv
-    # the area gauge divides the speed w^-alpha by m = mean(w^(1 - alpha))
+    # the area gauge divides the speed w^-alpha by m = S / Q, with
+    # S = sum(w^(1 - alpha)) and Q = sum(u w); as d_thth + 1 is symmetric,
+    # dQ = 2 sum(v w)
     speed = w ** -alpha
-    m = np.mean(speed * w)
-    dm = (1.0 - alpha) * np.mean(speed * lv)
+    m, q = _area_gauge(z, w, speed)
+    dm = ((1.0 - alpha) * np.sum(speed * lv) - 2.0 * m * np.sum(vn * w)) / q
     return vn, vn + (a * lv + speed * (dm / m)) / m
 
 
@@ -325,7 +339,6 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
     n_acc = 0
     i_s = 0  # index of the next sample time
     t_row = t  # time of the last row; the caller records the start
-    n = u.shape[0]
 
     def put(t_r, v):
         nonlocal t_row
@@ -357,7 +370,7 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
         # W's coefficient, the guard and the error scale of u
         coeff = alpha * (w ** (-alpha - 1.0)).max()
         if mode == "normalized_area":
-            coeff = coeff / ((w ** (1.0 - alpha)).sum() / n)
+            coeff = coeff / _area_gauge(z, w, w ** -alpha)[0].item()
         hguard = CFL_COEFF * wmin ** (1.0 + alpha)
         escale = atol + rtol * np.abs(_about_steiner_point(u))
         while True:
@@ -396,7 +409,7 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
             # g_1 = J f(u_1) complete the quintic Hermite interpolant, whose
             # estimated error is bounded at each sample
             if fg is None:
-                fg = _jacobian_product(w, k1, alpha, mode)
+                fg = _jacobian_product(z, w, k1, alpha, mode)
                 stats.dense_evals += 1
             u1 = u + du
             z1 = _spectrum(u1)
@@ -405,7 +418,7 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
                 u[:] = u1
                 stats.count_step("landing" if landing else cap, h_step)
                 return "non_convex", t_next, h
-            fg1 = _jacobian_product(w1, f1, alpha, mode)
+            fg1 = _jacobian_product(z1, w1, f1, alpha, mode)
             stats.dense_evals += 1
             s = (np.array(sample_times[i_s:j_s]) - t) / h_step
             est = _extension_error(h_step, du, fg, fg1)

@@ -9,8 +9,10 @@ which d_thth + 1 multiplies wavenumber m by 1 - m^2 (_symbols). The radius
 of curvature w = u_thth + u, whose minimum is > 0 on a strictly convex body,
 is formed from that state by radius_of_curvature and by the flow's marcher
 alike. Transforming v - mean(v), not v, keeps the rounding of the rfft of a
-constant out of w, so a centred circle's w is exactly constant. _basis holds
-the cos and sin rows behind the Steiner point and translations.
+constant out of w, so a centred circle's w is exactly constant.
+_area_weights give sum(u w), (n / pi) times the area, from the state with no
+FFT; _basis holds the cos and sin rows behind the Steiner point and
+translations.
 """
 
 import functools
@@ -79,6 +81,21 @@ def _symbols(n):
     msq = np.append(np.maximum(m * m - 1.0, 0.0), 0.0)
     lap.flags.writeable = msq.flags.writeable = False
     return lap, msq
+
+
+@functools.cache
+def _area_weights(n):
+    """Weights over z.view(float), the real and imaginary parts of a spectral
+    state z of u on n nodes (see _spectrum), whose sum of weights z^2 is
+    sum(u w), w = (d_thth + 1) u, by Parseval: c_m (1 - m^2) / n on
+    wavenumber m, c_m 1 at m = 0 and at Nyquist and 2 elsewhere, and n on
+    the mean. Read-only, as they are shared."""
+    lap, _ = _symbols(n)
+    c = np.full(lap.shape, 2.0)
+    c[0] = c[-1] = 1.0
+    weights = np.repeat(np.append(c * lap / n, float(n)), 2)
+    weights.flags.writeable = False
+    return weights
 
 
 @functools.cache

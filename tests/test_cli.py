@@ -132,8 +132,10 @@ def test_modes_rerun_is_byte_identical(tmp_path, capsys):
 
 
 def test_exit_codes(tmp_path, capsys):
-    # 2: k = 5 is not below sqrt(1 + 1/alpha) at alpha 0.1
+    # 2: k = 5 is not below sqrt(1 + 1/alpha) at alpha 0.1, nor is k = 0 >= 3
     assert cli.main(["shrinker", "--alpha", "0.1", "--k", "5"]) == 2
+    assert cli.main(["shrinker", "--alpha", "0.1", "--k", "0"]) == 2
+    assert cli.main(["spectrum", "--alpha", "0.1", "--profile", "k0"]) == 2
     # 2: a circle on 64 nodes has at most 63 eigenpairs to ask for
     assert cli.main(["spectrum", "--alpha", "0.2", "--profile", "circle",
                      "--n", "64", "--jmax", "100"]) == 2
@@ -141,6 +143,9 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.main(["spectrum", "--alpha", "0.04", "--profile", "k3",
                      "--n", "256"]) == 3
     flow = ["flow", "--alpha", "0.5", "--mode", "unnorm", "--n", "32", "--t-end", "0.01"]
+    # 4: usage errors: a required option missing, an unknown option
+    assert cli.main(["shrinker", "--k", "3"]) == 4
+    assert cli.main(flow + ["--bogus", "1"]) == 4
     # 4: a config file that does not exist, and a non-convex initial body
     assert cli.main(flow + ["--config", str(tmp_path / "missing.json")]) == 4
     assert cli.main(flow + ["--init", "perturb:2,0.5"]) == 4
@@ -180,7 +185,7 @@ def test_exit_codes(tmp_path, capsys):
 
 def test_config_sets_flags_under_explicit_ones(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"entropy": True, "n": 64}))
+    config.write_text(json.dumps({"entropy": True, "n": 64, "rtol": 1e-10}))
     out = str(tmp_path / "flow")
     assert cli.main(["flow", "--alpha", "0.5", "--mode", "area", "--n", "48",
                      "--t-end", "0.02", "--sample-dt", "0.01", "--outdir", out,
@@ -188,18 +193,30 @@ def test_config_sets_flags_under_explicit_ones(tmp_path):
     with open(os.path.join(out, "meta.json")) as fh:
         meta = json.load(fh)
     assert meta["log_entropy"] is True and meta["n"] == 48  # --n wins over the file
+    assert meta["rtol"] == 1e-10
     with open(os.path.join(out, "trace.csv")) as fh:
         header, *rows = [line.rstrip("\n").split(",") for line in fh]
     column = header.index("entropy")
     assert len(rows) == 3 and all(row[column] != "" for row in rows)
+    # a flag false in the file is off unless the command line sets it
+    config.write_text(json.dumps({"entropy": False}))
+    for flag in ([], ["--entropy"]):
+        assert cli.main(["flow", "--alpha", "0.5", "--mode", "area", "--n", "32",
+                         "--t-end", "0.01", "--outdir", out, "--config", str(config)]
+                        + flag) == 0
+        with open(os.path.join(out, "meta.json")) as fh:
+            assert json.load(fh)["log_entropy"] is bool(flag)
 
 
 def test_config_rejects_unknown_keys_and_non_bool_flags(tmp_path, capsys):
     flow = ["flow", "--alpha", "0.5", "--mode", "unnorm", "--n", "32", "--t-end", "0.01"]
-    # keys that name no option of flow, or a flag with a non-bool value
+    # keys that name no option of flow (abbreviations, config and help
+    # included), a flag with a non-bool value, or a value of no option type
     for i, cfg in enumerate(({"entropyy": True}, {"entropy": "false"},
                              {"_defaults": {}}, {"func": None}, {"dt": 1e-4},
-                             {"max-dt": 0.1}, {"gnuplot": True})):
+                             {"max-dt": 0.1}, {"gnuplot": True}, {"entr": True},
+                             {"config": "x"}, {"bogus": False}, {"help": True},
+                             {"alpha=0.3": True})):
         config = tmp_path / f"config{i}.json"
         config.write_text(json.dumps(cfg))
         assert cli.main(flow + ["--config", str(config)]) == 4
