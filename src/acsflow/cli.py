@@ -59,11 +59,12 @@ def _parse(argv):
     right after the subcommand, so that the command line's win: --key=value
     for a string or a number (_ read as -; the = keeps a negative number a
     value), and --key for true or false. argparse then rejects in the file
-    what it rejects on the command line."""
+    what it rejects on the command line. A required option may come from
+    either: the command line alone is parsed without requiring any."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.config is None:
-        return args
+    if not any(arg == "--config" or arg.startswith("--config=") for arg in argv):
+        return parser.parse_args(argv)
+    args = _build_parser(require=False).parse_args(argv)
     config, options = _load_config(args.config), []
     for key, value in config.items():
         name = key.replace("_", "-")
@@ -369,23 +370,25 @@ def cmd_entropy_table(args):
 
 # -- main ------------------------------------------------------------------------
 
-def _build_parser():
+def _build_parser(require=True):
+    """The parser of every subcommand; require=False leaves no option
+    required."""
     parser = _Parser(
         prog="acsflow",
         description="Numerical experiments for the alpha-curve shortening flow")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("shrinker", help="construct a contracting profile")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--k", type=_fold_arg, required=True, help="integer >= 3 or 'circle'")
+    p.add_argument("--alpha", type=float, required=require)
+    p.add_argument("--k", type=_fold_arg, required=require, help="integer >= 3 or 'circle'")
     p.add_argument("--n", type=_grid_size, default=512,
                    help="grid size (default %(default)s)")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_shrinker)
 
     p = sub.add_parser("spectrum", help="eigendecomposition at a profile")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--profile", type=_profile_tag, required=True,
+    p.add_argument("--alpha", type=float, required=require)
+    p.add_argument("--profile", type=_profile_tag, required=require,
                    help="'circle' or 'k<int>'")
     p.add_argument("--jmax", type=int, default=40,
                    help="number of eigenpairs, from 1 to n - 1 (default %(default)s)")
@@ -395,19 +398,19 @@ def _build_parser():
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("flow", help="time-integrate the flow")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--mode", choices=_MODE_NAMES, required=True)
+    p.add_argument("--alpha", type=float, required=require)
+    p.add_argument("--mode", choices=_MODE_NAMES, required=require)
     p.add_argument("--init", default="circle",
                    help="circle | file:<path> | perturb:<m>,<eps> | seed:<k>,<eps> "
                         "(default %(default)s)")
-    p.add_argument("--t-end", type=float, required=True)
+    p.add_argument("--t-end", type=float, required=require)
     p.add_argument("--entropy", action="store_true", help="log entropy per sample")
     p.add_argument("--outdir", help="output directory")
     p.add_argument("--n", type=_grid_size, default=256,
                    help="grid size (default %(default)s)")
     p.add_argument("--sample-dt", type=float,
-                   help="sample at multiples of this time, from an order-5 "
-                        "interpolant of the steps, which do not stop there "
+                   help="sample at multiples of this time, from an order-7 "
+                        "extension of the steps, which do not stop there "
                         "(default: every --sample-every steps in unnorm mode, "
                         "0.01 in tau and area modes)")
     p.add_argument("--sample-every", type=int, default=flow.FlowConfig.sample_every,
@@ -418,21 +421,21 @@ def _build_parser():
                    help="stop once the least radius of curvature falls below this "
                         "(default %(default)s)")
     p.add_argument("--rtol", type=float, default=flow.FlowConfig.rtol,
-                   help="bound on the estimated local error of each order-6 step, "
+                   help="bound on the estimated local error of each order-7 step, "
                         "relative to the support function about the Steiner point "
                         "(default %(default)s)")
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("modes", help="mode diagnostics of a stored trace")
-    p.add_argument("--trace", required=True, help="flow output directory")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--trace", required=require, help="flow output directory")
+    p.add_argument("--k", type=int, required=require)
     p.add_argument("--mmax", type=int, default=8,
                    help="highest mode tracked, at least 2k (default %(default)s)")
     p.add_argument("--out", help="output directory (default: --trace)")
     p.set_defaults(func=cmd_modes)
 
     p = sub.add_parser("entropy-table", help="profile entropies in order")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=float, required=require)
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_entropy_table)
 

@@ -8,8 +8,8 @@ Three gauges of the same motion:
 
 One marcher, flow_advance: extrapolated linearly implicit Euler
 (Deuflhard, SIAM Rev. 27, 1985; Hairer & Wanner, Solving ODEs II, IV.9), of
-order 6. A step of size h runs, from u, chains of j substeps of size h/j for
-j = 1, 2, 3, 4, 5 and 7; a substep from the state u + d adds
+order 7. A step of size h runs, from u, chains of j substeps of size h/j for
+j = 1, 2, 3, 4, 6, 8 and 10; a substep from the state u + d adds
 (h/j) W^-1 f(u + d) to d, with W = I - (h/j) c P (d_thth + 1),
 c = alpha max w^(-1-alpha) (divided by m in the area gauge)
 the largest coefficient of the true Jacobian alpha w^(-1-alpha) (d_thth + 1),
@@ -18,10 +18,12 @@ entries >= 1. The linearly implicit Euler step is a W-method: for any such
 fixed approximate Jacobian the increment T_j of chain j has an error
 expansion in powers of h/j, so the step is set by accuracy, not by the
 explicit stability limit of the stiffest mode. Aitken-Neville extrapolation
-in 1/j to 0 combines the six increments into the order-6 step T_66; each of
+in 1/j to 0 combines the seven increments into the order-7 step T_77; each of
 its levels adds a difference of increments over n_i / n_i-k - 1, so the
-rounding of an increment is not amplified. T_66 - T_65, the step minus the
-order-5 value of the tableau, is the error estimate. The substeps run in
+rounding of an increment is not amplified. The sequence keeps the
+extrapolation well conditioned: its weights sum to 186 in absolute value,
+where the harmonic 1, ..., 7 would sum to 1007. T_77 - T_76, the step minus
+the order-6 value of the tableau, is the error estimate. The substeps run in
 Fourier space: a substep state, increment or RHS value is the spectral state
 of geometry, [rfft(v - mean v), mean v], the mean a trailing column that W
 leaves alone. The RHS forms w = u_thth + u by one irfft, as
@@ -32,14 +34,14 @@ with no FFT.
 
 The chains share k1 = f(u), which also supplies c and the near-extinction
 guard dt <= 0.2 * min(u_thth + u)^(1 + alpha). The i-th substeps of the
-chains still running (those with j > i) are the rows of one RHS call: 5, 4,
-3, 2, 1 and 1 rows for i = 1 to 6. Rows of the batched FFTs, sums and minima
-are bitwise equal to the single-row calls, so batching changes no output. An
-accepted step thus evaluates the RHS at 17 states in 7 calls and makes 16
-FFT calls: one rfft forms the spectrum of u (u stays the state of record),
-each RHS call makes one irfft and one rfft, and one batched irfft returns the
-error estimate and the step to the nodes; a rejected step reuses k1. The
-error estimate is bounded node by node by atol + rtol |u_s|. Here
+chains still running (those with j > i) are the rows of one RHS call: 6, 5,
+4, 3, 3, 2, 2, 1 and 1 rows for i = 1 to 9. Rows of the batched FFTs, sums
+and minima are bitwise equal to the single-row calls, so batching changes no
+output. An accepted step thus evaluates the RHS at 28 states in 10 calls and
+makes 22 FFT calls: one rfft forms the spectrum of u (u stays the state of
+record), each RHS call makes one irfft and one rfft, and one batched irfft
+returns the error estimate and the step to the nodes; a rejected step reuses
+k1. The error estimate is bounded node by node by atol + rtol |u_s|. Here
 u_s = u - s.e(theta) is the support function about the Steiner point
 s = (1/pi) integral u e(theta), that is u without its Fourier mode 1. The
 flow commutes with translations and u_s does not see them, so the tolerance
@@ -47,44 +49,62 @@ does not depend on where the origin is. The Steiner point lies inside every
 convex body, so u_s > 0 and rtol bounds the error at every node; |u| of a
 body off the origin nears 0 at some nodes, where a bound relative to |u|
 would shrink to atol and set the step. h changes only by factors on a fixed
-lattice of quarter octaves, 2^(j/4), floored from the controller's proposal
-0.9 err^(-1/6), so rounding in the error estimate seldom moves h. rhs
-evaluates the same right-hand side for callers outside the marcher.
+lattice of quarter octaves, 2^(j/4), floored from the controller's proposal,
+so rounding in the error estimate seldom moves h. After a rejection the
+proposal is 0.9 err^(-1/7). After an accepted step it is the smaller of that
+and Gustafsson's predictive factor (ACM TOMS 20, 1994),
+0.9 err^(-1/7) (h / h_prev) (err_prev / err)^(1/7), from the last accepted
+step the error set; where the error constant grows, as near extinction, the
+prediction stops the steps from alternating between accepted and rejected.
+Growth is capped at 4, and a step whose estimate is below 1e-8 grows by 4
+with no prediction. rhs evaluates the same right-hand side for callers
+outside the marcher.
 
-run makes one flow_advance call, and the marcher records every row of the
-trace after the initial one, in time order: the samples, at fixed times or
-every sample_every steps, and the state where it stops, once. It stops at
-t_end ("reached_end"), after max_steps steps ("max_steps"), at the
-minimum-radius floor ("min_radius"), on convexity loss ("non_convex"; that
-state is not recorded) or on step underflow ("step_underflow"), and returns
-which; the work counts go to FlowTrace.stats.
+run makes one flow_advance call, and the marcher records the time and state
+of every row of the trace after the initial one, in time order: the
+samples, at fixed times or every sample_every steps, and the state where it
+stops, once. It stops at t_end ("reached_end"), after max_steps steps
+("max_steps"), at the minimum-radius floor ("min_radius"), on convexity loss
+("non_convex"; that state is not recorded) or on step underflow
+("step_underflow"), and returns which; the work counts go to
+FlowTrace.stats. run then forms the diagnostic columns of the rows in
+batches, with one batched entropy maximization per batch.
 
 Samples at fixed times do not end steps; only t_end does. A sample inside
 an accepted step from u_0 to u_1 comes from the step's continuous extension
-(Hairer, Norsett & Wanner, Solving ODEs I, II.6): the quintic Hermite
-interpolant of u, f = u' and g = u'' = J f at both ends, with J the Jacobian
-of the right-hand side; each g costs one irfft, which also returns f to the
-nodes. A step with samples in it first forms f(u_1), which the next step
-reuses as its k1, and g_1. The interpolant is of order 5 in h, its error
-O(h^6), as large as the order-6 step's own, so it is bounded: at the
-fraction s of the step the error is estimated node by node as
-|top| min(1, |top| / |c|) s^3 (1 - s)^3. Here
-top = 6 (u_1 - u_0) - 3 h (f_0 + f_1) + h^2 (g_1 - g_0) / 2 is the quintic's
-s^5 coefficient, its correction over the quartic Hermite interpolant, and
-c = h^2 g_0 / 2 - 3 (u_1 - u_0) + h (2 f_0 + f_1) is the quartic's
-correction c s^2 (1 - s)^2 over the cubic one; |top| / |c| estimates the
-ratio of successive corrections, so the product estimates the next one,
-which the quintic leaves out (the quartic difference |top| s^3 (1 - s)^2
-alone overstates the error about tenfold). A step whose estimate exceeds
+(Hairer & Ostermann, Numer. Math. 58, 1990), built from the chains the step
+has run. A step with samples in it keeps the increments of its substeps and
+first forms f(u_1), which the next step reuses as its k1. The extension is
+the polynomial P(s) in the fraction s of the step with P(0) = u_0,
+P'(0) = h f(u_0), P(1) = u_1, P'(1) = h f(u_1) and, for k = 2 to 5,
+P^(k)(1) = h^k r_k: r_k is the Aitken-Neville extrapolation in 1/j to 0 of
+the k-th backward differences, over (h/j)^k, of the last k + 1 substep
+states of the chains with j >= k, formed from the substep increments
+(differences of states carry the rounding of the sums). Each r_k is then
+O(h^(8 - k)) off the true derivative, and P is of order 7, as the step is.
+P is linear in the kept increments with weights that depend on s alone
+(_extension_tables), so a step's samples cost one small matrix product and
+one batched irfft. Its error is bounded: P_1 and P_2 extrapolate each
+derivative over one and two chains fewer and leave out the top one and two
+conditions, so they are of orders 6 and 5; with d1 = |P - P_1| and
+d2 = |P_1 - P_2| at a sample, node by node, the error is estimated as
+d1 min(1, d1 / d2)^(1/2). Of the estimates either side of it, d1 alone
+overstates the error and costs steps (an alpha 1/2 circle sampled every
+0.05 to t 0.4 takes 17 steps and 11 sample rejections, against 15 and 10),
+and d1 min(1, d1 / d2) understates it (the same circle's samples then drift
+2.4e-11 off the exact law, against 6.6e-14). A step whose estimate exceeds
 atol + rtol |u_s| at one of its samples is rejected and shortened like any
-other. Against samples landed on at rtol 1e-14, a tau-gauge run of
-seed:3,1e-3 at alpha 1/8 (n 512, t_end 2, samples every 0.01; 20 steps
-instead of 204) is off by at most 2.1e-12 (1.1e-15 when landing, which takes
-the reference's own 204 steps), and an area-gauge random body (n 256, same
-sampling; 423 steps instead of 529) by 1.2e-12 (1.2e-12 when landing).
+other. W damps the top Fourier modes of the increments, so the extension's
+rounding does not grow with n. Against samples landed on at rtol 1e-14, a
+tau-gauge run of seed:3,1e-3 at alpha 1/8 (t_end 2, samples every 0.01) is
+off by at most 5.9e-14 at n 512 and 2.7e-13 at n 1024, in 16 steps with no
+sample rejection at both n (the reference takes 204), and an area-gauge
+random body (n 256, same sampling) by 9.5e-13, in 226 steps (616 for the
+reference).
 """
 
 import bisect
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -108,18 +128,30 @@ ATOL = 1e-15
 # Substep counts of the chains of linearly implicit Euler steps whose
 # increments the extrapolation combines, as a column of the chains' rows; at
 # substep i the chains with j > i run on, rows _LIVE[i - 1] onwards.
-_SEQ = (1, 2, 3, 4, 5, 7)
+_SEQ = (1, 2, 3, 4, 6, 8, 10)
 _SEQ_COL = np.array(_SEQ, dtype=float)[:, None]
 _LIVE = tuple(bisect.bisect_right(_SEQ, i) for i in range(1, _SEQ[-1]))
+# A step with samples inside keeps the increment of each substep of each
+# chain, packed by substep: those of substep i, from the chains with j >= i,
+# are rows _KEPT[i - 1] onwards, the first from chain row _FIRST[i - 1]; 34
+# in all.
+_FIRST = (0,) + _LIVE
+_KEPT = tuple(np.cumsum([0] + [len(_SEQ) - lo for lo in _FIRST]).tolist())
 # Aitken-Neville divisors n_i / n_i-k - 1 of the extrapolation's level k
 _NEVILLE_DEN = tuple(_SEQ_COL[k:] / _SEQ_COL[:-k] - 1.0 for k in range(1, len(_SEQ)))
+# the continuous extension matches the derivatives of orders 2 to _DENSE_TOP
+# at the step's end; its two lower levels, which bound its error, stop one
+# and two orders below
+_DENSE_TOP = 5
+
+# rows of a run's trace whose diagnostics are formed in one batch
+_DIAGNOSTIC_ROWS = 32
 
 # Factors by which the controller changes h: quarter octaves 2^(j/4) from
 # below its 0.1 floor on a rejection up to its growth cap of 4.
 _STEP_RATIOS = tuple(2.0 ** (j / 4) for j in range(-14, 9))
-# exponent of the controller: the error estimate and the sample bound are
-# both O(h^6)
-_EXPONENT = -1.0 / 6.0
+# exponent of the controller: the error estimate is O(h^7)
+_EXPONENT = -1.0 / 7.0
 
 
 @dataclass
@@ -134,12 +166,13 @@ class FlowStats:
     error estimate was above tolerance, or the estimated error of the
     continuous extension was above tolerance at a sample inside the step
     (see the module docstring). rhs_evals counts the states at which the
-    marcher evaluates the RHS: 17 per accepted step, at most 16 per rejected
-    one (k1 is reused), and f(u_1) of each step with samples in it, which
-    serves as the next step's k1 once that step is accepted.
-    dense_evals counts the J f products of the samples. entropy_evals sums
-    the evaluations of the entropy maximizations of a run's samples (0 when
-    run does not log the entropy).
+    marcher evaluates the RHS: 28 per accepted step, in 10 calls, at most 27
+    per rejected one (k1 is reused), and f(u_1) of each step with samples
+    in it, which serves as the next step's k1 once that step is accepted.
+    dense_evals counts the continuous extensions formed: one per step with
+    samples inside it that passes the error test, accepted or rejected by
+    the sample bound. entropy_evals sums the evaluations of the entropy
+    maximizations of a run's rows (0 when run does not log the entropy).
     """
 
     accepted: int = 0
@@ -206,51 +239,6 @@ def _flow_rhs(z, alpha, mode, stats):
     return z - f / m, w
 
 
-def _jacobian_product(z, w, v, alpha, mode):
-    """(v, J v) at the nodes, for the spectral v (see _spectrum) and J the
-    Jacobian of the right-hand side at the spectral state z, whose radii of
-    curvature are w; one batched irfft forms v and (d_thth + 1) v."""
-    lap, _ = _symbols(w.shape[-1])
-    vn, lv = np.fft.irfft(np.stack((v[:-1], lap * v[:-1]))) + v[-1].real
-    a = alpha * w ** (-1.0 - alpha)
-    if mode == "unnormalized":
-        return vn, a * lv
-    if mode == "normalized_tau":
-        return vn, vn + a * lv
-    # the area gauge divides the speed w^-alpha by m = S / Q, with
-    # S = sum(w^(1 - alpha)) and Q = sum(u w); as d_thth + 1 is symmetric,
-    # dQ = 2 sum(v w)
-    speed = w ** -alpha
-    m, q = _area_gauge(z, w, speed)
-    dm = ((1.0 - alpha) * np.sum(speed * lv) - 2.0 * m * np.sum(vn * w)) / q
-    return vn, vn + (a * lv + speed * (dm / m)) / m
-
-
-def _hermite(s, h, u0, u1, f0, f1, g0, g1):
-    """Rows of the quintic Hermite interpolant, over a step of size h, of the
-    values u, first derivatives f and second derivatives g at its ends, at
-    the fractions s (an array) of the step."""
-    s = s[:, None]
-    r = 1.0 - s
-    s3 = s ** 3
-    return (u0 + (s3 * (10.0 - 15.0 * s + 6.0 * s * s)) * (u1 - u0)
-            + (h * s * r ** 3 * (1.0 + 3.0 * s)) * f0
-            - (h * s3 * r * (4.0 - 3.0 * s)) * f1
-            + (0.5 * h * h) * ((s * s * r ** 3) * g0 + (s3 * r * r) * g1))
-
-
-def _extension_error(h, du, fg0, fg1):
-    """Estimated error, node by node and over s^3 (1 - s)^3 at the fraction s,
-    of the quintic Hermite interpolant of a step of size h and increment du,
-    given (f, g) at its ends (see the module docstring)."""
-    (f0, g0), (f1, g1) = fg0, fg1
-    hh = 0.5 * h * h
-    top = np.abs(6.0 * du - (3.0 * h) * (f0 + f1) + hh * (g1 - g0))
-    c = np.abs(hh * g0 - 3.0 * du + h * (2.0 * f0 + f1))
-    # |top| min(1, |top| / |c|), and 0 where top is 0
-    return top * top / np.maximum(np.maximum(c, top), np.finfo(float).tiny)
-
-
 def rhs(u: SupportFunction, alpha, mode) -> np.ndarray:
     """Right-hand side of the flow in the given gauge at u, as the marcher forms it."""
     if mode not in _MODES:
@@ -262,7 +250,7 @@ def rhs(u: SupportFunction, alpha, mode) -> np.ndarray:
     return _nodal(du)
 
 
-def _chain_increments(z, h, k1, coeff, alpha, mode, stats):
+def _chain_increments(z, h, k1, coeff, alpha, mode, stats, states=None):
     """Spectral increments T_j, one row per j in _SEQ, of j linearly implicit
     Euler substeps of size h/j from the spectral state z; None on convexity
     loss.
@@ -270,29 +258,106 @@ def _chain_increments(z, h, k1, coeff, alpha, mode, stats):
     A substep from z + d adds (h/j) f(z + d) / (1 + (h/j) c max(m^2 - 1, 0)),
     a solve with W = I - (h/j) c P (d_thth + 1), which is 1 on the mean
     column; coeff is c. The chains share k1 = f(z), and the i-th substeps of
-    the chains still running are the rows of one RHS call: 16 states in 6
-    calls besides k1.
+    the chains still running are the rows of one RHS call: 27 states in 9
+    calls besides k1. states, when given, receives the increment of every
+    substep, packed as _KEPT says, in its first _KEPT[-1] rows.
     """
     _, msq = _symbols(2 * z.shape[-1] - 4)
     hj = h / _SEQ_COL
     inv_w = 1.0 / (1.0 + (hj * coeff) * msq)
     d = (hj * k1) * inv_w
-    for lo in _LIVE:
+    if states is not None:
+        states[:len(_SEQ)] = d
+    for i, lo in enumerate(_LIVE, 1):
         k, _ = _flow_rhs(z + d[lo:], alpha, mode, stats)
         if k is None:
             return None
-        d[lo:] += (hj[lo:] * k) * inv_w[lo:]
+        step = (hj[lo:] * k) * inv_w[lo:]
+        d[lo:] += step
+        if states is not None:
+            states[_KEPT[i]:_KEPT[i + 1]] = step
     return d
 
 
 def _extrapolate(t):
-    """(T_66 - T_65, T_66) from the increments t (rows T_j, j in _SEQ, which
+    """(T_77 - T_76, T_77) from the increments t (rows T_j, j in _SEQ, which
     are overwritten) by the Aitken-Neville tableau in 1/j: level k adds to
     each T_i,k the difference T_i,k - T_i-1,k over n_i / n_i-k - 1."""
     for k, den in enumerate(_NEVILLE_DEN, 1):
         corr = (t[k:] - t[k - 1:-1]) / den
         t[k:] += corr
     return corr[0], t[-1]
+
+
+@functools.cache
+def _extension_tables():
+    """Coefficients, over the powers v^0 .. v^7 of v = 1 - s, of the
+    continuous extensions Q_0, Q_0 - Q_1 and Q_1 - Q_2 of a step (see the
+    module docstring), as linear maps of its stacked states: the substep
+    increments, packed as _KEPT says, then h k1, h f(u_1) and the step's
+    increment. Built on first use.
+
+    Q_L = P_L - u_0 = sum_k a_k (-v)^k / k! + x v^m - y v^(m + 1), with
+    top = _DENSE_TOP - L and m = top + 1, is the Taylor polynomial at the
+    step's end of the derivatives a_k there, plus the two terms whose x and
+    y set Q(0) = 0 and Q'(0) = h k1. a_0 is the step's increment, a_1 is
+    h f(u_1), and a_k for k >= 2 is the Aitken-Neville extrapolation in 1/j
+    to 0 of j^k times the k-th backward differences of the last k + 1
+    substep states of the chains with j >= k, leaving out the L shortest; a
+    k-th difference of states is the (k-1)-th difference of the last k
+    increments. Read-only, as they are shared.
+    """
+    n_kept = _KEPT[-1]
+    k1_col, f1_col, du_col = n_kept, n_kept + 1, n_kept + 2
+    levels = []
+    for level in range(3):
+        top = _DENSE_TOP - level
+        m = top + 1
+        # conditions a_0 .. a_top and h k1 from the states
+        cond = np.zeros((top + 2, n_kept + 3))
+        cond[0, du_col] = cond[1, f1_col] = cond[top + 1, k1_col] = 1.0
+        for kappa in range(2, top + 1):
+            chains = [r for r, j in enumerate(_SEQ) if j >= kappa][level:]
+            for r in chains:
+                j = _SEQ[r]
+                weight = j ** kappa * math.prod(j / (j - _SEQ[q]) for q in chains if q != r)
+                for back in range(kappa):
+                    i = j - back - 1  # 0-based substep
+                    cond[kappa, _KEPT[i] + r - _FIRST[i]] += \
+                        weight * (-1) ** back * math.comb(kappa - 1, back)
+        # powers of v from the conditions; x and y follow from T(0) and
+        # T'(0), the Taylor polynomial at the end and its slope, both taken
+        # at the start
+        t0 = np.array([(-1.0) ** k / math.factorial(k) for k in range(top + 1)])
+        t1 = np.append(0.0, t0[:-1])
+        powers = np.zeros((_DENSE_TOP + 3, top + 2))
+        powers[:top + 1, :top + 1] = np.diag(t0)
+        powers[m, :top + 1] = -t1 - (m + 1) * t0
+        powers[m + 1, :top + 1] = t1 + m * t0
+        powers[m, top + 1], powers[m + 1, top + 1] = 1.0, -1.0
+        levels.append(powers @ cond)
+    q0, q1, q2 = levels
+    tables = np.stack((q0, q0 - q1, q1 - q2))
+    tables.flags.writeable = False
+    return tables
+
+
+def _extension(v, states):
+    """Rows Q_0, Q_0 - Q_1 and Q_1 - Q_2 of a step's continuous extension
+    (see _extension_tables) at the fractions 1 - v of the step, as stacks of
+    rows like the step's stacked states, states (complex, rows along the
+    first axis): one matrix product."""
+    weights = (v[:, None] ** np.arange(_DENSE_TOP + 3)) @ _extension_tables()
+    rows = weights.reshape(-1, weights.shape[-1]) @ states.view(float)
+    return rows.view(complex).reshape(weights.shape[:2] + states.shape[1:])
+
+
+def _extension_estimate(d1, d2):
+    """The estimated error of the continuous extension Q_0, node by node,
+    from the differences d1 = Q_0 - Q_1 and d2 = Q_1 - Q_2 of its levels:
+    |d1| min(1, |d1| / |d2|)^(1/2), and 0 where d1 is 0."""
+    d1, d2 = np.abs(d1), np.abs(d2)
+    return d1 * np.sqrt(np.minimum(1.0, d1 / np.maximum(d2, np.finfo(float).tiny)))
 
 
 def _ratio_floor(x):
@@ -306,13 +371,14 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
     """Advance the flow state u in place until t_limit or a stop, recording
     the rows of the run on the way.
 
-    Each step extrapolates the chains of 1, 2, 3, 4, 5 and 7 linearly
-    implicit Euler substeps (see the module docstring) to an order-6 step,
-    and estimates its error by T_66 - T_65; the step is also capped by the
+    Each step extrapolates the chains of 1, 2, 3, 4, 6, 8 and 10 linearly
+    implicit Euler substeps (see the module docstring) to an order-7 step,
+    and estimates its error by T_77 - T_76; the step is also capped by the
     near-extinction guard CFL_COEFF * min_roc^(1 + alpha). The substeps run
     as rows of batched RHS calls in Fourier space, so an accepted step
-    evaluates the RHS at 17 states in 7 calls and makes 16 FFT calls. After
-    each step the controller's factor 0.9 err^(-1/6) is floored onto
+    evaluates the RHS at 28 states in 10 calls and makes 22 FFT calls. After
+    each step the controller's factor, 0.9 err^(-1/7) or, after an accepted
+    step, the smaller of that and Gustafsson's prediction, is floored onto
     _STEP_RATIOS, quarter octaves from below 0.1 to 4. A step is rejected
     when a substep state fails the convexity test, when the error estimate
     is above tolerance or not finite, or when the estimated error of its
@@ -354,11 +420,13 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
 
     if t >= t_limit:
         return "reached_end", t, h
-    # the spectrum z of u and k1 = f(u), spectral; fg holds f(u) and J f(u)
-    # at the nodes once a sample needs them
+    # the spectrum z of u and k1 = f(u), spectral
     z = _spectrum(u)
     k1, w = _flow_rhs(z, alpha, mode, stats)
-    fg = None
+    # (h, error) of the last accepted step whose error estimate reached
+    # 1e-8, for the predictive controller
+    last = None
+    states = None
     while True:
         if k1 is None:
             return "non_convex", t, h
@@ -385,14 +453,24 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
                 if landing:
                     return stop("reached_end", t_limit, h)
                 return stop("step_underflow", t, h_step)
+            t_next = t_limit if landing else t + h_step
+            j_s = bisect.bisect_right(sample_times, t_next, lo=i_s)
+            # a step with samples inside keeps its substep increments, then
+            # h k1, h f(u_1) and its own increment, for its extension; every
+            # such step writes the same entries, so one array serves them all
+            sampled = j_s > i_s
+            if sampled and states is None:
+                states = np.zeros((_KEPT[-1] + 3, z.shape[-1]), dtype=complex)
 
-            chains = _chain_increments(z, h_step, k1, coeff, alpha, mode, stats)
+            chains = _chain_increments(z, h_step, k1, coeff, alpha, mode, stats,
+                                       states if sampled else None)
             if chains is None:
                 stats.rejected_convexity += 1
                 h = 0.25 * h_step
                 continue
+            err, dz = _extrapolate(chains)
             # the error and the step return to the nodes in one batched irfft
-            err, du = _nodal(np.stack(_extrapolate(chains)))
+            err, du = _nodal(np.stack((err, dz)))
             enorm = (np.abs(err) / escale).max()
             if not np.isfinite(enorm):
                 enorm = 10.0
@@ -400,17 +478,11 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
                 stats.rejected_error += 1
                 h = h_step * _ratio_floor(max(0.9 * enorm ** _EXPONENT, 0.1))
                 continue
-
-            t_next = t_limit if landing else t + h_step
-            j_s = bisect.bisect_right(sample_times, t_next, lo=i_s)
-            if j_s == i_s:
+            if not sampled:
                 break
-            # samples inside the step: f(u_1), the next step's k1, and
-            # g_1 = J f(u_1) complete the quintic Hermite interpolant, whose
-            # estimated error is bounded at each sample
-            if fg is None:
-                fg = _jacobian_product(z, w, k1, alpha, mode)
-                stats.dense_evals += 1
+            # samples inside the step: f(u_1), the next step's k1, completes
+            # the continuous extension, whose estimated error is bounded at
+            # each sample
             u1 = u + du
             z1 = _spectrum(u1)
             f1, w1 = _flow_rhs(z1, alpha, mode, stats)
@@ -418,11 +490,11 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
                 u[:] = u1
                 stats.count_step("landing" if landing else cap, h_step)
                 return "non_convex", t_next, h
-            fg1 = _jacobian_product(z1, w1, f1, alpha, mode)
+            states[-3:] = h_step * k1, h_step * f1, dz
+            v = (t_next - np.array(sample_times[i_s:j_s])) / h_step
+            ext, d1, d2 = _nodal(_extension(v, states))
             stats.dense_evals += 1
-            s = (np.array(sample_times[i_s:j_s]) - t) / h_step
-            est = _extension_error(h_step, du, fg, fg1)
-            ratio = (est / escale).max() * ((s * (1.0 - s)) ** 3).max()
+            ratio = (_extension_estimate(d1, d2) / escale).max()
             if ratio <= 1.0:
                 break
             stats.rejected_sample += 1
@@ -430,29 +502,37 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
 
         n_acc += 1
         stats.count_step("landing" if landing else cap, h_step)
-        if j_s == i_s:
+        if not sampled:
             u += du
             k1 = None
         else:
-            rows = _hermite(s, h_step, u, u1, fg[0], fg1[0], fg[1], fg1[1])
+            rows = u + ext
             u[:] = u1
             for t_s, row in zip(sample_times[i_s:j_s], rows):
                 put(t_s, u if t_s == t_next else row)
             i_s = j_s
-            z, k1, w, fg = z1, f1, w1, fg1
+            z, k1, w = z1, f1, w1
         t = t_next
         if landing:
             return stop("reached_end", t, h)
         # factors from one lattice: rounding in the error estimate then
         # seldom changes the step sequence
-        fac = 4.0 if enorm < 1e-8 else _ratio_floor(min(0.9 * enorm ** _EXPONENT, 4.0))
+        if enorm < 1e-8:
+            fac, last = 4.0, None
+        else:
+            fac = min(0.9 * enorm ** _EXPONENT, 4.0)
+            if last is not None:
+                # Gustafsson's prediction from the trend of err / h^7
+                h_last, e_last = last
+                fac = min(fac, 0.9 * enorm ** _EXPONENT * (h_step / h_last)
+                          * (enorm / e_last) ** _EXPONENT)
+            fac, last = _ratio_floor(max(fac, 0.1)), (h_step, enorm)
         h = h_step * fac
         if n_acc >= max_steps:
             return stop("max_steps", t, h)
         if k1 is None:
             z = _spectrum(u)
             k1, w = _flow_rhs(z, alpha, mode, stats)
-            fg = None
 
 
 @dataclass(frozen=True)
@@ -516,31 +596,21 @@ def _validate(config: FlowConfig):
 
 
 def run(config: FlowConfig) -> FlowTrace:
-    """Integrate the configured flow, sampling diagnostics along the way."""
+    """Integrate the configured flow. The march records the times and states
+    of the rows; their diagnostic columns follow from the states, formed in
+    batches of _DIAGNOSTIC_ROWS rows."""
     _validate(config)
-    from .entropy import entropy as entropy_max  # local import, no cycle
+    from .entropy import entropy_rows  # local import, no cycle
 
     grid = config.initial.grid
     u = config.initial.values.copy()
     stats = FlowStats()
-
-    rows = []
-    snaps = []
+    times, snaps = [0.0], [u.copy()]
 
     def record(t_now, values):
-        w = radius_of_curvature(values)
-        a = 0.5 * grid.dtheta * float(np.sum(values * w))
-        ell = grid.dtheta * float(np.sum(w))
-        ent = math.nan
-        if config.log_entropy:
-            result = entropy_max(SupportFunction(grid, values), config.alpha)
-            ent = result.value
-            stats.entropy_evals += result.evaluations
-        rows.append((t_now, a, ell, a / ell**2,
-                     1.0 / float(np.max(w)), 1.0 / float(np.min(w)), ent))
+        times.append(t_now)
         snaps.append(values.copy())
 
-    record(0.0, u)
     sample_times = []
     sample_every = config.sample_every
     if config.sample_dt is not None:
@@ -555,13 +625,28 @@ def run(config: FlowConfig) -> FlowTrace:
         ATOL, config.stop_min_radius, stats, config.max_steps, sample_times,
         sample_every, record)
 
-    rows_arr = np.array(rows)
+    snapshots = np.array(snaps)
+    snaps.clear()  # the row copies go before the batches need room
+    # area, length, min and max curvature and entropy of each row
+    cols = np.full((5, len(snapshots)), math.nan)
+    for lo in range(0, len(snapshots), _DIAGNOSTIC_ROWS):
+        rows = snapshots[lo:lo + _DIAGNOSTIC_ROWS]
+        w = radius_of_curvature(rows)
+        part = cols[:, lo:lo + _DIAGNOSTIC_ROWS]
+        part[0] = 0.5 * grid.dtheta * np.sum(rows * w, axis=-1)
+        part[1] = grid.dtheta * np.sum(w, axis=-1)
+        part[2] = 1.0 / np.max(w, axis=-1)
+        part[3] = 1.0 / np.min(w, axis=-1)
+        if config.log_entropy:
+            results = entropy_rows(rows, config.alpha)
+            part[4] = [r.value for r in results]
+            stats.entropy_evals += sum(r.evaluations for r in results)
+    area_col, length_col, min_curv, max_curv, entropy_col = cols
     return FlowTrace(
         alpha=config.alpha, mode=config.mode, grid=grid,
-        times=rows_arr[:, 0], area=rows_arr[:, 1], length=rows_arr[:, 2],
-        iso_ratio=rows_arr[:, 3], min_curvature=rows_arr[:, 4],
-        max_curvature=rows_arr[:, 5], entropy=rows_arr[:, 6],
-        snapshots=np.array(snaps),
+        times=np.array(times), area=area_col, length=length_col,
+        iso_ratio=area_col / length_col ** 2, min_curvature=min_curv,
+        max_curvature=max_curv, entropy=entropy_col, snapshots=snapshots,
         terminal_reason=reason, n_steps=stats.accepted, stats=stats)
 
 

@@ -208,6 +208,21 @@ def test_config_sets_flags_under_explicit_ones(tmp_path):
             assert json.load(fh)["log_entropy"] is bool(flag)
 
 
+def test_config_supplies_required_options(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"alpha": 0.5}))
+    flow = ["flow", "--mode", "unnorm", "--n", "32", "--t-end", "0.01"]
+    assert cli.main(flow + ["--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == 0.5
+    # the command line still wins over the file
+    assert cli.main(flow + ["--alpha", "0.25", "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == 0.25
+    # an option in neither is still missing
+    config.write_text(json.dumps({"n": 64}))
+    assert cli.main(flow + ["--config", str(config)]) == 4
+    assert "--alpha" in capsys.readouterr().err
+
+
 def test_config_rejects_unknown_keys_and_non_bool_flags(tmp_path, capsys):
     flow = ["flow", "--alpha", "0.5", "--mode", "unnorm", "--n", "32", "--t-end", "0.01"]
     # keys that name no option of flow (abbreviations, config and help

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from acsflow.entropy import entropy, entropy_at
-from acsflow.errors import OutOfRange, PointOutside
+from acsflow import entropy as entropy_module
+from acsflow.entropy import entropy, entropy_at, entropy_rows
+from acsflow.errors import NonConvex, OptimFailed, OutOfRange, PointOutside
 from acsflow.geometry import (SupportFunction, circle_support, ellipse_support,
                               random_convex_support, translate)
 from acsflow.shrinker import assemble_profile, shrinker_entropy
@@ -148,3 +149,53 @@ def test_scale_invariance_far_from_unit_size(grid256, rng, lam):
     assert np.allclose(scaled.point, lam * np.array(base.point), rtol=0, atol=1e-8 * lam)
     assert entropy_at(SupportFunction(grid256, lam * u.values),
                       lam * np.array(base.point), 0.01) == pytest.approx(base.value, abs=1e-12)
+
+
+def _distinct_bodies(grid, rng):
+    # random, translated and near-circular: the last stops at its start
+    return np.array([random_convex_support(grid, rng).values,
+                     translate(random_convex_support(grid, rng), (0.21, -0.13)).values,
+                     1.0 + 1e-3 * np.cos(3 * grid.nodes)])
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.5, 1.0])
+def test_entropy_rows_match_each_row_alone(grid256, rng, alpha):
+    rows = _distinct_bodies(grid256, rng)
+    batch = entropy_rows(rows, alpha)
+    alone = [entropy(SupportFunction(grid256, row), alpha) for row in rows]
+    assert len(batch) == len(rows)
+    for got, ref in zip(batch, alone):
+        assert got.value == pytest.approx(ref.value, rel=1e-15, abs=0.0)
+        assert np.allclose(got.point, ref.point, rtol=1e-15, atol=0.0)
+        assert got.evaluations == ref.evaluations
+    assert sum(r.evaluations for r in batch) == sum(r.evaluations for r in alone)
+    # the rows iterate for different numbers of Newton steps
+    assert len({r.evaluations for r in batch}) > 1
+
+
+def test_entropy_rows_raise_for_one_bad_row(grid256, rng, monkeypatch):
+    rows = _distinct_bodies(grid256, rng)
+    bent = rows.copy()
+    bent[1] = 1.0 + 0.5 * np.cos(2 * grid256.nodes)  # not convex
+    with pytest.raises(NonConvex):
+        entropy_rows(bent, 0.5)
+    # a Newton step that does not ascend, in one row of the batch
+    real = np.linalg.solve
+
+    def reversed_in_row_one(a, b):
+        x = real(a, b)
+        x[1] = -x[1]
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", reversed_in_row_one)
+    with pytest.raises(OptimFailed, match="does not ascend"):
+        entropy_rows(rows, 0.5)
+
+
+def test_probe_outside_the_body_counts_as_minus_infinity(grid256):
+    rows = np.array([circle_support(grid256).values] * 3)
+    z = np.array([(0.3, 0.0), (1.2, 0.0), (1.0 - 1e-12, 0.0)])
+    _, f = entropy_module._probe(rows, z, 0.5)
+    # the unit circle's area term is 0
+    assert f[0] == pytest.approx(entropy_at(circle_support(grid256), z[0], 0.5), abs=1e-15)
+    assert f[1] == f[2] == -np.inf
