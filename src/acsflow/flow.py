@@ -37,10 +37,12 @@ guard dt <= 0.2 * min(u_thth + u)^(1 + alpha). The i-th substeps of the
 chains still running (those with j > i) are the rows of one RHS call: 6, 5,
 4, 3, 3, 2, 2, 1 and 1 rows for i = 1 to 9. Rows of the batched FFTs, sums
 and minima are bitwise equal to the single-row calls, so batching changes no
-output. An accepted step thus evaluates the RHS at 28 states in 10 calls and
-makes 22 FFT calls: one rfft forms the spectrum of u (u stays the state of
-record), each RHS call makes one irfft and one rfft, and one batched irfft
-returns the error estimate and the step to the nodes; a rejected step reuses
+output. A step that passes the error test forms its end state u_1, its
+spectrum and f(u_1), the next step's k1, before it is accepted; an accepted
+step thus evaluates the RHS at 28 states in 10 calls and makes 22 FFT calls:
+each RHS call makes one irfft and one rfft, one batched irfft returns the
+error estimate and the step to the nodes, and one rfft forms the spectrum
+of u_1 (the nodal state stays the state of record). A rejected step reuses
 k1. The error estimate is bounded node by node by atol + rtol |u_s|. Here
 u_s = u - s.e(theta) is the support function about the Steiner point
 s = (1/pi) integral u e(theta), that is u without its Fourier mode 1. The
@@ -60,21 +62,23 @@ Growth is capped at 4, and a step whose estimate is below 1e-8 grows by 4
 with no prediction. rhs evaluates the same right-hand side for callers
 outside the marcher.
 
-run makes one flow_advance call, and the marcher records the time and state
-of every row of the trace after the initial one, in time order: the
-samples, at fixed times or every sample_every steps, and the state where it
-stops, once. It stops at t_end ("reached_end"), after max_steps steps
-("max_steps"), at the minimum-radius floor ("min_radius"), on convexity loss
-("non_convex"; that state is not recorded) or on step underflow
-("step_underflow"), and returns which; the work counts go to
+run makes one flow_advance call. The marcher hands it, in time order, the
+samples at fixed times or, without them, every accepted state; run keeps
+every sample_every-th of those, and then the state where the march stopped,
+unless it is the last row already. The march stops at t_end
+("reached_end"), after max_steps steps ("max_steps"), at the minimum-radius
+floor ("min_radius"), on convexity loss ("non_convex"; that state is not
+recorded, nor are the samples of the step that reached it) or on step
+underflow ("step_underflow"), and returns which; every state it records or
+stops at has passed the convexity test, and the work counts go to
 FlowTrace.stats. run then forms the diagnostic columns of the rows in
 batches, with one batched entropy maximization per batch.
 
 Samples at fixed times do not end steps; only t_end does. A sample inside
 an accepted step from u_0 to u_1 comes from the step's continuous extension
 (Hairer & Ostermann, Numer. Math. 58, 1990), built from the chains the step
-has run. A step with samples in it keeps the increments of its substeps and
-first forms f(u_1), which the next step reuses as its k1. The extension is
+has run and f(u_1), so a step with samples in it keeps the increments of
+its substeps. The extension is
 the polynomial P(s) in the fraction s of the step with P(0) = u_0,
 P'(0) = h f(u_0), P(1) = u_1, P'(1) = h f(u_1) and, for k = 2 to 5,
 P^(k)(1) = h^k r_k: r_k is the Aitken-Neville extrapolation in 1/j to 0 of
@@ -86,14 +90,17 @@ P is linear in the kept increments with weights that depend on s alone
 (_extension_tables), so a step's samples cost one small matrix product and
 one batched irfft. Its error is bounded: P_1 and P_2 extrapolate each
 derivative over one and two chains fewer and leave out the top one and two
-conditions, so they are of orders 6 and 5; with d1 = |P - P_1| and
-d2 = |P_1 - P_2| at a sample, node by node, the error is estimated as
-d1 min(1, d1 / d2)^(1/2). Of the estimates either side of it, d1 alone
+conditions, so they are of orders 6 and 5. With d1 and d2 the largest
+|P - P_1| and |P_1 - P_2| of each node over the step's samples and
+s = 1/4, 1/2 and 3/4, the error over the step is estimated as
+d1 min(1, d1 / d2)^(1/2). Taken at each sample alone, the estimate reads
+far below the error where P - P_1 changes sign (on u' = -u with h 0.4,
+1.4e-4 of it at s 0.69). Of the estimates either side of it, d1 alone
 overstates the error and costs steps (an alpha 1/2 circle sampled every
-0.05 to t 0.4 takes 17 steps and 11 sample rejections, against 15 and 10),
+0.05 to t 0.4 takes 18 steps and 12 sample rejections, against 16 and 10),
 and d1 min(1, d1 / d2) understates it (the same circle's samples then drift
-2.4e-11 off the exact law, against 6.6e-14). A step whose estimate exceeds
-atol + rtol |u_s| at one of its samples is rejected and shortened like any
+3.3e-13 off the exact law, against 7.7e-14). A step whose estimate exceeds
+atol + rtol |u_s| at one of its nodes is rejected and shortened like any
 other. W damps the top Fourier modes of the increments, so the extension's
 rounding does not grow with n. Against samples landed on at rtol 1e-14, a
 tau-gauge run of seed:3,1e-3 at alpha 1/8 (t_end 2, samples every 0.01) is
@@ -105,6 +112,7 @@ reference).
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -143,6 +151,9 @@ _NEVILLE_DEN = tuple(_SEQ_COL[k:] / _SEQ_COL[:-k] - 1.0 for k in range(1, len(_S
 # at the step's end; its two lower levels, which bound its error, stop one
 # and two orders below
 _DENSE_TOP = 5
+# fractions 1 - s of a step, s = 1/4, 1/2 and 3/4, at which its extension's
+# error is probed besides the samples
+_PROBES = np.array([0.75, 0.5, 0.25])
 
 # rows of a run's trace whose diagnostics are formed in one batch
 _DIAGNOSTIC_ROWS = 32
@@ -164,15 +175,17 @@ class FlowStats:
     h_min and h_max are its extremes (None before the first). A step is
     rejected for one reason: a substep state failed the convexity test, the
     error estimate was above tolerance, or the estimated error of the
-    continuous extension was above tolerance at a sample inside the step
+    continuous extension of a step with samples inside was above tolerance
     (see the module docstring). rhs_evals counts the states at which the
-    marcher evaluates the RHS: 28 per accepted step, in 10 calls, at most 27
-    per rejected one (k1 is reused), and f(u_1) of each step with samples
-    in it, which serves as the next step's k1 once that step is accepted.
-    dense_evals counts the continuous extensions formed: one per step with
-    samples inside it that passes the error test, accepted or rejected by
-    the sample bound. entropy_evals sums the evaluations of the entropy
-    maximizations of a run's rows (0 when run does not log the entropy).
+    marcher evaluates the RHS, however the march ends: 1 for k1 at the
+    start, 28 per accepted step in 10 calls (27 substep states and f(u_1),
+    the next step's k1), 27 per error rejection, 28 per sample rejection
+    and at most 27 per convexity rejection (k1 is reused). dense_evals
+    counts the continuous extensions formed: one per step with samples
+    inside it whose end state passes the error and convexity tests,
+    accepted or rejected by the sample bound. entropy_evals sums the
+    evaluations of the entropy maximizations of a run's rows (0 when run
+    does not log the entropy).
     """
 
     accepted: int = 0
@@ -353,10 +366,12 @@ def _extension(v, states):
 
 
 def _extension_estimate(d1, d2):
-    """The estimated error of the continuous extension Q_0, node by node,
-    from the differences d1 = Q_0 - Q_1 and d2 = Q_1 - Q_2 of its levels:
-    |d1| min(1, |d1| / |d2|)^(1/2), and 0 where d1 is 0."""
-    d1, d2 = np.abs(d1), np.abs(d2)
+    """The estimated error of the continuous extension Q_0 over a step, node
+    by node, from the differences d1 = Q_0 - Q_1 and d2 = Q_1 - Q_2 of its
+    levels at fractions of the step, rows along the first axis: with D1 and
+    D2 the largest |d1| and |d2| of each node, D1 min(1, D1 / D2)^(1/2), and
+    0 where D1 is 0."""
+    d1, d2 = np.abs(d1).max(axis=0), np.abs(d2).max(axis=0)
     return d1 * np.sqrt(np.minimum(1.0, d1 / np.maximum(d2, np.finfo(float).tiny)))
 
 
@@ -366,10 +381,9 @@ def _ratio_floor(x):
 
 
 def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
-                 stats, max_steps=math.inf, sample_times=(), sample_every=None,
-                 record=None):
+                 stats, max_steps=math.inf, sample_times=(), record=None):
     """Advance the flow state u in place until t_limit or a stop, recording
-    the rows of the run on the way.
+    the states of the march on the way.
 
     Each step extrapolates the chains of 1, 2, 3, 4, 6, 8 and 10 linearly
     implicit Euler substeps (see the module docstring) to an order-7 step,
@@ -382,59 +396,47 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
     _STEP_RATIOS, quarter octaves from below 0.1 to 4. A step is rejected
     when a substep state fails the convexity test, when the error estimate
     is above tolerance or not finite, or when the estimated error of its
-    continuous extension is above tolerance at a sample inside it. The
-    tolerance at each node is atol + rtol |u_s|, with u_s the support
-    function about the Steiner point of the step's start (see the module
-    docstring); it is positive for a convex body wherever the origin is, so
-    rtol bounds the error at every node. Counts go to stats (a FlowStats).
+    continuous extension is above tolerance over a step with samples inside
+    it. The tolerance at each node is atol + rtol |u_s|, with u_s the
+    support function about the Steiner point of the step's start (see the
+    module docstring); it is positive for a convex body wherever the origin
+    is, so rtol bounds the error at every node. Counts go to stats (a
+    FlowStats).
 
-    record(t_r, v) receives the rows in time order, all but the start,
-    which the caller records: with sample_times, ascending times in
-    (t, t_limit), the state at each from the continuous extension of the
-    step that passes it (steps do not end on them; see the module
-    docstring); with sample_every instead, every sample_every-th state; and
-    the state where the march stops, once, unless the status is
-    "non_convex". A row's state has passed the convexity test, except a
-    last state with no sample inside its step.
+    Every step that passes the error test forms its end state u_1 and
+    f(u_1), the next step's k1, and is accepted the same way: with
+    sample_times, ascending times in (t, t_limit), record(t_r, v) receives
+    the state at each sample inside the step, from its continuous extension
+    (steps do not end on them; see the module docstring); without them it
+    receives u_1. A u_1 that fails the convexity test ends the march as
+    "non_convex" at the step's end, and nothing of that step is recorded, so
+    every state recorded or stopped at has passed the test.
 
-    Returns (status, t, h_next); status is "reached_end" (t is t_limit, or
-    the start when that is not before t_limit), "max_steps", "min_radius",
-    "non_convex" (a state failed the convexity test; the samples inside the
-    step that reached it are not recorded) or "step_underflow".
+    Returns (status, t, h_next): u is the state at time t, where the march
+    stopped; status is "reached_end" (t is t_limit, or the start when that
+    is not before t_limit), "max_steps", "min_radius", "non_convex" or
+    "step_underflow".
     """
     n_acc = 0
     i_s = 0  # index of the next sample time
-    t_row = t  # time of the last row; the caller records the start
-
-    def put(t_r, v):
-        nonlocal t_row
-        t_row = t_r
-        if record is not None:
-            record(t_r, v)
-
-    def stop(status, t_u, h_u):
-        """The return (status, t_u, h_u) once u at time t_u is recorded."""
-        if t_row != t_u:
-            put(t_u, u)
-        return status, t_u, h_u
-
     if t >= t_limit:
         return "reached_end", t, h
     # the spectrum z of u and k1 = f(u), spectral
     z = _spectrum(u)
     k1, w = _flow_rhs(z, alpha, mode, stats)
+    if k1 is None:
+        return "non_convex", t, h
     # (h, error) of the last accepted step whose error estimate reached
     # 1e-8, for the predictive controller
     last = None
-    states = None
+    # a step with samples inside keeps its substep increments, then h k1,
+    # h f(u_1) and its own increment, for its extension; every such step
+    # writes the same entries, so one array serves them all
+    states = np.zeros((_KEPT[-1] + 3, z.shape[-1]), dtype=complex)
     while True:
-        if k1 is None:
-            return "non_convex", t, h
-        if sample_every and n_acc % sample_every == 0 and t_row != t:
-            put(t, u)
         wmin = w.min()
         if wmin < stop_min_radius:
-            return stop("min_radius", t, h)
+            return "min_radius", t, h
         # W's coefficient, the guard and the error scale of u
         coeff = alpha * (w ** (-alpha - 1.0)).max()
         if mode == "normalized_area":
@@ -451,17 +453,11 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
             h_step = t_limit - t if landing else h
             if h_step <= 1e-14 * max(1.0, abs(t)):
                 if landing:
-                    return stop("reached_end", t_limit, h)
-                return stop("step_underflow", t, h_step)
+                    return "reached_end", t_limit, h
+                return "step_underflow", t, h_step
             t_next = t_limit if landing else t + h_step
             j_s = bisect.bisect_right(sample_times, t_next, lo=i_s)
-            # a step with samples inside keeps its substep increments, then
-            # h k1, h f(u_1) and its own increment, for its extension; every
-            # such step writes the same entries, so one array serves them all
             sampled = j_s > i_s
-            if sampled and states is None:
-                states = np.zeros((_KEPT[-1] + 3, z.shape[-1]), dtype=complex)
-
             chains = _chain_increments(z, h_step, k1, coeff, alpha, mode, stats,
                                        states if sampled else None)
             if chains is None:
@@ -478,21 +474,16 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
                 stats.rejected_error += 1
                 h = h_step * _ratio_floor(max(0.9 * enorm ** _EXPONENT, 0.1))
                 continue
-            if not sampled:
-                break
-            # samples inside the step: f(u_1), the next step's k1, completes
-            # the continuous extension, whose estimated error is bounded at
-            # each sample
             u1 = u + du
             z1 = _spectrum(u1)
             f1, w1 = _flow_rhs(z1, alpha, mode, stats)
-            if f1 is None:
-                u[:] = u1
-                stats.count_step("landing" if landing else cap, h_step)
-                return "non_convex", t_next, h
+            if f1 is None or not sampled:
+                break
+            # samples inside the step: f(u_1) completes the continuous
+            # extension, whose estimated error is bounded over the step
             states[-3:] = h_step * k1, h_step * f1, dz
             v = (t_next - np.array(sample_times[i_s:j_s])) / h_step
-            ext, d1, d2 = _nodal(_extension(v, states))
+            ext, d1, d2 = _nodal(_extension(np.append(v, _PROBES), states))
             stats.dense_evals += 1
             ratio = (_extension_estimate(d1, d2) / escale).max()
             if ratio <= 1.0:
@@ -502,19 +493,21 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
 
         n_acc += 1
         stats.count_step("landing" if landing else cap, h_step)
-        if not sampled:
-            u += du
-            k1 = None
-        else:
-            rows = u + ext
+        if f1 is None:
             u[:] = u1
-            for t_s, row in zip(sample_times[i_s:j_s], rows):
-                put(t_s, u if t_s == t_next else row)
-            i_s = j_s
-            z, k1, w = z1, f1, w1
+            return "non_convex", t_next, h
+        if record is not None:
+            if sampled:
+                for t_s, row in zip(sample_times[i_s:j_s], u + ext[:j_s - i_s]):
+                    record(t_s, u1 if t_s == t_next else row)
+            elif not sample_times:
+                record(t_next, u1)
+        i_s = j_s
+        u[:] = u1
+        z, k1, w = z1, f1, w1
         t = t_next
         if landing:
-            return stop("reached_end", t, h)
+            return "reached_end", t, h
         # factors from one lattice: rounding in the error estimate then
         # seldom changes the step sequence
         if enorm < 1e-8:
@@ -529,10 +522,7 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
             fac, last = _ratio_floor(max(fac, 0.1)), (h_step, enorm)
         h = h_step * fac
         if n_acc >= max_steps:
-            return stop("max_steps", t, h)
-        if k1 is None:
-            z = _spectrum(u)
-            k1, w = _flow_rhs(z, alpha, mode, stats)
+            return "max_steps", t, h
 
 
 @dataclass(frozen=True)
@@ -583,8 +573,14 @@ def _validate(config: FlowConfig):
         raise BadConfig(f"t_end must be positive, got {config.t_end}")
     if config.sample_every < 1:
         raise BadConfig(f"sample_every must be >= 1, got {config.sample_every}")
-    if config.sample_dt is not None and not config.sample_dt > 0.0:
-        raise BadConfig(f"sample_dt must be positive, got {config.sample_dt}")
+    if config.sample_dt is not None:
+        # run lists the sample times up to t_end
+        if not (math.isfinite(config.sample_dt) and config.sample_dt > 0.0):
+            raise BadConfig(f"sample_dt must be finite and positive, "
+                            f"got {config.sample_dt}")
+        if not math.isfinite(config.t_end):
+            raise BadConfig(f"t_end must be finite to sample by sample_dt, "
+                            f"got {config.t_end}")
     if not (math.isfinite(config.rtol) and config.rtol >= 0.0):
         raise BadConfig(f"rtol must be finite and >= 0, got {config.rtol}")
     if config.max_steps < 1:
@@ -596,9 +592,11 @@ def _validate(config: FlowConfig):
 
 
 def run(config: FlowConfig) -> FlowTrace:
-    """Integrate the configured flow. The march records the times and states
-    of the rows; their diagnostic columns follow from the states, formed in
-    batches of _DIAGNOSTIC_ROWS rows."""
+    """Integrate the configured flow. The rows are the start, the samples
+    at multiples of sample_dt or else every sample_every-th accepted state,
+    and the state where the march stopped, unless it is the last row already
+    or failed the convexity test; their diagnostic columns follow from the
+    states, formed in batches of _DIAGNOSTIC_ROWS rows."""
     _validate(config)
     from .entropy import entropy_rows  # local import, no cycle
 
@@ -606,24 +604,29 @@ def run(config: FlowConfig) -> FlowTrace:
     u = config.initial.values.copy()
     stats = FlowStats()
     times, snaps = [0.0], [u.copy()]
-
-    def record(t_now, values):
-        times.append(t_now)
-        snaps.append(values.copy())
-
     sample_times = []
-    sample_every = config.sample_every
+    every = config.sample_every
     if config.sample_dt is not None:
         # exact multiples keep the sample spacing uniform to rounding; a
         # final sliver shorter than a quarter interval is absorbed into t_end
         dt = config.sample_dt
         while (len(sample_times) + 1) * dt <= config.t_end - 0.25 * dt:
             sample_times.append((len(sample_times) + 1) * dt)
-        sample_every = None
-    reason, _, _ = flow_advance(
+        every = 1
+
+    seen = itertools.count(1)
+
+    def record(t_now, values):
+        if next(seen) % every == 0:
+            times.append(t_now)
+            snaps.append(values.copy())
+
+    reason, t_stop, _ = flow_advance(
         u, 0.0, FIRST_DT, config.t_end, config.alpha, config.mode, config.rtol,
-        ATOL, config.stop_min_radius, stats, config.max_steps, sample_times,
-        sample_every, record)
+        ATOL, config.stop_min_radius, stats, config.max_steps, sample_times, record)
+    if reason != "non_convex" and t_stop != times[-1]:
+        times.append(t_stop)
+        snaps.append(u.copy())
 
     snapshots = np.array(snaps)
     snaps.clear()  # the row copies go before the batches need room

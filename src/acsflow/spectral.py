@@ -255,13 +255,15 @@ def decompose(h: SupportFunction, alpha, j_max=40) -> SpectralDecomposition:
     mus, classes = mus[order], classes[order]
     # A multiplies Fourier mode m by m^2 - 1, so ||A||_2 = max(1, (n//2)^2 - 1)
     scale = max(1.0, (n // 2) ** 2 - 1.0) + np.abs(mus) * np.max(b)
-    resid = -radius_of_curvature(phi) - mus[:, None] * phi * b
+    w_phi = radius_of_curvature(phi)
+    resid = -w_phi - mus[:, None] * phi * b
     backward = np.linalg.norm(resid, axis=1) / (scale * np.linalg.norm(phi, axis=1))
     if not np.max(backward) <= BACKWARD_TOL:
         raise EigenFailed(f"eigenpair backward error {np.max(backward):.3g} "
                           f"exceeds {BACKWARD_TOL:g}")
-    residuals = np.array([ip.norm(apply_L(h, alpha, p) + lam * p)
-                          for lam, p in zip(lams, phi)])
+    # ||L phi + lam phi||_h of every pair, as apply_L and ip.norm form them
+    r = alpha * h.values ** (1.0 + 1.0 / alpha) * w_phi + phi + lams[:, None] * phi
+    residuals = np.sqrt(np.maximum(h.grid.dtheta * np.sum(r * r * b, axis=1), 0.0))
     return SpectralDecomposition(
         inner_product=ip, eigenvalues=lams, eigenfunctions=phi,
         residuals=residuals, backward_errors=backward,

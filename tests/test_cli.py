@@ -152,6 +152,10 @@ def test_exit_codes(tmp_path, capsys):
     # 4: tolerances that are negative or not a number
     assert cli.main(flow + ["--rtol=-1e-12"]) == 4
     assert cli.main(flow + ["--rtol", "nan"]) == 4
+    # 4: sample times up to an endless t_end, or an endless sample interval
+    tau = ["flow", "--alpha", "0.1", "--mode", "tau", "--n", "32"]
+    assert cli.main(tau + ["--t-end", "inf"]) == 4
+    assert cli.main(tau + ["--t-end", "1", "--sample-dt", "inf"]) == 4
     # 4: option values that are not numbers, on the command line or in a config
     spectrum = ["spectrum", "--alpha", "0.2", "--profile", "circle"]
     assert cli.main(spectrum + ["--n", "abc"]) == 4

@@ -62,6 +62,16 @@ def test_config_validation(grid256):
         with pytest.raises(BadConfig):
             run(FlowConfig(alpha=0.5, mode="unnormalized", initial=good, t_end=1.0,
                            rtol=rtol))
+    # sample times are listed up to t_end, so both must be finite; an
+    # unsampled run may go on until a stop
+    for t_end, sample_dt in ((math.inf, 0.01), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(BadConfig):
+            run(FlowConfig(alpha=0.1, mode="normalized_tau", initial=good, t_end=t_end,
+                           sample_dt=sample_dt))
+    tr = run(FlowConfig(alpha=0.5, mode="unnormalized",
+                        initial=circle_support(AngularGrid(64)), t_end=math.inf,
+                        sample_every=50))
+    assert tr.terminal_reason == "min_radius"
     bad = SupportFunction(grid256, 1 + 0.5 * np.cos(2 * grid256.nodes))
     with pytest.raises(BadConfig):
         run(FlowConfig(alpha=0.5, mode="unnormalized", initial=bad, t_end=1.0))
@@ -234,7 +244,7 @@ def test_min_radius_termination(grid256):
 
 @pytest.mark.parametrize("every", [1, 7])
 def test_stopping_state_is_recorded_once(grid256, every):
-    # the run stops at min_radius after 133 steps: a row every `every` steps
+    # the run stops at min_radius after 60 steps: a row every `every` steps
     # and one for the state where it stops, each at a later time
     cfg = FlowConfig(alpha=0.5, mode="unnormalized", initial=circle_support(grid256),
                      t_end=10.0, sample_every=every)
@@ -315,22 +325,32 @@ def test_max_steps_reason(grid256):
 
 
 def test_stats_count_twenty_eight_rhs_per_step(grid256):
-    # k1 = f(u) serves the step caps and the first substeps of all seven
-    # chains; a step that the sample bound rejects has formed its 27 substep
-    # states and f(u_1), which an accepted step hands on as the next k1
-    cfg = FlowConfig(alpha=0.5, mode="unnormalized", initial=circle_support(grid256),
-                     t_end=0.1, sample_dt=0.05)
-    stats = run(cfg).stats
-    assert stats.accepted > 0
-    assert stats.rejected_error == stats.rejected_convexity == 0
-    assert stats.rhs_evals == 28 * (stats.accepted + stats.rejected_sample)
+    # k1 = f(u) at the start serves the step caps and the first substeps of
+    # all seven chains; a step that passes the error test has formed its 27
+    # substep states and f(u_1), which an accepted step hands on as the next
+    # k1, however the run then ends; an error rejection forms no f(u_1)
+    for options, reason in (
+            (dict(t_end=0.1, sample_dt=0.03), "reached_end"),  # last step holds 0.09
+            (dict(t_end=0.1, sample_dt=0.05), "reached_end"),  # last step holds none
+            (dict(t_end=0.1), "reached_end"),
+            (dict(t_end=0.4, max_steps=8), "max_steps"),
+            (dict(t_end=10.0, sample_every=50), "min_radius")):
+        cfg = FlowConfig(alpha=0.5, mode="unnormalized",
+                         initial=circle_support(grid256), **options)
+        tr = run(cfg)
+        stats = tr.stats
+        assert tr.terminal_reason == reason and stats.accepted > 0
+        assert stats.rejected_convexity == 0
+        assert stats.rhs_evals == (1 + 28 * (stats.accepted + stats.rejected_sample)
+                                   + 27 * stats.rejected_error)
 
 
 @pytest.mark.parametrize("mode", ["unnormalized", "normalized_tau",
                                   "normalized_area"])
 def test_accepted_step_fft_calls(monkeypatch, mode):
-    # substeps run in Fourier space: the spectrum of u, one irfft and one
-    # rfft per RHS call (10 per step), and one irfft for the error and the step
+    # substeps run in Fourier space: the spectrum of u and k1 at the start,
+    # then per step one irfft and one rfft per RHS call (9 substep calls and
+    # f(u_1)), one irfft for the error and the step, and the spectrum of u_1
     counts = []
     for name in ("rfft", "irfft"):
         real = getattr(np.fft, name)
@@ -346,8 +366,8 @@ def test_accepted_step_fft_calls(monkeypatch, mode):
                                      1e-3, stats, max_steps=4)
     assert status == "max_steps" and stats.accepted == 4
     assert stats.rejected_error == stats.rejected_convexity == 0
-    assert stats.rhs_evals == 28 * stats.accepted
-    assert len(counts) == 22 * stats.accepted
+    assert stats.rhs_evals == 1 + 28 * stats.accepted
+    assert len(counts) == 3 + 22 * stats.accepted
 
 
 def test_entropy_evals_sum_over_samples(grid256):
@@ -379,7 +399,7 @@ def test_step_is_order_seven():
 
 
 def test_circle_extinction_step_count(grid256):
-    # order-7 steps on a quarter-octave lattice of h take 59 steps; with no
+    # order-7 steps on a quarter-octave lattice of h take 60 steps; with no
     # sample times no step holds a sample, so the sample bound rejects none
     cfg = FlowConfig(alpha=0.5, mode="unnormalized", initial=circle_support(grid256),
                      t_end=10.0, sample_every=200)
@@ -479,28 +499,47 @@ def test_batched_w_step_equals_single_rows(grid256, rng, mode):
     assert not np.isnan(states).any()  # every kept row is an increment
 
 
+def _linear_step_states(lam, h):
+    """The stacked states of one step of u' = lam u from u = 1, as the marcher
+    keeps them for the continuous extension: its chains of linearly implicit
+    Euler substeps, W = 1 - (h/j) lam, with the step's ends set exact, so
+    the extension's error is its own."""
+    states = np.zeros((flow._KEPT[-1] + 3, 1), dtype=complex)
+    for r, j in enumerate(flow._SEQ):
+        d = 0.0
+        for i in range(j):
+            step = (h / j) * lam * (1.0 + d) / (1.0 - (h / j) * lam)
+            states[flow._KEPT[i] + r - flow._FIRST[i]] = step
+            d += step
+    exact = math.exp(lam * h)
+    states[-3:, 0] = h * lam, h * lam * exact, exact - 1.0
+    return states
+
+
 @pytest.mark.parametrize("lam", [-1.0, 3.0, -8.0])
 def test_extension_error_estimate_tracks_the_interpolant(lam):
-    # u' = lam u from u = 1 by the marcher's chains of linearly implicit
-    # Euler substeps, W = 1 - (h/j) lam; the step's ends are set exact, so
-    # the extension's error is its own. The estimate bounds its largest
-    # value over the step, and overstates it by at most 20 (measured 1.3 to
-    # 13.5)
+    # the estimate bounds the extension's largest error over the step, and
+    # overstates it by at most 20 (measured 1.29 to 13.1)
     v = np.linspace(0.01, 0.99, 99)
     for h in (0.4, 0.2):
-        states = np.zeros((flow._KEPT[-1] + 3, 1), dtype=complex)
-        for r, j in enumerate(flow._SEQ):
-            d = 0.0
-            for i in range(j):
-                step = (h / j) * lam * (1.0 + d) / (1.0 - (h / j) * lam)
-                states[flow._KEPT[i] + r - flow._FIRST[i]] = step
-                d += step
-        exact = math.exp(lam * h)
-        states[-3:, 0] = h * lam, h * lam * exact, exact - 1.0
-        q, d1, d2 = flow._extension(v, states)[..., 0]
+        q, d1, d2 = flow._extension(v, _linear_step_states(lam, h))[..., 0]
         true = np.max(np.abs(1.0 + q - np.exp(lam * h * (1.0 - v))))
-        est = np.max(flow._extension_estimate(d1, d2))
+        est = flow._extension_estimate(d1, d2)
         assert true <= est <= 20.0 * true
+
+
+def test_extension_error_estimate_bounds_a_lone_sample():
+    # on u' = -u with h 0.4, d1 = Q_0 - Q_1 changes sign near s 0.69, where
+    # an estimate from that sample alone reads 1.4e-4 of the error there;
+    # with the marcher's probes at s = 1/4, 1/2 and 3/4 it bounds it
+    # (measured 12 times the error)
+    lam, h, v = -1.0, 0.4, np.array([0.31])
+    q, d1, d2 = flow._extension(v, _linear_step_states(lam, h))[..., 0]
+    true = abs(1.0 + q[0] - math.exp(lam * h * 0.69))
+    assert flow._extension_estimate(d1, d2) < 1e-3 * true
+    q, d1, d2 = flow._extension(np.append(v, flow._PROBES),
+                                _linear_step_states(lam, h))[..., 0]
+    assert true <= flow._extension_estimate(d1, d2) <= 20.0 * true
 
 
 def test_step_caps_sum_to_accepted():
@@ -613,3 +652,26 @@ def test_non_finite_stage_rejects_step(monkeypatch, poisoned_call, rejection):
     assert getattr(stats, rejection) == 1
     assert stats.rejected_error + stats.rejected_convexity == 1
     assert np.all(np.isfinite(u))
+
+
+def test_non_convex_landing_state_ends_the_march(monkeypatch):
+    # call 11 is f(u_1) of the first step, which lands on t_limit with no
+    # sample inside: u_1 failing the convexity test ends the march there as
+    # a step, and nothing of it is recorded
+    real = flow._flow_rhs
+    calls = []
+
+    def failing(v, *args):
+        calls.append(None)
+        du, w = real(v, *args)
+        return (None, w) if len(calls) == 11 else (du, w)
+
+    monkeypatch.setattr(flow, "_flow_rhs", failing)
+    u = 1.0 + 1e-2 * np.cos(3 * AngularGrid(64).nodes)
+    rows, stats = [], flow.FlowStats()
+    status, t, _ = flow.flow_advance(u, 0.0, 1e-3, 1e-3, 0.5, "unnormalized", 1e-8,
+                                     1e-11, 1e-3, stats,
+                                     record=lambda *row: rows.append(row))
+    assert status == "non_convex" and t == 1e-3 and len(calls) == 11
+    assert stats.accepted == stats.cap_landing == 1 and rows == []
+    assert stats.rhs_evals == 1 + 28 * stats.accepted
