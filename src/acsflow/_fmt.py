@@ -2,14 +2,12 @@
 
 JSON is written by the standard library's json.dumps, whose floats are the
 shortest repr that round-trips exactly (NaN and infinities as NaN and
-Infinity). snapshots.csv, which the modes diagnostics read back, carries 17
-significant digits, also an exact round trip. The other CSV files carry 12
-(readable, still far below any asserted tolerance). No timestamps anywhere.
+Infinity). CSV files carry 12 significant digits (readable, still far below
+any asserted tolerance). No timestamps anywhere.
 """
 
 import math
 
-SNAPSHOT_FMT = ".17g"
 CSV_FMT = ".12g"
 
 

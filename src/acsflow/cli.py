@@ -2,12 +2,13 @@
 
 Subcommands: shrinker, spectrum, flow, modes, entropy-table. Each success
 prints exactly one JSON record to stdout; data files land under the output
-directory with fixed names (trace.csv, meta.json, snapshots.csv,
+directory with fixed names (trace.csv, meta.json, snapshots.npy,
 spectrum.json, profile.json, segment.csv, modes.csv, residuals.json).
 Identical invocations produce byte-identical files: JSON is written by
 json.dumps, whose floats are the shortest repr that round-trips exactly;
-snapshots.csv carries 17 significant digits and the other CSV files 12; and
-nothing carries timestamps.
+snapshots.npy holds the flow's rows of support values as the float64 array
+itself (numpy's .npy format), which modes reads back bit for bit; CSV files
+carry 12 significant digits; and nothing carries timestamps.
 
 Each option is declared once, to argparse, which parses the command line and
 the keys of a --config file alike (see _parse). Exit codes: 2 for domain
@@ -245,13 +246,14 @@ def cmd_flow(args):
     out = _ensure_outdir(args.outdir)
     if out:
         _write(out, "trace.csv", flow.trace_to_csv(trace))
-        with open(os.path.join(out, "snapshots.csv"), "w") as fh:
-            geometry.support_rows_to_csv(fh, trace.snapshots)
+        np.save(os.path.join(out, "snapshots.npy"), trace.snapshots)
         _write_json(out, "meta.json", {
             "command": "flow", "version": __version__,
             "alpha": alpha, "mode": mode, "n": initial.grid.n, "init": args.init,
             "t_end": args.t_end,
-            "sample_dt": config.sample_dt, "sample_every": args.sample_every,
+            # null when sampling by sample_dt: run then keeps every sample
+            "sample_dt": config.sample_dt,
+            "sample_every": args.sample_every if config.sample_dt is None else None,
             "stop_min_radius": config.stop_min_radius,
             "rtol": config.rtol, "log_entropy": config.log_entropy,
             "terminal_reason": trace.terminal_reason,
@@ -272,10 +274,12 @@ def _unreadable(path, exc):
 def _trace_from_dir(path):
     """The FlowTrace of a flow output directory; BadConfig naming the file
     at fault when one is missing or does not hold what flow writes."""
-    meta_path, trace_path, snap_path = (
-        os.path.join(path, name) for name in ("meta.json", "trace.csv", "snapshots.csv"))
-    if not all(os.path.isfile(p) for p in (meta_path, trace_path, snap_path)):
-        raise BadConfig(f"{path!r} is not a flow output directory")
+    names = ("meta.json", "trace.csv", "snapshots.npy")
+    meta_path, trace_path, snap_path = (os.path.join(path, name) for name in names)
+    missing = [name for name in names if not os.path.isfile(os.path.join(path, name))]
+    if missing:
+        raise BadConfig(f"{path!r} is not a flow output directory: "
+                        f"it has no {', '.join(missing)}")
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)  # JSONDecodeError is a ValueError
@@ -298,12 +302,17 @@ def _trace_from_dir(path):
     except (KeyError, ValueError) as exc:
         raise _unreadable(trace_path, exc)
     try:
-        snaps = geometry.support_rows_from_csv(snap_path)
+        if os.path.getsize(snap_path) == 0:
+            raise ValueError("the file is empty")
+        # the .npy format alone: np.load would also open a zip archive
+        with open(snap_path, "rb") as fh:
+            snaps = np.lib.format.read_array(fh, allow_pickle=False)
     except ValueError as exc:
         raise _unreadable(snap_path, exc)
-    if snaps.shape != (len(rows), grid.n):
-        raise BadConfig(f"{snap_path} holds {snaps.shape[0]} rows of {snaps.shape[1]} "
-                        f"values, not the {len(rows)} rows of trace.csv with n = {grid.n}")
+    shape = (len(rows), grid.n)
+    if snaps.dtype != np.float64 or snaps.shape != shape:
+        raise BadConfig(f"{snap_path} holds {snaps.dtype} values of shape {snaps.shape}, "
+                        f"not float64 of shape {shape}, trace.csv's rows by n")
     if not np.all(np.isfinite(snaps)):
         raise BadConfig(f"{snap_path} holds a value that is not finite")
     return flow.FlowTrace(grid=grid, snapshots=snaps, **fields)

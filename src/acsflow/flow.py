@@ -553,7 +553,7 @@ class FlowTrace:
     min_curvature: np.ndarray
     max_curvature: np.ndarray
     entropy: np.ndarray  # nan where not logged
-    snapshots: np.ndarray  # (rows, n)
+    snapshots: np.ndarray  # (rows, n); the CLI writes them to snapshots.npy
     terminal_reason: str
     n_steps: int
     stats: FlowStats | None = None  # None for a trace read back from disk

@@ -16,12 +16,10 @@ translations.
 """
 
 import functools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fmt import SNAPSHOT_FMT
 from .errors import NonConvex
 
 # min(u_thth + u) > CONVEXITY_RTOL * mean(u) declares strict convexity; the
@@ -269,23 +267,3 @@ def support_to_json(u: SupportFunction) -> dict:
 def support_from_json(obj: dict) -> SupportFunction:
     return SupportFunction(AngularGrid(int(obj["n"])), np.asarray(obj["values"], dtype=float))
 
-
-def support_rows_to_csv(fh, rows) -> None:
-    """Write each row of support values to the open file fh as one line of
-    comma-separated values at 17 significant digits (an exact round trip),
-    with no header."""
-    np.savetxt(fh, rows, fmt="%" + SNAPSHOT_FMT, delimiter=",")
-
-
-def support_rows_from_csv(fname) -> np.ndarray:
-    """Matrix of the support values written by support_rows_to_csv, one row per
-    line; ValueError on an empty file, a ragged row or a value that is not a
-    number."""
-    with warnings.catch_warnings():
-        # an empty file is the ValueError below, not a warning as well
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                UserWarning)
-        rows = np.loadtxt(fname, delimiter=",", ndmin=2)
-    if rows.size == 0:
-        raise ValueError("the file is empty")
-    return rows

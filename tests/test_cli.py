@@ -1,4 +1,5 @@
 import filecmp
+import io
 import json
 import math
 import os
@@ -38,9 +39,8 @@ def test_flow_rerun_is_byte_identical_and_feeds_modes(tmp_path, capsys):
     names = _files(a)
     assert names == _files(b)
     assert "trace.csv" in names and "meta.json" in names
-    assert [f for f in names if f.startswith("snapshots")] == ["snapshots.csv"]
-    with open(os.path.join(a, "snapshots.csv")) as fh:
-        assert len(fh.read().splitlines()) == 11
+    assert [f for f in names if f.startswith("snapshots")] == ["snapshots.npy"]
+    assert np.load(os.path.join(a, "snapshots.npy")).shape == (11, 48)
     match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
     assert mismatch == [] and errors == []
     with open(os.path.join(a, "meta.json")) as fh:
@@ -262,9 +262,25 @@ def test_flow_file_init_records_its_grid(tmp_path, capsys):
     assert cli.main(["flow", "--alpha", "0.5", "--mode", "unnorm", "--init",
                      f"file:{init}", "--t-end", "0.01", "--outdir", out]) == 0
     with open(os.path.join(out, "meta.json")) as fh:
-        assert json.load(fh)["n"] == 64  # not the --n default, 256
-    with open(os.path.join(out, "snapshots.csv")) as fh:
-        assert {len(line.split(",")) for line in fh} == {64}
+        meta = json.load(fh)
+    assert meta["n"] == 64  # not the --n default, 256
+    assert np.load(os.path.join(out, "snapshots.npy")).shape == (meta["rows"], 64)
+
+
+def test_flow_meta_records_an_unused_sample_every_as_null(tmp_path, capsys):
+    # run keeps every sample when it samples by sample_dt, as in tau mode by default
+    tau = ["flow", "--alpha", "0.5", "--mode", "tau", "--n", "32", "--t-end", "0.1"]
+    unnorm = ["flow", "--alpha", "0.5", "--mode", "unnorm", "--n", "32", "--t-end", "0.01"]
+    cases = {"tau1": (tau + ["--sample-every", "1"], None),
+             "tau5": (tau + ["--sample-every", "5"], None),
+             "unnorm_dt": (unnorm + ["--sample-every", "5", "--sample-dt", "0.002"], None),
+             "unnorm5": (unnorm + ["--sample-every", "5"], 5)}
+    for name, (argv, every) in cases.items():
+        assert cli.main(argv + ["--outdir", str(tmp_path / name)]) == 0
+        with open(tmp_path / name / "meta.json") as fh:
+            assert json.load(fh)["sample_every"] == every, name
+    tau1, tau5 = (np.load(tmp_path / name / "snapshots.npy") for name in ("tau1", "tau5"))
+    assert tau1.shape == (11, 32) and np.array_equal(tau1, tau5)
 
 
 def test_snapshots_read_back_bit_for_bit(tmp_path, monkeypatch, capsys):
@@ -273,6 +289,7 @@ def test_snapshots_read_back_bit_for_bit(tmp_path, monkeypatch, capsys):
 
     def recording_run(config):
         traces.append(run(config))
+        traces[-1].snapshots[1] *= 1e-300  # every bit survives far from unit size too
         return traces[-1]
 
     monkeypatch.setattr(cli.flow, "run", recording_run)
@@ -286,24 +303,62 @@ def test_snapshots_read_back_bit_for_bit(tmp_path, monkeypatch, capsys):
 def test_modes_rejects_bad_snapshots(tmp_path, capsys):
     trace = str(tmp_path / "trace")
     _tau_flow(trace)
-    path = os.path.join(trace, "snapshots.csv")
-    with open(path) as fh:
-        lines = fh.read().splitlines(keepends=True)
-    first = lines[0].split(",")
+    capsys.readouterr()
+    path = os.path.join(trace, "snapshots.npy")
+    rows = np.load(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    nan_row = rows.copy()
+    nan_row[2, 5] = math.nan
+    text, archive = io.StringIO(), io.BytesIO()
+    np.savetxt(text, rows, fmt="%.17g", delimiter=",")  # the former snapshots.csv
+    np.savez(archive, rows)
     bad = {
-        "row missing": lines[:-1],
-        "row cut short": lines[:-1] + [lines[-1][:40] + "\n"],
-        "row too wide": [lines[0].rstrip("\n") + ",1\n"] + lines[1:],
-        "non-finite": [",".join(["nan"] + first[1:])] + lines[1:],
-        "not a number": [",".join(["one"] + first[1:])] + lines[1:],
+        "row missing": rows[:-1],
+        "row too wide": np.hstack([rows, rows[:, :1]]),
+        "1-D": rows.ravel(),
+        "3-D": rows[None],
+        "non-finite": nan_row,
+        "int64": rows.astype(np.int64),
+        "object": rows.astype(object),
+        "truncated": data[:-40],
+        "text": text.getvalue().encode(),
+        "npz archive": archive.getvalue(),
     }
-    for name, text in bad.items():
-        with open(path, "w") as fh:
-            fh.writelines(text)
+    for name, held in bad.items():
+        if isinstance(held, bytes):
+            with open(path, "wb") as fh:
+                fh.write(held)
+        else:
+            np.save(path, held, allow_pickle=True)
         assert cli.main(["modes", "--trace", trace, "--k", "3"]) == 4, name
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and path in err, name
     os.remove(path)
     assert cli.main(["modes", "--trace", trace, "--k", "3"]) == 4
-    assert capsys.readouterr().out.count("\n") == 1  # only the flow's record
+    assert capsys.readouterr().err.endswith("it has no snapshots.npy\n")
+    np.save(path, rows)
+    assert cli.main(["modes", "--trace", trace, "--k", "3"]) == 0
+
+
+def test_modes_names_the_missing_files(tmp_path, capsys):
+    # a directory from before snapshots.npy, with its rows in snapshots.csv
+    trace = str(tmp_path / "trace")
+    _tau_flow(trace)
+    capsys.readouterr()
+    snap_path = os.path.join(trace, "snapshots.npy")
+    np.savetxt(os.path.join(trace, "snapshots.csv"), np.load(snap_path),
+               fmt="%.17g", delimiter=",")
+    os.remove(snap_path)
+    assert cli.main(["modes", "--trace", trace, "--k", "3"]) == 4
+    assert capsys.readouterr() == (
+        "", f"error: {trace!r} is not a flow output directory: it has no snapshots.npy\n")
+    empty = str(tmp_path / "empty")
+    os.mkdir(empty)
+    assert cli.main(["modes", "--trace", empty, "--k", "3"]) == 4
+    assert capsys.readouterr().err == (
+        f"error: {empty!r} is not a flow output directory: "
+        "it has no meta.json, trace.csv, snapshots.npy\n")
 
 
 def test_modes_rejects_bad_meta_and_trace(tmp_path, capsys):
@@ -342,7 +397,7 @@ def test_modes_reports_an_empty_snapshots_file(tmp_path, capsys, recwarn):
     trace = str(tmp_path / "trace")
     _tau_flow(trace)
     capsys.readouterr()
-    path = os.path.join(trace, "snapshots.csv")
+    path = os.path.join(trace, "snapshots.npy")
     open(path, "w").close()
     assert cli.main(["modes", "--trace", trace, "--k", "3"]) == 4
     out, err = capsys.readouterr()

@@ -3,14 +3,14 @@ import io
 import numpy as np
 import pytest
 
+from acsflow._fmt import CSV_FMT, csv_table
 from acsflow.errors import NonConvex
 from acsflow.geometry import (AngularGrid, SupportFunction,
                               _fourier_coefficients, area, circle_support,
                               deriv1, ellipse_support, embed, length,
                               radius_of_curvature, random_convex_support,
                               require_convex, rotate_nodes, steiner_point,
-                              support_from_json, support_rows_from_csv,
-                              support_rows_to_csv, support_to_json, translate)
+                              support_from_json, support_to_json, translate)
 
 import oracles
 
@@ -257,17 +257,21 @@ def test_json_round_trip(grid256, rng):
 
 
 def test_csv_round_trip(grid256, rng):
+    # a CSV table of support values reads back as each value printed at
+    # CSV_FMT, far from unit size too, with NaN as a blank cell
     rows = np.array([random_convex_support(grid256, rng).values for _ in range(3)])
-    rows[0] *= 1e-300  # all 17 digits survive far from unit size too
-    fh = io.StringIO()
-    support_rows_to_csv(fh, rows)
-    assert fh.getvalue().count("\n") == 3
-    fh.seek(0)
-    assert np.array_equal(support_rows_from_csv(fh), rows)
-    fh = io.StringIO()
-    support_rows_to_csv(fh, rows[:1])
-    fh.seek(0)
-    assert np.array_equal(support_rows_from_csv(fh), rows[:1])
+    rows[0] *= 1e-300
+    rows[2, 7] = np.nan
+    text = csv_table(("u0", "u1", "u2"), rows)
+    assert text.count("\n") == 1 + grid256.n
+    assert text.splitlines()[8].endswith(",")
+    printed = np.array([[np.nan if np.isnan(x) else float(format(x, CSV_FMT)) for x in row]
+                        for row in rows])
+    back = np.genfromtxt(io.StringIO(text), delimiter=",", skip_header=1, ndmin=2).T
+    assert np.array_equal(back, printed, equal_nan=True)
+    one = np.genfromtxt(io.StringIO(csv_table(("u0",), rows[:1])), delimiter=",",
+                        skip_header=1, ndmin=2).T
+    assert np.array_equal(one, printed[:1])
 
 
 @pytest.mark.parametrize("n", [120, 256, 510, 1024])
