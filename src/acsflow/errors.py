@@ -35,8 +35,8 @@ class OptimFailed(AcsflowError):
 
 
 class EigenFailed(AcsflowError):
-    """Shift-invert Lanczos solve of the pencil did not converge, or a pair
-    breaks its backward-error bound."""
+    """Dense solve of a Bloch class of the pencil failed, or a pair breaks
+    its backward-error bound."""
 
 
 class WindowEscaped(AcsflowError):

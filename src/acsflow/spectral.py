@@ -16,12 +16,17 @@ Theoretical Methods and Their Applications, 1992). When h repeats every
 s = n/k nodes, the shift by s commutes with the pencil, and each Bloch class
 q (v[j + p s] = exp(2 pi i q p / k) v[j]) is an s x s pencil of its own: A's
 block follows from its symbol by one irfft, and the mass stays the diagonal
-b[:s]. Classes 0 and k/2 are real; classes q and k - q are solved together
-as the real 2s x 2s embedding of their Hermitian block. A profile with no
-rotation symmetry is the case k = 1, one block holding the whole pencil.
-Each block gets one shift-invert Lanczos solve (ARPACK; Lehoucq, Sorensen &
-Yang, 1998) below the lowest mu, which is -1 (the scaling mode), for its
-lowest j_max pairs; the merged lowest j_max are then the lowest overall.
+b[:s]. Classes 0 and k/2 are real; every other class q < k/2 is a Hermitian
+block, whose eigenvectors u lift to the two real eigenfunctions Re(zeta^p u)
+and Im(zeta^p u) of classes q and k - q. A profile with no rotation symmetry
+is the case k = 1, one block holding the whole pencil.
+Each block gets one dense solve (LAPACK ?sygvx / ?hegvx; Anderson et al.,
+LAPACK Users' Guide, 1999) of the definite pencil B u = nu K u with
+K = A - SHIFT B, which is positive definite at a profile, where every mu is
+at least -1 (the scaling mode); the largest nu = 1 / (mu - SHIFT) are the
+lowest mu. A real block supplies its lowest j_max pairs and a complex one its
+lowest ceil(j_max / 2), each lifting to two; the merged lowest j_max are then
+the lowest overall.
 
 The checks run on the vectors returned: lifted back to the n nodes, with
 the phase convention applied. The contract is the pencil's normwise
@@ -180,10 +185,10 @@ def _sector_blocks(n, s):
     A class-q vector is v[j + p s] = zeta^p u[j] with zeta = exp(2 pi i q / k),
     and A acts on u as the Hermitian s x s block H[i, j] = g_q[i - j], where
     g_q[d] = sum_p a[(d - p s) mod n] zeta^p and g_q[d - s] = g_q[d] / zeta for
-    the column a of A. phases holds zeta^p for p = 0..k-1. The block is real
-    for q = 0 and q = k/2; otherwise it is returned as the real 2s x 2s
-    embedding [[Re H, -Im H], [Im H, Re H]] acting on (Re u, Im u), which
-    carries class q and its partner k - q with every eigenvalue doubled.
+    the column a of A. phases holds zeta^p for p = 0..k-1. The block and the
+    phases are real for q = 0 and q = k/2 and complex otherwise; a complex
+    class stands for its partner k - q as well, whose vectors are the
+    conjugates.
     """
     k = n // s
     lap, _ = _symbols(n)
@@ -197,8 +202,7 @@ def _sector_blocks(n, s):
         if 2 * q % k == 0:
             yield q, phases.real, block.real
         else:
-            x, y = block.real, block.imag
-            yield q, phases, np.block([[x, -y], [y, x]])
+            yield q, phases, block
 
 
 def _parity(phi):
@@ -214,11 +218,12 @@ def _parity(phi):
 def decompose(h: SupportFunction, alpha, j_max=40) -> SpectralDecomposition:
     """Lowest j_max eigenpairs of -L at the profile h.
 
-    Raises OutOfRange unless 1 <= j_max <= n - 1, and EigenFailed when ARPACK
-    does not converge or a pair's backward error exceeds BACKWARD_TOL.
+    Raises OutOfRange unless 1 <= j_max <= n - 1, and EigenFailed when a
+    Bloch class's dense solve fails (K = A - SHIFT B is not positive definite
+    when h is far from a profile) or a pair's backward error exceeds
+    BACKWARD_TOL.
     """
-    import scipy.sparse
-    import scipy.sparse.linalg
+    import scipy.linalg
 
     ip = WeightedInnerProduct.build(h, alpha)
     n = h.grid.n
@@ -228,21 +233,25 @@ def decompose(h: SupportFunction, alpha, j_max=40) -> SpectralDecomposition:
     # blocks of more than j_max nodes, so that each supplies its lowest j_max
     s = _rotation_period(h.values, j_max + 1)
     k = n // s
+    mass = np.diag(b[:s])
     mus, vecs, classes = [], [], []
     for q, phases, block in _sector_blocks(n, s):
-        dim = len(block)
-        mass = scipy.sparse.dia_array((np.tile(b[:s], dim // s), 0), shape=(dim, dim))
+        real = not np.iscomplexobj(block)
+        want = j_max if real else -(-j_max // 2)
         try:
-            mu, u = scipy.sparse.linalg.eigsh(
-                block, k=min(j_max, dim - 1), M=mass, sigma=SHIFT, which="LM",
-                v0=np.ones(dim))
-        except scipy.sparse.linalg.ArpackError as exc:
-            raise EigenFailed(f"shift-invert Lanczos failed in Bloch class {q}: {exc}")
-        if dim > s:
-            u = u[:s] + 1j * u[s:]
-        # B-orthonormal in the block: the lift has B-norm^2 k (real) or k/2
-        lift = (phases[:, None, None] * u).real.reshape(n, -1)
-        vecs.append(lift.T / math.sqrt(k * s / dim))
+            nu, u = scipy.linalg.eigh(mass, block - SHIFT * mass,
+                                      subset_by_index=[s - want, s - 1], driver="gvx")
+        except scipy.linalg.LinAlgError as exc:
+            raise EigenFailed(f"dense solve failed in Bloch class {q}: {exc}")
+        # ascending mu; u^H K u = 1 makes u^H B u = nu
+        nu, u = nu[::-1], u[:, ::-1] / np.sqrt(nu[::-1])
+        mu = 1.0 / nu + SHIFT
+        # the lift has B-norm^2 k (real) or k/2 (Re and Im of a complex u)
+        lift = (phases[:, None, None] * u).reshape(n, -1)
+        if not real:
+            lift = np.stack([lift.real, lift.imag], axis=-1).reshape(n, -1)
+            mu = np.repeat(mu, 2)
+        vecs.append(lift.T / math.sqrt(k if real else k / 2))
         mus.append(mu)
         classes.append(np.full(len(mu), q))
     mus, vecs, classes = (np.concatenate(x) for x in (mus, vecs, classes))

@@ -424,3 +424,15 @@ def test_profiles_leave_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_decompose_leaves_scipy_sparse_unloaded():
+    # each Bloch class is one dense LAPACK solve: no sparse eigensolver is imported
+    code = ("import sys; from acsflow.shrinker import assemble_profile; "
+            "from acsflow.spectral import decompose; "
+            "decompose(assemble_profile(1 / 24, 3, 510).h, 1 / 24, j_max=12); "
+            "print('scipy.sparse' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 
 from acsflow.errors import EigenFailed, GridMismatch, WindowEscaped
 from acsflow.geometry import (AngularGrid, circle_support, deriv1,
                               radius_of_curvature, random_convex_support)
 from acsflow.shrinker import assemble_profile
-from acsflow.spectral import (WeightedInnerProduct, apply_L, circle_eigenvalues,
-                              decompose, energy_split, measure_growth_rate,
-                              spectrum_to_json_dict)
+from acsflow.spectral import (SHIFT, WeightedInnerProduct, apply_L,
+                              circle_eigenvalues, decompose, energy_split,
+                              measure_growth_rate, spectrum_to_json_dict)
 
 
 def _circle(n=256):
@@ -137,9 +136,23 @@ def test_sector_labels_at_k3_profile():
     assert (dec.bloch_classes[scaling], dec.parities[scaling]) == (0, "even")
     translations = np.argsort(np.abs(ev + 1.0))[:2]
     assert dec.bloch_classes[translations].tolist() == [1, 1]
+    # the Re and Im lifts of one Hermitian eigenpair share its eigenvalue
+    assert ev[translations[0]] == ev[translations[1]]
     assert sorted(dec.parities[j] for j in translations) == ["even", "odd"]
     kernel = int(np.argmin(np.abs(ev)))
     assert (dec.bloch_classes[kernel], dec.parities[kernel]) == (0, "odd")
+
+
+def test_fewer_pairs_are_a_prefix_of_more():
+    # a complex class supplies ceil(j_max / 2) pairs, two candidates each; at
+    # j_max 1 the second candidate, cut but phase-fixed, is a translation (q 1)
+    h = assemble_profile(1 / 24, 3, 510).h
+    many = decompose(h, 1 / 24, j_max=12)
+    for j_max in (1, 11):
+        few = decompose(h, 1 / 24, j_max=j_max)
+        ev = many.eigenvalues[:j_max]
+        assert np.max(np.abs(few.eigenvalues - ev) / (1.0 + np.abs(ev))) <= 1e-12
+        assert few.bloch_classes.tolist() == many.bloch_classes[:j_max].tolist()
 
 
 def test_degenerate_pair_split_by_the_cut_is_labelled():
@@ -151,8 +164,9 @@ def test_degenerate_pair_split_by_the_cut_is_labelled():
 
 @pytest.mark.parametrize("alpha,build,k", [
     (0.12, lambda: assemble_profile(0.12, 3, 252).h, 3),
+    (1 / 24, lambda: assemble_profile(1 / 24, 4, 256).h, 4),
     (0.5, lambda: random_convex_support(AngularGrid(256), np.random.default_rng(3)), 1),
-], ids=["d3_profile", "asymmetric_body"])
+], ids=["d3_profile", "d4_profile", "asymmetric_body"])
 def test_sector_eigenvalues_match_the_dense_pencil(alpha, build, k):
     # reference: the whole n x n pencil -(D2 + 1) v = mu b v, solved densely
     h = build()
@@ -185,25 +199,32 @@ def test_returned_pairs_meet_the_backward_error_contract():
     assert np.allclose(backward, dec.backward_errors, rtol=0, atol=1e-15)
 
 
-def test_decompose_raises_when_arpack_does_not_converge(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence(
-            "ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+def test_decompose_raises_when_the_dense_solve_fails(monkeypatch):
+    def no_factor(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("the leading minor of order 3 is not positive")
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    with pytest.raises(EigenFailed):
+    monkeypatch.setattr(scipy.linalg, "eigh", no_factor)
+    with pytest.raises(EigenFailed, match="Bloch class 0"):
         decompose(_circle(64), 0.5, j_max=4)
 
 
+def test_decompose_raises_far_from_a_profile():
+    # at the circle of radius 2 the constant mode has mu = -8, below SHIFT,
+    # so K = A - SHIFT B is indefinite and has no Cholesky factor
+    with pytest.raises(EigenFailed, match="Bloch class 0"):
+        decompose(circle_support(AngularGrid(64), 2.0), 0.5, j_max=6)
+
+
 def test_decompose_rejects_a_large_backward_error(monkeypatch):
-    eigsh = scipy.sparse.linalg.eigsh
+    eigh = scipy.linalg.eigh
 
     def shifted(*args, **kwargs):
-        mus, vecs = eigsh(*args, **kwargs)
-        return mus + 1e-6, vecs  # backward error about 1e-9
+        nus, vecs = eigh(*args, **kwargs)
+        mus = 1.0 / nus + SHIFT
+        return 1.0 / (mus + 1e-6 - SHIFT), vecs  # backward error about 1e-9
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", shifted)
-    with pytest.raises(EigenFailed):
+    monkeypatch.setattr(scipy.linalg, "eigh", shifted)
+    with pytest.raises(EigenFailed, match="backward error"):
         decompose(_circle(64), 0.5, j_max=4)
 
 
