@@ -127,8 +127,9 @@ def _fold_tag(k):
 
 def _profile(alpha, k, n):
     """The profile of fold count k at alpha on n nodes; for k >= 1, n is
-    rounded down to a multiple of 2k (reflection seams on nodes), but to at
-    least 16k."""
+    rounded down to a multiple of 2k, but to at least 16k. The reflection
+    seams then fall on nodes, so the profile is exactly even about node 0 and
+    `spectrum` splits each Bloch class by mirror parity (spectral.decompose)."""
     if k != "circle" and k > 0:
         n = 2 * k * max(8, n // (2 * k))
     return shrinker.assemble_profile(alpha, k, n)

@@ -14,19 +14,33 @@ orders of magnitude (6e29 for the k3 profile at alpha 0.01).
 The pencil is solved one symmetry sector at a time (Faessler & Stiefel, Group
 Theoretical Methods and Their Applications, 1992). When h repeats every
 s = n/k nodes, the shift by s commutes with the pencil, and each Bloch class
-q (v[j + p s] = exp(2 pi i q p / k) v[j]) is an s x s pencil of its own: A's
-block follows from its symbol by one irfft, and the mass stays the diagonal
-b[:s]. Classes 0 and k/2 are real; every other class q < k/2 is a Hermitian
-block, whose eigenvectors u lift to the two real eigenfunctions Re(zeta^p u)
-and Im(zeta^p u) of classes q and k - q. A profile with no rotation symmetry
-is the case k = 1, one block holding the whole pencil.
-Each block gets one dense solve (LAPACK ?sygvx / ?hegvx; Anderson et al.,
-LAPACK Users' Guide, 1999) of the definite pencil B u = nu K u with
-K = A - SHIFT B, which is positive definite at a profile, where every mu is
-at least -1 (the scaling mode); the largest nu = 1 / (mu - SHIFT) are the
-lowest mu. A real block supplies its lowest j_max pairs and a complex one its
-lowest ceil(j_max / 2), each lifting to two; the merged lowest j_max are then
-the lowest overall.
+q (v[j + p s] = zeta^p v[j], zeta = exp(2 pi i q / k)) is an s x s pencil of
+its own: A's block follows from its symbol by one irfft, and the mass stays
+the diagonal b[:s]. Classes 0 and k/2 are real; every other class q < k/2
+also stands for k - q, and its eigenvectors u lift to the two real
+eigenfunctions Re(zeta^p u) and Im(zeta^p u). A profile with no rotation
+symmetry is the case k = 1, one class holding the whole pencil.
+
+When h is moreover exactly even about node 0, as every k-fold profile with
+its reflection seams on nodes is (shrinker.assemble_profile), the mirror
+theta -> -theta commutes with the pencil as well, and the sectors are those
+of the dihedral group D_k: a Bloch class times a mirror parity. Each class
+block is then taken in a basis of vectors the mirror fixes, each with at
+most two entries, at j and s - j, where b[j] = b[s - j]: the mass stays
+diagonal and the block becomes real. Classes 0 and k/2 split into an even
+and an odd block of order about s/2, and a paired class is one real block
+of order s, whose eigenvectors lift to an exactly even Re and an exactly
+odd Im. Without the mirror the basis is the identity: the Bloch block as it
+is, complex on a paired class.
+
+Each block gets one dense solve (LAPACK ?sygvd or ?sygvx, ?hegvd or ?hegvx
+on a complex block; Anderson et al., LAPACK Users' Guide, 1999) of the
+definite pencil B u = nu K u with K = A - SHIFT B, which is positive
+definite at a profile, where every mu is at least -1 (the scaling mode); the
+largest nu = 1 / (mu - SHIFT) are the lowest mu. A block of one parity (or a
+real class without the mirror) supplies its lowest min(order, j_max) pairs
+and a paired class its lowest ceil(j_max / 2), each lifting to two; the
+merged lowest j_max are then the lowest overall.
 
 The checks run on the vectors returned: lifted back to the n nodes, with
 the phase convention applied. The contract is the pencil's normwise
@@ -36,7 +50,10 @@ for every retained pair, with A v formed by geometry's d_thth + 1.
 The weighted residual ||L phi + lambda phi||_h is reported as well; at small
 alpha it can be large for a correct pair, because the weight spans many
 orders of magnitude. Each pair is labelled with its Bloch class and with its
-parity about theta = 0, read off the vector after the phase convention.
+parity about theta = 0, read off the vector after the phase convention. With
+the mirror every lift is exactly even or odd, so the parity read is that of
+the pair's block, for a degenerate pair split by the cut too; without it a
+pair may have no parity.
 """
 
 import math
@@ -110,7 +127,7 @@ class SpectralDecomposition:
     kernel_dim: int
     rotation_order: int  # k: the solve used h's invariance under rotation by 2 pi / k
     bloch_classes: np.ndarray  # per pair, its Bloch class q in 0..k//2 (k - q is q)
-    parities: tuple  # per pair, 'even' or 'odd' about theta = 0, or None
+    parities: tuple  # per pair, 'even' or 'odd' about theta = 0; None only without the mirror
 
     @property
     def h(self):
@@ -178,31 +195,111 @@ def _rotation_period(values, min_block):
     return n
 
 
-def _sector_blocks(n, s):
-    """(q, phases, block) for each Bloch class q = 0..k//2 of the circulant
-    A = -(d_thth + 1) under the shift by s = n/k nodes.
+def _sector_pencils(values, b, s):
+    """(q, phases, block, mass, lift, parts) for each real symmetric or
+    Hermitian pencil (block, diag(mass)) of the D_k or C_k sectors of the
+    circulant A = -(d_thth + 1) and the diagonal b, under the shift by
+    s = n/k nodes.
 
-    A class-q vector is v[j + p s] = zeta^p u[j] with zeta = exp(2 pi i q / k),
-    and A acts on u as the Hermitian s x s block H[i, j] = g_q[i - j], where
-    g_q[d] = sum_p a[(d - p s) mod n] zeta^p and g_q[d - s] = g_q[d] / zeta for
-    the column a of A. phases holds zeta^p for p = 0..k-1. The block and the
-    phases are real for q = 0 and q = k/2 and complex otherwise; a complex
-    class stands for its partner k - q as well, whose vectors are the
-    conjugates.
+    A Bloch class q = 0..k//2 holds the vectors v[j + p s] = zeta^p u[j],
+    zeta = exp(2 pi i q / k), on which A acts as the Hermitian s x s block
+    H[i, j] = G[i - j], where G[d] = sum_p a[(d - p s) mod n] zeta^p for the
+    column a of A and G[d - s] = G[d] / zeta; phases holds zeta^p for
+    p = 0..k-1. G is real on the real classes q = 0 and q = k/2; a paired
+    class 0 < q < k/2 stands for its partner k - q as well, whose vectors are
+    the conjugates.
+
+    When values are exactly even about node 0, the mirror theta -> -theta
+    commutes with the pencil and maps a class-q u to zeta conj(u[s - j])
+    (u[0] to conj(u[0])). The block is then taken in a basis of vectors that
+    the mirror fixes (_mirror_block), in which it is real: the lift of such a
+    u has a real part even about theta = 0 and an imaginary part odd. A real
+    class splits into two blocks of order about s/2, its even D_k sector of
+    real u and its odd sector of imaginary u; a paired class is one real
+    block of order s. Without the mirror the basis is the identity and the
+    block is H, complex on a paired class.
+
+    lift(y) is u for the block's eigenvectors y (columns), and parts picks
+    the lifts each supplies: the real one, the imaginary one, or both.
     """
+    n = len(b)
     k = n // s
     lap, _ = _symbols(n)
     a = -np.fft.irfft(lap, n)  # A's symbol is m^2 - 1
     g = np.fft.fft(a.reshape(k, s), axis=0)
-    d = np.subtract.outer(np.arange(s), np.arange(s))
+    mirror = np.array_equal(values, values[(-np.arange(n)) % n])
+    hs = s // 2
     for q in range(k // 2 + 1):
+        real = 2 * q % k == 0
         phases = np.exp(2j * np.pi * q * np.arange(k) / k)
-        block = g[q][d % s] * np.where(d < 0, phases[-1], 1.0)
-        block = 0.5 * (block + block.conj().T)
-        if 2 * q % k == 0:
-            yield q, phases.real, block.real
+        gq = g[q].real if real else g[q]
+        if real:
+            phases = phases.real
+        if not mirror:
+            d = np.subtract.outer(np.arange(s), np.arange(s))
+            block = gq[d % s] * np.where(d < 0, phases[-1], 1.0)
+            block = 0.5 * (block + block.conj().T)
+            yield (q, phases, block, b[:s], lambda y: y,
+                   (np.real,) if real else (np.real, np.imag))
+            continue
+        # c^2 = zeta, exact on the real classes
+        c = (1.0, 1j)[2 * q // k] if real else np.exp(1j * np.pi * q / k)
+        block = _mirror_block(gq, c, s)
+        # b[j] = b[s - j]: each column's mass is b at its first entry
+        mass = np.concatenate((b[1:hs + 1], b[:(s + 1) // 2]))
+        if q == 0:  # the sums and e_0 are real (even), the differences odd
+            sectors = ((slice(0, hs + 1), (np.real,)), (slice(hs + 1, s), (np.imag,)))
+        elif real:  # c = i: e_0 and the differences are real (even), the sums odd
+            sectors = ((slice(hs, s), (np.real,)), (slice(0, hs), (np.imag,)))
         else:
-            yield q, phases, block
+            sectors = ((slice(0, s), (np.real, np.imag)),)
+        for sel, parts in sectors:
+            yield (q, phases, block[sel, sel], mass[sel],
+                   lambda y, sel=sel, c=c: _mirror_lift(y, sel, c, s), parts)
+
+
+def _mirror_block(gq, c, s):
+    """The class-q block H[i, j] = G[i - j] of gq = G[0..s-1] in the
+    orthonormal basis of mirror-fixed vectors, a real symmetric matrix:
+    c (e_j + e_{s-j}) / sqrt(2) for j = 1..s//2 (c e_{s/2} when j = s/2),
+    then e_0, then i c (e_j - e_{s-j}) / sqrt(2) for j = 1..(s-1)//2, with
+    c^2 = zeta. Between two pairs the entries are the real or imaginary part
+    of the Toeplitz G[j - j'] (G[-d] = conj(G[d])) plus or minus the Hankel
+    G[s - j - j']; e_0 meets pair j through conj(c) G[j]."""
+    hs, ms = s // 2, (s - 1) // 2
+    j = np.arange(1, hs + 1)
+    toe = np.concatenate((gq[hs:0:-1].conj(), gq[:hs + 1]))[j[:, None] - j + hs]
+    han = gq[s - j[:, None] - j]
+    w = np.where(2 * j == s, math.sqrt(0.5), 1.0)  # c e_{s/2} is its own pair
+    total = toe + han
+    g1 = math.sqrt(2.0) * np.conj(c) * gq[1:hs + 1]
+    block = np.empty((s, s))
+    block[:hs, :hs] = w[:, None] * total.real * w
+    block[:hs, hs + 1:] = -w[:, None] * total.imag[:, :ms]
+    block[hs + 1:, hs + 1:] = (toe - han).real[:ms, :ms]
+    block[hs, :hs] = w * g1.real
+    block[hs, hs] = gq[0].real
+    block[hs, hs + 1:] = g1[:ms].imag
+    block[:, hs] = block[hs]
+    block[hs + 1:, :hs] = block[:hs, hs + 1:].T
+    return block
+
+
+def _mirror_lift(y, sel, c, s):
+    """u = V y for the columns sel of _mirror_block's basis V."""
+    hs, ms = s // 2, (s - 1) // 2
+    full = np.zeros((s, y.shape[1]))
+    full[sel] = y
+    u = np.zeros((s, y.shape[1]), dtype=complex)
+    u[0] = full[hs]
+    j = np.arange(1, hs + 1)  # j = s/2, its own partner, is added twice
+    pair = (c * np.where(2 * j == s, 0.5, math.sqrt(0.5)))[:, None] * full[:hs]
+    u[1:hs + 1] += pair
+    u[s - 1:s - hs - 1:-1] += pair
+    pair = (1j * c * math.sqrt(0.5)) * full[hs + 1:]
+    u[1:ms + 1] += pair
+    u[s - 1:s - ms - 1:-1] -= pair
+    return u
 
 
 def _parity(phi):
@@ -218,10 +315,14 @@ def _parity(phi):
 def decompose(h: SupportFunction, alpha, j_max=40) -> SpectralDecomposition:
     """Lowest j_max eigenpairs of -L at the profile h.
 
+    The pencil is split into the sectors of the rotations that leave h
+    unchanged (Bloch classes) and, when h is exactly even about node 0, of
+    the mirror as well; each sector's pencil gets one dense solve.
+
     Raises OutOfRange unless 1 <= j_max <= n - 1, and EigenFailed when a
-    Bloch class's dense solve fails (K = A - SHIFT B is not positive definite
-    when h is far from a profile) or a pair's backward error exceeds
-    BACKWARD_TOL.
+    sector's dense solve fails (K = A - SHIFT B is not positive definite
+    when h is far from a profile; the message names its Bloch class) or a
+    pair's backward error exceeds BACKWARD_TOL.
     """
     import scipy.linalg
 
@@ -233,27 +334,30 @@ def decompose(h: SupportFunction, alpha, j_max=40) -> SpectralDecomposition:
     # blocks of more than j_max nodes, so that each supplies its lowest j_max
     s = _rotation_period(h.values, j_max + 1)
     k = n // s
-    mass = np.diag(b[:s])
     mus, vecs, classes = [], [], []
-    for q, phases, block in _sector_blocks(n, s):
-        real = not np.iscomplexobj(block)
-        want = j_max if real else -(-j_max // 2)
+    for q, phases, block, mass, lift, parts in _sector_pencils(h.values, b, s):
+        # a block of one parity (or real class) supplies up to j_max pairs, a
+        # paired class ceil(j_max / 2), each lifting to two
+        r = len(mass)
+        want = min(r, j_max) if len(parts) == 1 else -(-j_max // 2)
+        # every pair (gvd) when a tenth of the block or more is wanted, else
+        # the wanted ones (gvx): the faster of the two on each block timed
+        driver = (dict(driver="gvd") if 10 * want >= r else
+                  dict(driver="gvx", subset_by_index=[r - want, r - 1]))
+        mass = np.diag(mass)
         try:
-            nu, u = scipy.linalg.eigh(mass, block - SHIFT * mass,
-                                      subset_by_index=[s - want, s - 1], driver="gvx")
+            nu, y = scipy.linalg.eigh(mass, block - SHIFT * mass, **driver)
         except scipy.linalg.LinAlgError as exc:
             raise EigenFailed(f"dense solve failed in Bloch class {q}: {exc}")
-        # ascending mu; u^H K u = 1 makes u^H B u = nu
-        nu, u = nu[::-1], u[:, ::-1] / np.sqrt(nu[::-1])
-        mu = 1.0 / nu + SHIFT
-        # the lift has B-norm^2 k (real) or k/2 (Re and Im of a complex u)
-        lift = (phases[:, None, None] * u).reshape(n, -1)
-        if not real:
-            lift = np.stack([lift.real, lift.imag], axis=-1).reshape(n, -1)
-            mu = np.repeat(mu, 2)
-        vecs.append(lift.T / math.sqrt(k if real else k / 2))
-        mus.append(mu)
-        classes.append(np.full(len(mu), q))
+        # the largest nu are the lowest mu; y^H K y = 1 makes y^H B y = nu
+        nu = nu[:-want - 1:-1]
+        y = y[:, :-want - 1:-1] / np.sqrt(nu)
+        # each part of the lift has B-norm^2 k / len(parts)
+        v = (phases[:, None, None] * lift(y)).reshape(n, -1)
+        v = np.stack([part(v) for part in parts], axis=-1).reshape(n, -1)
+        vecs.append(v.T / math.sqrt(k / len(parts)))
+        mus.append(np.repeat(1.0 / nu + SHIFT, len(parts)))
+        classes.append(np.full(want * len(parts), q))
     mus, vecs, classes = (np.concatenate(x) for x in (mus, vecs, classes))
     # the phases are fixed on one candidate more than is kept, so that a
     # degenerate pair split by the cut is rotated like any other

@@ -33,6 +33,8 @@ def _arc_quadrature(alpha, u_max, weight, nquad=400):
 
     Uses d(theta) = dU / sqrt(C - E(U)) and the substitution
     U = mid - amp cos(phi), which removes both square-root endpoints.
+    Raises ValueError where C - E(U) cancels, near the circle, to a quotient
+    g that is not finite and positive at some node, rather than return nan.
     """
     u_min = arc_u_min(alpha, u_max)
     c = arc_energy(alpha, u_max)
@@ -40,7 +42,11 @@ def _arc_quadrature(alpha, u_max, weight, nquad=400):
     x, w = np.polynomial.legendre.leggauss(nquad)
     phi = 0.5 * np.pi * (x + 1.0)
     u = mid - amp * np.cos(phi)
-    g = (c - arc_energy(alpha, u)) / ((u_max - u) * (u - u_min))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = (c - arc_energy(alpha, u)) / ((u_max - u) * (u - u_min))
+    if not np.all(np.isfinite(g) & (g > 0.0)):
+        raise ValueError(f"C - E(U) cancels on the arc at alpha {alpha}, "
+                         f"u_max {u_max!r}: the quadrature has no digits left")
     vals = weight(u) / np.sqrt(g)
     return float(np.sum(0.5 * np.pi * w * vals))
 

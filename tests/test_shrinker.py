@@ -54,6 +54,13 @@ def test_span_against_quadrature_oracle(alpha, u_max):
     _check_against_dop853(seg)
 
 
+def test_quadrature_oracle_refuses_a_cancelled_energy():
+    # at u_max 1 + 5e-9, C - E(U) cancels to 0/0 at the nodes; the oracle
+    # raises instead of returning nan
+    with pytest.raises(ValueError, match="cancels"):
+        oracles.arc_span(1 / 8, 1 + 5e-9)
+
+
 @pytest.mark.parametrize("alpha,r", [(1 / 8, 1 + 1e-8), (1 / 8, 1 + 1e-6),
                                      (1 / 24, 1 + 1e-8), (0.005, 1 + 1e-6)])
 def test_near_circle_arc_against_dop853_oracle(alpha, r):

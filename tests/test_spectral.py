@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from acsflow.errors import EigenFailed, GridMismatch, WindowEscaped
-from acsflow.geometry import (AngularGrid, circle_support, deriv1,
+from acsflow.geometry import (AngularGrid, SupportFunction, circle_support, deriv1,
                               radius_of_curvature, random_convex_support)
 from acsflow.shrinker import assemble_profile
 from acsflow.spectral import (SHIFT, WeightedInnerProduct, apply_L,
@@ -162,11 +162,21 @@ def test_degenerate_pair_split_by_the_cut_is_labelled():
     assert all(p in ("even", "odd") for p in dec.parities)
 
 
+def _c3_body_without_mirror():
+    # one period of a k3 profile plus sin 6 theta, repeated exactly: C_3, no mirror
+    h = assemble_profile(0.12, 3, 252).h
+    v = h.values + 1e-3 * np.sin(6.0 * h.grid.nodes)
+    return SupportFunction(h.grid, np.tile(v[:84], 3))
+
+
 @pytest.mark.parametrize("alpha,build,k", [
     (0.12, lambda: assemble_profile(0.12, 3, 252).h, 3),
     (1 / 24, lambda: assemble_profile(1 / 24, 4, 256).h, 4),
     (0.5, lambda: random_convex_support(AngularGrid(256), np.random.default_rng(3)), 1),
-], ids=["d3_profile", "d4_profile", "asymmetric_body"])
+    (1 / 8, lambda: _circle(102), 6),  # blocks of s = 17 nodes, odd
+    (0.12, _c3_body_without_mirror, 3),
+], ids=["d3_profile", "d4_profile", "asymmetric_body", "odd_block_circle",
+        "c3_body_without_mirror"])
 def test_sector_eigenvalues_match_the_dense_pencil(alpha, build, k):
     # reference: the whole n x n pencil -(D2 + 1) v = mu b v, solved densely
     h = build()
@@ -179,6 +189,26 @@ def test_sector_eigenvalues_match_the_dense_pencil(alpha, build, k):
     dec = decompose(h, alpha, j_max=16)
     assert dec.rotation_order == k
     assert np.max(np.abs(dec.eigenvalues - (alpha * mus - 1.0))) <= 1e-9
+
+
+def test_mirror_sectors_are_real_pencils_of_half_order(monkeypatch):
+    # at an even k4 profile every pencil handed to LAPACK is real; classes 0
+    # and k/2 are split by parity into two of about s/2, class 1 is one of s
+    eigh = scipy.linalg.eigh
+    orders = []
+
+    def record(a, b, **kwargs):
+        assert a.dtype == b.dtype == np.float64
+        orders.append(len(a))
+        return eigh(a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", record)
+    dec = decompose(assemble_profile(1 / 24, 4, 512).h, 1 / 24)
+    s = 512 // dec.rotation_order
+    assert dec.rotation_order == 4
+    # in class order: q = 0 even and odd, q = 1, q = 2 even and odd
+    assert len(orders) == 5
+    assert max(orders[:2] + orders[3:]) <= s // 2 + 1 and orders[2] <= s
 
 
 def test_returned_pairs_meet_the_backward_error_contract():
