@@ -32,18 +32,24 @@ w^(-alpha) at the nodes, and returns f by one rfft of the speed; a W solve
 is one multiply by 1/(1 + (h/j) c max(m^2 - 1, 0)) over the wavenumbers m,
 with no FFT.
 
-The chains share k1 = f(u), which also supplies c and the near-extinction
-guard dt <= 0.2 * min(u_thth + u)^(1 + alpha). The i-th substeps of the
-chains still running (those with j > i) are the rows of one RHS call: 6, 5,
-4, 3, 3, 2, 2, 1 and 1 rows for i = 1 to 9. Rows of the batched FFTs, sums
-and minima are bitwise equal to the single-row calls, so batching changes no
-output. A step that passes the error test forms its end state u_1, its
-spectrum and f(u_1), the next step's k1, before it is accepted; an accepted
-step thus evaluates the RHS at 28 states in 10 calls and makes 22 FFT calls:
-each RHS call makes one irfft and one rfft, one batched irfft returns the
-error estimate and the step to the nodes, and one rfft forms the spectrum
-of u_1 (the nodal state stays the state of record). A rejected step reuses
-k1. The error estimate is bounded node by node by atol + rtol |u_s|. Here
+The chains share k1 = f(u), which also supplies c; no other limit caps the
+step, as none is needed where nothing goes extinct (a tau-gauge run started
+at the (0.04, k3, n 1200) shrinker, whose min radius of curvature is 4.0e-6,
+reaches tau 1 in 1,660 steps, where a cap of 0.2 min(w)^(1 + alpha) let it
+cover tau 0.0097 in 20,000). The i-th substeps of the chains still running
+(those with j > i) are the rows of one RHS call: 6, 5, 4, 3, 3, 2, 2, 1 and
+1 rows for i = 1 to 9. Rows of the batched FFTs, sums and minima are bitwise
+equal to the single-row calls, so batching changes no output. A step that
+passes the error test forms its end state u_1, its spectrum and f(u_1), the
+next step's k1, before it is accepted; an accepted step thus evaluates the
+RHS at 28 states in 10 calls and makes 22 FFT calls: each RHS call makes one
+irfft and one rfft, one batched irfft returns the error estimate and the
+step to the nodes, and one rfft forms the spectrum of u_1 (the nodal state
+stays the state of record). Every state the RHS sees takes the convexity
+test, and one rule serves them all: a step with a substep state or a u_1
+that fails it is rejected and retried at h/4, so a march that keeps failing
+shortens h until it underflows. A rejected step reuses k1. The error
+estimate is bounded node by node by atol + rtol |u_s|. Here
 u_s = u - s.e(theta) is the support function about the Steiner point
 s = (1/pi) integral u e(theta), that is u without its Fourier mode 1. The
 flow commutes with translations and u_s does not see them, so the tolerance
@@ -65,48 +71,54 @@ outside the marcher.
 run makes one flow_advance call. The marcher hands it, in time order, the
 samples at fixed times or, without them, every accepted state; run keeps
 every sample_every-th of those, and then the state where the march stopped,
-unless it is the last row already. The march stops at t_end
-("reached_end"), after max_steps steps ("max_steps"), at the minimum-radius
-floor ("min_radius"), on convexity loss ("non_convex"; that state is not
-recorded, nor are the samples of the step that reached it) or on step
-underflow ("step_underflow"), and returns which; every state it records or
-stops at has passed the convexity test, and the work counts go to
-FlowTrace.stats. run then forms the diagnostic columns of the rows in
-batches, with one batched entropy maximization per batch.
+unless it is the last row already. The march stops at t_end ("reached_end"),
+after max_steps steps ("max_steps"), at the minimum-radius floor
+("min_radius"), at a start that fails the convexity test ("non_convex") or
+on step underflow ("step_underflow"), and returns which; every state it
+records or stops at after the start has passed the convexity test, and the
+work counts go to FlowTrace.stats. run then forms the diagnostic columns of
+the rows in batches, with one batched entropy maximization per batch.
 
-Samples at fixed times do not end steps; only t_end does. A sample inside
-an accepted step from u_0 to u_1 comes from the step's continuous extension
+Samples at fixed times do not end steps; only t_end does. A sample inside an
+accepted step from u_0 to u_1 comes from the step's continuous extension
 (Hairer & Ostermann, Numer. Math. 58, 1990), built from the chains the step
-has run and f(u_1), so a step with samples in it keeps the increments of
-its substeps. The extension is
-the polynomial P(s) in the fraction s of the step with P(0) = u_0,
-P'(0) = h f(u_0), P(1) = u_1, P'(1) = h f(u_1) and, for k = 2 to 5,
+has run, so a step with samples in it keeps the increments of its substeps.
+The extension is the polynomial P(s) in the fraction s of the step with
+P(0) = u_0, P'(0) = h f(u_0), P(1) = u_1 and, for k = 1 to 5,
 P^(k)(1) = h^k r_k: r_k is the Aitken-Neville extrapolation in 1/j to 0 of
 the k-th backward differences, over (h/j)^k, of the last k + 1 substep
 states of the chains with j >= k, formed from the substep increments
-(differences of states carry the rounding of the sums). Each r_k is then
-O(h^(8 - k)) off the true derivative, and P is of order 7, as the step is.
-P is linear in the kept increments with weights that depend on s alone
-(_extension_tables), so a step's samples cost one small matrix product and
-one batched irfft. Its error is bounded: P_1 and P_2 extrapolate each
-derivative over one and two chains fewer and leave out the top one and two
-conditions, so they are of orders 6 and 5. With d1 and d2 the largest
-|P - P_1| and |P_1 - P_2| of each node over the step's samples and
-s = 1/4, 1/2 and 3/4, the error over the step is estimated as
-d1 min(1, d1 / d2)^(1/2). Taken at each sample alone, the estimate reads
-far below the error where P - P_1 changes sign (on u' = -u with h 0.4,
-1.4e-4 of it at s 0.69). Of the estimates either side of it, d1 alone
-overstates the error and costs steps (an alpha 1/2 circle sampled every
-0.05 to t 0.4 takes 18 steps and 12 sample rejections, against 16 and 10),
-and d1 min(1, d1 / d2) understates it (the same circle's samples then drift
-3.3e-13 off the exact law, against 7.7e-14). A step whose estimate exceeds
-atol + rtol |u_s| at one of its nodes is rejected and shortened like any
-other. W damps the top Fourier modes of the increments, so the extension's
-rounding does not grow with n. Against samples landed on at rtol 1e-14, a
-tau-gauge run of seed:3,1e-3 at alpha 1/8 (t_end 2, samples every 0.01) is
-off by at most 5.9e-14 at n 512 and 2.7e-13 at n 1024, in 16 steps with no
+(differences of states carry the rounding of the sums); r_1 extrapolates
+j/h times each chain's last increment, as SEULEX's dense output does
+(Hairer & Wanner, Solving ODEs II, IV.9). Each r_k is then O(h^(8 - k)) off
+the true derivative, and P is of order 7, as the step is. The end slope is
+not h f(u_1): that carries the node rounding of u_1 times the stiffest rate
+of f, and every level of P would share it, so the error estimate below
+could not see it (with h f(u_1), and steps up to h 0.99, the n 1024 tau run
+below is 1.07e-12 off). P is linear in the kept increments with weights that depend
+on s alone (_extension_tables), so a step's samples cost one small matrix
+product and one batched irfft. Its error is bounded: P_1 and P_2 extrapolate
+each derivative over one and two chains fewer and leave out the top one and
+two conditions, so they are of orders 6 and 5. With d1 and d2 the largest
+|P - P_1| and |P_1 - P_2| of each node over the step's samples and s = 1/4,
+1/2 and 3/4, the error over the step is estimated as d1 (d1 / d2)^(1/2): the
+levels' errors shrink by about d1 / d2 from one to the next, and the root
+hedges that ratio. Where d1 > d2 the levels do not yet shrink, and the error
+can exceed d1 (on u' = 3u at h 0.4 d1 is 0.79 of the error, and the factor
+lifts the estimate to 1.19 times it). Taken at each sample alone, the estimate reads far
+below the error where P - P_1 changes sign (on u' = -u with h 0.4, 3.1e-5 of
+it at s 0.57). Of the estimates either side of it, d1 alone overstates the
+error and costs steps (an alpha 1/2 circle sampled every 0.05 to t 0.4 takes
+18 steps and 12 sample rejections, against 17 and 11), and d1^2 / d2
+understates it (the same circle's samples then drift 1.1e-13 off the exact
+law, against 2.8e-14). A step whose estimate exceeds atol + rtol |u_s| at
+one of its nodes is rejected and shortened like any other. W damps the top
+Fourier modes of the increments, so the extension's rounding does not grow
+with n. Against samples landed on at rtol 1e-14, a tau-gauge run of
+seed:3,1e-3 at alpha 1/8 (t_end 2, samples every 0.01) is off by at most
+1.2e-13 at n 512 and 1.6e-13 at n 1024, in 9 steps up to h 0.99 with no
 sample rejection at both n (the reference takes 204), and an area-gauge
-random body (n 256, same sampling) by 9.5e-13, in 226 steps (616 for the
+random body (n 256, same sampling) by 9.8e-13, in 226 steps (616 for the
 reference).
 """
 
@@ -127,7 +139,6 @@ from .geometry import (CONVEXITY_RTOL, AngularGrid, SupportFunction,
 
 _MODES = ("unnormalized", "normalized_tau", "normalized_area")
 
-CFL_COEFF = 0.2
 # size of the first step the controller tries; it adapts from there
 FIRST_DT = 1e-4
 # absolute floor of a run's error tolerance atol + rtol |u_s|
@@ -169,20 +180,20 @@ _EXPONENT = -1.0 / 7.0
 class FlowStats:
     """Work counts of the step controller, summed over the calls it is given to.
 
-    Each accepted step is counted under the one cap that set its size:
-    the error controller, the extinction guard or the landing on t_limit,
-    which is t_end in a run (samples do not end steps, nor does max_steps);
-    h_min and h_max are its extremes (None before the first). A step is
-    rejected for one reason: a substep state failed the convexity test, the
-    error estimate was above tolerance, or the estimated error of the
-    continuous extension of a step with samples inside was above tolerance
-    (see the module docstring). rhs_evals counts the states at which the
-    marcher evaluates the RHS, however the march ends: 1 for k1 at the
-    start, 28 per accepted step in 10 calls (27 substep states and f(u_1),
-    the next step's k1), 27 per error rejection, 28 per sample rejection
-    and at most 27 per convexity rejection (k1 is reused). dense_evals
-    counts the continuous extensions formed: one per step with samples
-    inside it whose end state passes the error and convexity tests,
+    Each accepted step is counted under the one cap that set its size: the
+    error controller ("error") or the landing on t_limit ("landing"), which
+    is t_end in a run (samples do not end steps, nor does max_steps); h_min
+    and h_max are its extremes (None before the first). A step is rejected
+    for one reason: a substep state or its end state u_1 failed the
+    convexity test, the error estimate was above tolerance, or the estimated
+    error of the continuous extension of a step with samples inside was
+    above tolerance (see the module docstring). rhs_evals counts the states
+    at which the marcher evaluates the RHS, however the march ends: 1 for k1
+    at the start, 28 per accepted step in 10 calls (27 substep states and
+    f(u_1), the next step's k1), 27 per error rejection, 28 per sample
+    rejection and at most 28 per convexity rejection (k1 is reused).
+    dense_evals counts the continuous extensions formed: one per step with
+    samples inside it whose end state passes the error and convexity tests,
     accepted or rejected by the sample bound. entropy_evals sums the
     evaluations of the entropy maximizations of a run's rows (0 when run
     does not log the entropy).
@@ -190,11 +201,10 @@ class FlowStats:
 
     accepted: int = 0
     rejected_error: int = 0  # error estimate above tolerance
-    rejected_convexity: int = 0  # a substep state failed the convexity test
+    rejected_convexity: int = 0  # a substep state or u_1 failed the convexity test
     rejected_sample: int = 0  # a sample's estimated error above tolerance
     rhs_evals: int = 0  # states, so a batched call counts each of its rows
     cap_error: int = 0
-    cap_guard: int = 0
     cap_landing: int = 0
     h_min: float | None = None
     h_max: float | None = None
@@ -204,7 +214,7 @@ class FlowStats:
     def count_step(self, cap, h):
         """Count an accepted step of size h.
 
-        cap names the limit that set h: "error", "guard" or "landing".
+        cap names the limit that set h: "error" or "landing".
         """
         self.accepted += 1
         name = "cap_" + cap
@@ -307,29 +317,30 @@ def _extension_tables():
     """Coefficients, over the powers v^0 .. v^7 of v = 1 - s, of the
     continuous extensions Q_0, Q_0 - Q_1 and Q_1 - Q_2 of a step (see the
     module docstring), as linear maps of its stacked states: the substep
-    increments, packed as _KEPT says, then h k1, h f(u_1) and the step's
-    increment. Built on first use.
+    increments, packed as _KEPT says, then h k1 and the step's increment.
+    Built on first use.
 
     Q_L = P_L - u_0 = sum_k a_k (-v)^k / k! + x v^m - y v^(m + 1), with
     top = _DENSE_TOP - L and m = top + 1, is the Taylor polynomial at the
     step's end of the derivatives a_k there, plus the two terms whose x and
-    y set Q(0) = 0 and Q'(0) = h k1. a_0 is the step's increment, a_1 is
-    h f(u_1), and a_k for k >= 2 is the Aitken-Neville extrapolation in 1/j
-    to 0 of j^k times the k-th backward differences of the last k + 1
-    substep states of the chains with j >= k, leaving out the L shortest; a
-    k-th difference of states is the (k-1)-th difference of the last k
-    increments. Read-only, as they are shared.
+    y set Q(0) = 0 and Q'(0) = h k1. a_0 is the step's increment, and a_k
+    for k >= 1 is the Aitken-Neville extrapolation in 1/j to 0 of j^k times
+    the k-th backward differences of the last k + 1 substep states of the
+    chains with j >= k, leaving out the L shortest; a k-th difference of
+    states is the (k-1)-th difference of the last k increments, so a_1
+    extrapolates j times each chain's last increment. Read-only, as they are
+    shared.
     """
     n_kept = _KEPT[-1]
-    k1_col, f1_col, du_col = n_kept, n_kept + 1, n_kept + 2
+    k1_col, du_col = n_kept, n_kept + 1
     levels = []
     for level in range(3):
         top = _DENSE_TOP - level
         m = top + 1
         # conditions a_0 .. a_top and h k1 from the states
-        cond = np.zeros((top + 2, n_kept + 3))
-        cond[0, du_col] = cond[1, f1_col] = cond[top + 1, k1_col] = 1.0
-        for kappa in range(2, top + 1):
+        cond = np.zeros((top + 2, n_kept + 2))
+        cond[0, du_col] = cond[top + 1, k1_col] = 1.0
+        for kappa in range(1, top + 1):
             chains = [r for r, j in enumerate(_SEQ) if j >= kappa][level:]
             for r in chains:
                 j = _SEQ[r]
@@ -369,10 +380,10 @@ def _extension_estimate(d1, d2):
     """The estimated error of the continuous extension Q_0 over a step, node
     by node, from the differences d1 = Q_0 - Q_1 and d2 = Q_1 - Q_2 of its
     levels at fractions of the step, rows along the first axis: with D1 and
-    D2 the largest |d1| and |d2| of each node, D1 min(1, D1 / D2)^(1/2), and
-    0 where D1 is 0."""
+    D2 the largest |d1| and |d2| of each node, D1 (D1 / D2)^(1/2), and 0
+    where D1 is 0."""
     d1, d2 = np.abs(d1).max(axis=0), np.abs(d2).max(axis=0)
-    return d1 * np.sqrt(np.minimum(1.0, d1 / np.maximum(d2, np.finfo(float).tiny)))
+    return d1 * np.sqrt(d1 / np.maximum(d2, np.finfo(float).tiny))
 
 
 def _ratio_floor(x):
@@ -387,34 +398,33 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
 
     Each step extrapolates the chains of 1, 2, 3, 4, 6, 8 and 10 linearly
     implicit Euler substeps (see the module docstring) to an order-7 step,
-    and estimates its error by T_77 - T_76; the step is also capped by the
-    near-extinction guard CFL_COEFF * min_roc^(1 + alpha). The substeps run
-    as rows of batched RHS calls in Fourier space, so an accepted step
-    evaluates the RHS at 28 states in 10 calls and makes 22 FFT calls. After
-    each step the controller's factor, 0.9 err^(-1/7) or, after an accepted
-    step, the smaller of that and Gustafsson's prediction, is floored onto
+    and estimates its error by T_77 - T_76. The substeps run as rows of
+    batched RHS calls in Fourier space, so an accepted step evaluates the RHS
+    at 28 states in 10 calls and makes 22 FFT calls. After each step the
+    controller's factor, 0.9 err^(-1/7) or, after an accepted step, the
+    smaller of that and Gustafsson's prediction, is floored onto
     _STEP_RATIOS, quarter octaves from below 0.1 to 4. A step is rejected
-    when a substep state fails the convexity test, when the error estimate
-    is above tolerance or not finite, or when the estimated error of its
-    continuous extension is above tolerance over a step with samples inside
-    it. The tolerance at each node is atol + rtol |u_s|, with u_s the
-    support function about the Steiner point of the step's start (see the
-    module docstring); it is positive for a convex body wherever the origin
-    is, so rtol bounds the error at every node. Counts go to stats (a
-    FlowStats).
+    when a substep state or its end state u_1 fails the convexity test (and
+    retried at h/4), when the error estimate is above tolerance or not
+    finite, or when the estimated error of its continuous extension is above
+    tolerance over a step with samples inside it. The tolerance at each node
+    is atol + rtol |u_s|, with u_s the support function about the Steiner
+    point of the step's start (see the module docstring); it is positive for
+    a convex body wherever the origin is, so rtol bounds the error at every
+    node. Counts go to stats (a FlowStats).
 
-    Every step that passes the error test forms its end state u_1 and
-    f(u_1), the next step's k1, and is accepted the same way: with
-    sample_times, ascending times in (t, t_limit), record(t_r, v) receives
-    the state at each sample inside the step, from its continuous extension
-    (steps do not end on them; see the module docstring); without them it
-    receives u_1. A u_1 that fails the convexity test ends the march as
-    "non_convex" at the step's end, and nothing of that step is recorded, so
-    every state recorded or stopped at has passed the test.
+    Every step that passes the error and convexity tests forms its end
+    state u_1 and f(u_1), the next step's k1, and is accepted the same way:
+    with sample_times, ascending times in (t, t_limit), record(t_r, v)
+    receives the state at each sample inside the step, from its continuous
+    extension (steps do not end on them; see the module docstring); without
+    them it receives u_1. Nothing of a rejected step is recorded, so every
+    state recorded or stopped at after the start has passed the test.
 
     Returns (status, t, h_next): u is the state at time t, where the march
     stopped; status is "reached_end" (t is t_limit, or the start when that
-    is not before t_limit), "max_steps", "min_radius", "non_convex" or
+    is not before t_limit), "max_steps", "min_radius", "non_convex" (u fails
+    the convexity test at the start, and t is the start) or
     "step_underflow".
     """
     n_acc = 0
@@ -429,24 +439,19 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
     # (h, error) of the last accepted step whose error estimate reached
     # 1e-8, for the predictive controller
     last = None
-    # a step with samples inside keeps its substep increments, then h k1,
-    # h f(u_1) and its own increment, for its extension; every such step
-    # writes the same entries, so one array serves them all
-    states = np.zeros((_KEPT[-1] + 3, z.shape[-1]), dtype=complex)
+    # a step with samples inside keeps its substep increments, then h k1
+    # and its own increment, for its extension; every such step writes the
+    # same entries, so one array serves them all
+    states = np.zeros((_KEPT[-1] + 2, z.shape[-1]), dtype=complex)
     while True:
-        wmin = w.min()
-        if wmin < stop_min_radius:
+        if w.min() < stop_min_radius:
             return "min_radius", t, h
-        # W's coefficient, the guard and the error scale of u
+        # W's coefficient and the error scale of u
         coeff = alpha * (w ** (-alpha - 1.0)).max()
         if mode == "normalized_area":
             coeff = coeff / _area_gauge(z, w, w ** -alpha)[0].item()
-        hguard = CFL_COEFF * wmin ** (1.0 + alpha)
         escale = atol + rtol * np.abs(_about_steiner_point(u))
         while True:
-            cap = "error"
-            if hguard < h:
-                h, cap = hguard, "guard"
             # the landing step is clamped for output only; the controller
             # keeps proposing from the unclamped step
             landing = t + h >= t_limit
@@ -460,28 +465,30 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
             sampled = j_s > i_s
             chains = _chain_increments(z, h_step, k1, coeff, alpha, mode, stats,
                                        states if sampled else None)
-            if chains is None:
+            if chains is not None:
+                err, dz = _extrapolate(chains)
+                # the error and the step return to the nodes in one batched irfft
+                err, du = _nodal(np.stack((err, dz)))
+                enorm = (np.abs(err) / escale).max()
+                if not np.isfinite(enorm):
+                    enorm = 10.0
+                if enorm > 1.0:
+                    stats.rejected_error += 1
+                    h = h_step * _ratio_floor(max(0.9 * enorm ** _EXPONENT, 0.1))
+                    continue
+                u1 = u + du
+                z1 = _spectrum(u1)
+                f1, w1 = _flow_rhs(z1, alpha, mode, stats)
+            if chains is None or f1 is None:
+                # a substep state or u_1 failed the convexity test
                 stats.rejected_convexity += 1
                 h = 0.25 * h_step
                 continue
-            err, dz = _extrapolate(chains)
-            # the error and the step return to the nodes in one batched irfft
-            err, du = _nodal(np.stack((err, dz)))
-            enorm = (np.abs(err) / escale).max()
-            if not np.isfinite(enorm):
-                enorm = 10.0
-            if enorm > 1.0:
-                stats.rejected_error += 1
-                h = h_step * _ratio_floor(max(0.9 * enorm ** _EXPONENT, 0.1))
-                continue
-            u1 = u + du
-            z1 = _spectrum(u1)
-            f1, w1 = _flow_rhs(z1, alpha, mode, stats)
-            if f1 is None or not sampled:
+            if not sampled:
                 break
-            # samples inside the step: f(u_1) completes the continuous
-            # extension, whose estimated error is bounded over the step
-            states[-3:] = h_step * k1, h_step * f1, dz
+            # samples inside the step: the continuous extension, whose
+            # estimated error is bounded over the step
+            states[-2:] = h_step * k1, dz
             v = (t_next - np.array(sample_times[i_s:j_s])) / h_step
             ext, d1, d2 = _nodal(_extension(np.append(v, _PROBES), states))
             stats.dense_evals += 1
@@ -492,10 +499,7 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
             h = h_step * _ratio_floor(max(0.9 * ratio ** _EXPONENT, 0.1))
 
         n_acc += 1
-        stats.count_step("landing" if landing else cap, h_step)
-        if f1 is None:
-            u[:] = u1
-            return "non_convex", t_next, h
+        stats.count_step("landing" if landing else "error", h_step)
         if record is not None:
             if sampled:
                 for t_s, row in zip(sample_times[i_s:j_s], u + ext[:j_s - i_s]):
@@ -594,9 +598,9 @@ def _validate(config: FlowConfig):
 def run(config: FlowConfig) -> FlowTrace:
     """Integrate the configured flow. The rows are the start, the samples
     at multiples of sample_dt or else every sample_every-th accepted state,
-    and the state where the march stopped, unless it is the last row already
-    or failed the convexity test; their diagnostic columns follow from the
-    states, formed in batches of _DIAGNOSTIC_ROWS rows."""
+    and the state where the march stopped, unless it is the last row
+    already; their diagnostic columns follow from the states, formed in
+    batches of _DIAGNOSTIC_ROWS rows."""
     _validate(config)
     from .entropy import entropy_rows  # local import, no cycle
 
@@ -624,7 +628,7 @@ def run(config: FlowConfig) -> FlowTrace:
     reason, t_stop, _ = flow_advance(
         u, 0.0, FIRST_DT, config.t_end, config.alpha, config.mode, config.rtol,
         ATOL, config.stop_min_radius, stats, config.max_steps, sample_times, record)
-    if reason != "non_convex" and t_stop != times[-1]:
+    if t_stop != times[-1]:
         times.append(t_stop)
         snaps.append(u.copy())
 

@@ -237,7 +237,7 @@ def ellipse_support(grid: AngularGrid, a: float, b: float) -> SupportFunction:
     return SupportFunction(grid, np.sqrt((a * np.cos(th)) ** 2 + (b * np.sin(th)) ** 2))
 
 
-def random_convex_support(grid: AngularGrid, rng: np.random.Generator,
+def random_convex_support(grid: AngularGrid, rng: "np.random.Generator",
                           max_mode: int = 8, amplitude: float = 0.3,
                           min_radius: float = 0.05) -> SupportFunction:
     """Random smooth strictly convex body: damped random Fourier modes on a circle.

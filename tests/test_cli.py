@@ -33,8 +33,7 @@ def test_flow_rerun_is_byte_identical_and_feeds_modes(tmp_path, capsys):
     assert first == second
     stats = json.loads(first)["stats"]
     assert stats["accepted"] == json.loads(first)["accepted_steps"] > 0
-    assert stats["accepted"] == sum(stats[f"cap_{c}"]
-                                    for c in ("error", "guard", "landing"))
+    assert stats["accepted"] == stats["cap_error"] + stats["cap_landing"]
 
     names = _files(a)
     assert names == _files(b)
@@ -407,12 +406,16 @@ def test_modes_reports_an_empty_snapshots_file(tmp_path, capsys, recwarn):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported by the routines that use it, when they are called
-    code = "import sys, acsflow.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    # scipy is imported by the routines that use it, when they are called, and
+    # numpy.random (6 to 7 ms under -X importtime) by the callers that pass a
+    # Generator
+    code = ("import sys, acsflow.cli; "
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules), "
+            "'numpy.random' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "False"]
 
 
 def test_profiles_leave_scipy_integrate_unloaded():
