@@ -86,7 +86,10 @@ def _parse(argv):
 def _ensure_outdir(path):
     if path is None:
         return None
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise BadConfig(f"cannot create output directory {path}: {exc}")
     return path
 
 
@@ -348,7 +351,7 @@ def cmd_modes(args):
     except AcsflowError as exc:
         rec["measured_rho_rate"] = None
         reports.setdefault("error", str(exc))
-    out = _ensure_outdir(args.out) if args.out else None
+    out = _ensure_outdir(args.out)
     target = out or args.trace
     _write(target, "modes.csv", modes.mode_trace_to_csv(mtrace))
     _write_json(target, "residuals.json", {

@@ -392,7 +392,7 @@ def _ratio_floor(x):
 
 
 def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
-                 stats, max_steps=math.inf, sample_times=(), record=None):
+                 stats, max_steps=math.inf, sample_times=None, record=None):
     """Advance the flow state u in place until t_limit or a stop, recording
     the states of the march on the way.
 
@@ -417,9 +417,10 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
     state u_1 and f(u_1), the next step's k1, and is accepted the same way:
     with sample_times, ascending times in (t, t_limit), record(t_r, v)
     receives the state at each sample inside the step, from its continuous
-    extension (steps do not end on them; see the module docstring); without
-    them it receives u_1. Nothing of a rejected step is recorded, so every
-    state recorded or stopped at after the start has passed the test.
+    extension (steps do not end on them; see the module docstring), and
+    nothing when the list is empty; with sample_times None it receives u_1.
+    Nothing of a rejected step is recorded, so every state recorded or
+    stopped at after the start has passed the test.
 
     Returns (status, t, h_next): u is the state at time t, where the march
     stopped; status is "reached_end" (t is t_limit, or the start when that
@@ -428,6 +429,8 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
     "step_underflow".
     """
     n_acc = 0
+    every_state = sample_times is None
+    sample_times = () if every_state else sample_times
     i_s = 0  # index of the next sample time
     if t >= t_limit:
         return "reached_end", t, h
@@ -504,7 +507,7 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
             if sampled:
                 for t_s, row in zip(sample_times[i_s:j_s], u + ext[:j_s - i_s]):
                     record(t_s, u1 if t_s == t_next else row)
-            elif not sample_times:
+            elif every_state:
                 record(t_next, u1)
         i_s = j_s
         u[:] = u1
@@ -608,9 +611,10 @@ def run(config: FlowConfig) -> FlowTrace:
     u = config.initial.values.copy()
     stats = FlowStats()
     times, snaps = [0.0], [u.copy()]
-    sample_times = []
+    sample_times = None
     every = config.sample_every
     if config.sample_dt is not None:
+        sample_times = []
         # exact multiples keep the sample spacing uniform to rounding; a
         # final sliver shorter than a quarter interval is absorbed into t_end
         dt = config.sample_dt

@@ -43,17 +43,18 @@ and a paired class its lowest ceil(j_max / 2), each lifting to two; the
 merged lowest j_max are then the lowest overall.
 
 The checks run on the vectors returned: lifted back to the n nodes, with
-the phase convention applied. The contract is the pencil's normwise
+the sign convention applied. The contract is the pencil's normwise
 backward error (Tisseur, Linear Algebra Appl. 309, 2000)
     ||A v - mu B v|| / ((||A||_2 + |mu| ||B||_2) ||v||) <= BACKWARD_TOL
 for every retained pair, with A v formed by geometry's d_thth + 1.
 The weighted residual ||L phi + lambda phi||_h is reported as well; at small
 alpha it can be large for a correct pair, because the weight spans many
-orders of magnitude. Each pair is labelled with its Bloch class and with its
-parity about theta = 0, read off the vector after the phase convention. With
-the mirror every lift is exactly even or odd, so the parity read is that of
-the pair's block, for a degenerate pair split by the cut too; without it a
-pair may have no parity.
+orders of magnitude. Each pair is labelled with the D_k sector that solved
+it: its Bloch class, and with the mirror its parity about theta = 0, even
+for the Re lift and odd for the Im lift, which that lift has exactly. Without
+the mirror no parity sector exists and every parity is None; a degenerate
+pair is then returned as the solve gives it, the Re and Im lifts of one
+class vector.
 """
 
 import math
@@ -66,7 +67,6 @@ from .geometry import (SupportFunction, _fourier_coefficients, _symbols,
                        radius_of_curvature)
 
 ZERO_TOL = 1e-6  # |lambda| at or below this counts as kernel
-PARITY_TOL = 1e-6  # max |phi(theta) -+ phi(-theta)| / max |phi| for even (odd)
 SHIFT = -1.5  # below every mu: at a profile only the scaling mode has mu < 0, at -1
 BACKWARD_TOL = 1e-12
 
@@ -127,7 +127,7 @@ class SpectralDecomposition:
     kernel_dim: int
     rotation_order: int  # k: the solve used h's invariance under rotation by 2 pi / k
     bloch_classes: np.ndarray  # per pair, its Bloch class q in 0..k//2 (k - q is q)
-    parities: tuple  # per pair, 'even' or 'odd' about theta = 0; None only without the mirror
+    parities: tuple  # per pair, its sector's 'even' or 'odd'; None without the mirror
 
     @property
     def h(self):
@@ -144,40 +144,11 @@ class SpectralDecomposition:
         return self.inner_product.norm(v)
 
 
-def _clusters(values, tol):
-    """Group indices of nearly equal sorted values."""
-    groups = [[0]]
-    for i in range(1, len(values)):
-        if values[i] - values[groups[-1][0]] <= tol * (1.0 + abs(values[i])):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
-def _fix_phases(phi, lams):
-    """Deterministic orientation: rotate degenerate pairs, whose eigenvalues
-    agree to BACKWARD_TOL relative, so one member is even about theta = 0,
-    then make the leading Fourier coefficient of every eigenfunction positive
-    in the (a0, a1, b1, a2, b2, ...) scan. The rotation keeps an orthonormal
-    pair orthonormal; a pair farther apart is two eigenpairs, which a
-    rotation would mix. Works in place."""
-    n = phi.shape[1]
-    rev = np.arange(n)
-    rev = (-rev) % n
-    for grp in _clusters(lams, BACKWARD_TOL):
-        if len(grp) == 2:
-            i, j = grp
-            e1 = 0.5 * (phi[i] + phi[i][rev])
-            e2 = 0.5 * (phi[j] + phi[j][rev])
-            m11, m12, m22 = np.dot(e1, e1), np.dot(e1, e2), np.dot(e2, e2)
-            half = 0.5 * (m11 - m22)
-            theta = 0.5 * math.atan2(2.0 * m12, 2.0 * half) if (m12 or half) else 0.0
-            c, s = math.cos(theta), math.sin(theta)
-            even = c * phi[i] + s * phi[j]
-            odd = -s * phi[i] + c * phi[j]
-            phi[i], phi[j] = even, odd
-    a0, a, b = _fourier_coefficients(phi, n // 2 - 1)
+def _fix_signs(phi):
+    """Deterministic orientation: make the leading Fourier coefficient of
+    every eigenfunction positive in the (a0, a1, b1, a2, b2, ...) scan, so
+    that no output depends on the signs LAPACK returns. Works in place."""
+    a0, a, b = _fourier_coefficients(phi, phi.shape[1] // 2 - 1)
     seq = np.column_stack([a0, np.stack([a, b], axis=-1).reshape(len(phi), -1)])
     big = np.abs(seq) > 1e-8 * np.max(np.abs(seq), axis=1, keepdims=True)
     lead = seq[np.arange(len(seq)), np.argmax(big, axis=1)]
@@ -219,8 +190,10 @@ def _sector_pencils(values, b, s):
     block of order s. Without the mirror the basis is the identity and the
     block is H, complex on a paired class.
 
-    lift(y) is u for the block's eigenvectors y (columns), and parts picks
-    the lifts each supplies: the real one, the imaginary one, or both.
+    lift(y) is u for the block's eigenvectors y (columns), and parts holds
+    (part, parity) for the lifts each supplies, the real one, the imaginary
+    one or both, with the parity of that lift: "even" for the real part and
+    "odd" for the imaginary part with the mirror, None without it.
     """
     n = len(b)
     k = n // s
@@ -229,6 +202,7 @@ def _sector_pencils(values, b, s):
     g = np.fft.fft(a.reshape(k, s), axis=0)
     mirror = np.array_equal(values, values[(-np.arange(n)) % n])
     hs = s // 2
+    even, odd = (np.real, "even"), (np.imag, "odd")
     for q in range(k // 2 + 1):
         real = 2 * q % k == 0
         phases = np.exp(2j * np.pi * q * np.arange(k) / k)
@@ -240,7 +214,7 @@ def _sector_pencils(values, b, s):
             block = gq[d % s] * np.where(d < 0, phases[-1], 1.0)
             block = 0.5 * (block + block.conj().T)
             yield (q, phases, block, b[:s], lambda y: y,
-                   (np.real,) if real else (np.real, np.imag))
+                   ((np.real, None),) if real else ((np.real, None), (np.imag, None)))
             continue
         # c^2 = zeta, exact on the real classes
         c = (1.0, 1j)[2 * q // k] if real else np.exp(1j * np.pi * q / k)
@@ -248,11 +222,11 @@ def _sector_pencils(values, b, s):
         # b[j] = b[s - j]: each column's mass is b at its first entry
         mass = np.concatenate((b[1:hs + 1], b[:(s + 1) // 2]))
         if q == 0:  # the sums and e_0 are real (even), the differences odd
-            sectors = ((slice(0, hs + 1), (np.real,)), (slice(hs + 1, s), (np.imag,)))
+            sectors = ((slice(0, hs + 1), (even,)), (slice(hs + 1, s), (odd,)))
         elif real:  # c = i: e_0 and the differences are real (even), the sums odd
-            sectors = ((slice(hs, s), (np.real,)), (slice(0, hs), (np.imag,)))
+            sectors = ((slice(hs, s), (even,)), (slice(0, hs), (odd,)))
         else:
-            sectors = ((slice(0, s), (np.real, np.imag)),)
+            sectors = ((slice(0, s), (even, odd)),)
         for sel, parts in sectors:
             yield (q, phases, block[sel, sel], mass[sel],
                    lambda y, sel=sel, c=c: _mirror_lift(y, sel, c, s), parts)
@@ -302,22 +276,13 @@ def _mirror_lift(y, sel, c, s):
     return u
 
 
-def _parity(phi):
-    """'even' or 'odd' about theta = 0 per row of phi, None for neither."""
-    rev = (-np.arange(phi.shape[1])) % phi.shape[1]
-    even = np.max(np.abs(phi - phi[:, rev]), axis=1)
-    odd = np.max(np.abs(phi + phi[:, rev]), axis=1)
-    size = PARITY_TOL * np.max(np.abs(phi), axis=1)
-    return tuple("even" if e <= t else "odd" if o <= t else None
-                 for e, o, t in zip(even, odd, size))
-
-
 def decompose(h: SupportFunction, alpha, j_max=40) -> SpectralDecomposition:
     """Lowest j_max eigenpairs of -L at the profile h.
 
     The pencil is split into the sectors of the rotations that leave h
     unchanged (Bloch classes) and, when h is exactly even about node 0, of
-    the mirror as well; each sector's pencil gets one dense solve.
+    the mirror as well; each sector's pencil gets one dense solve, and each
+    pair it supplies carries that sector's Bloch class and parity.
 
     Raises OutOfRange unless 1 <= j_max <= n - 1, and EigenFailed when a
     sector's dense solve fails (K = A - SHIFT B is not positive definite
@@ -334,7 +299,7 @@ def decompose(h: SupportFunction, alpha, j_max=40) -> SpectralDecomposition:
     # blocks of more than j_max nodes, so that each supplies its lowest j_max
     s = _rotation_period(h.values, j_max + 1)
     k = n // s
-    mus, vecs, classes = [], [], []
+    mus, vecs, classes, labels = [], [], [], []
     for q, phases, block, mass, lift, parts in _sector_pencils(h.values, b, s):
         # a block of one parity (or real class) supplies up to j_max pairs, a
         # paired class ceil(j_max / 2), each lifting to two
@@ -354,18 +319,16 @@ def decompose(h: SupportFunction, alpha, j_max=40) -> SpectralDecomposition:
         y = y[:, :-want - 1:-1] / np.sqrt(nu)
         # each part of the lift has B-norm^2 k / len(parts)
         v = (phases[:, None, None] * lift(y)).reshape(n, -1)
-        v = np.stack([part(v) for part in parts], axis=-1).reshape(n, -1)
+        v = np.stack([part(v) for part, _ in parts], axis=-1).reshape(n, -1)
         vecs.append(v.T / math.sqrt(k / len(parts)))
         mus.append(np.repeat(1.0 / nu + SHIFT, len(parts)))
         classes.append(np.full(want * len(parts), q))
+        labels += [parity for _, parity in parts] * want
     mus, vecs, classes = (np.concatenate(x) for x in (mus, vecs, classes))
-    # the phases are fixed on one candidate more than is kept, so that a
-    # degenerate pair split by the cut is rotated like any other
-    order = np.argsort(mus, kind="stable")[:j_max + 1]
-    lams = alpha * mus[order] - 1.0
-    phi = _fix_phases(vecs[order] / math.sqrt(h.grid.dtheta), lams)[:j_max]
-    order, lams = order[:j_max], lams[:j_max]
+    order = np.argsort(mus, kind="stable")[:j_max]
     mus, classes = mus[order], classes[order]
+    lams = alpha * mus - 1.0
+    phi = _fix_signs(vecs[order] / math.sqrt(h.grid.dtheta))
     # A multiplies Fourier mode m by m^2 - 1, so ||A||_2 = max(1, (n//2)^2 - 1)
     scale = max(1.0, (n // 2) ** 2 - 1.0) + np.abs(mus) * np.max(b)
     w_phi = radius_of_curvature(phi)
@@ -382,7 +345,8 @@ def decompose(h: SupportFunction, alpha, j_max=40) -> SpectralDecomposition:
         residuals=residuals, backward_errors=backward,
         morse_index=int(np.sum(lams < -ZERO_TOL)),
         kernel_dim=int(np.sum(np.abs(lams) <= ZERO_TOL)),
-        rotation_order=k, bloch_classes=classes, parities=_parity(phi))
+        rotation_order=k, bloch_classes=classes,
+        parities=tuple(labels[i] for i in order))
 
 
 def energy_split(v, decomposition: SpectralDecomposition):

@@ -405,6 +405,16 @@ def test_modes_reports_an_empty_snapshots_file(tmp_path, capsys, recwarn):
     assert len(recwarn) == 0
 
 
+def test_an_output_directory_that_cannot_be_made_is_a_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "sub")
+    assert cli.main(["entropy-table", "--alpha", "0.05", "--out", out]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot create output directory {out}")
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is imported by the routines that use it, when they are called, and
     # numpy.random (6 to 7 ms under -X importtime) by the callers that pass a

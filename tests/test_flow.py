@@ -254,6 +254,16 @@ def test_stopping_state_is_recorded_once(grid256, every):
     assert len(tr) == 1 + math.ceil(tr.n_steps / every)
 
 
+def test_sample_interval_past_t_end_records_only_the_ends():
+    # no multiple of sample_dt lies inside (0, t_end - sample_dt / 4]: the
+    # run keeps the start and the end state, not every accepted step
+    u0 = random_convex_support(AngularGrid(64), np.random.default_rng(1))
+    tr = run(FlowConfig(alpha=0.5, mode="normalized_tau", initial=u0,
+                        t_end=0.012, sample_dt=0.01))
+    assert tr.terminal_reason == "reached_end" and tr.n_steps > 1
+    assert tr.times.tolist() == [0.0, 0.012]
+
+
 def test_area_derivative_identity(grid256, rng):
     assert area_derivative_check(circle_support(grid256), 1.0) < 1e-8
     r2 = SupportFunction(grid256, np.full(256, 2.0))

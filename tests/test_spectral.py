@@ -4,7 +4,7 @@ import scipy.linalg
 
 from acsflow.errors import EigenFailed, GridMismatch, WindowEscaped
 from acsflow.geometry import (AngularGrid, SupportFunction, circle_support, deriv1,
-                              radius_of_curvature, random_convex_support)
+                              radius_of_curvature, random_convex_support, rotate_nodes)
 from acsflow.shrinker import assemble_profile
 from acsflow.spectral import (SHIFT, WeightedInnerProduct, apply_L,
                               circle_eigenvalues, decompose, energy_split,
@@ -144,8 +144,8 @@ def test_sector_labels_at_k3_profile():
 
 
 def test_fewer_pairs_are_a_prefix_of_more():
-    # a complex class supplies ceil(j_max / 2) pairs, two candidates each; at
-    # j_max 1 the second candidate, cut but phase-fixed, is a translation (q 1)
+    # a paired class supplies ceil(j_max / 2) pairs, two candidates each; at
+    # j_max 1 the second candidate, cut at the odd Im lift, is a translation (q 1)
     h = assemble_profile(1 / 24, 3, 510).h
     many = decompose(h, 1 / 24, j_max=12)
     for j_max in (1, 11):
@@ -155,11 +155,22 @@ def test_fewer_pairs_are_a_prefix_of_more():
         assert few.bloch_classes.tolist() == many.bloch_classes[:j_max].tolist()
 
 
-def test_degenerate_pair_split_by_the_cut_is_labelled():
+@pytest.mark.parametrize("alpha,build,j_max", [
+    (1 / 24, lambda: assemble_profile(1 / 24, 3, 510).h, 40),
+    (0.03, lambda: assemble_profile(0.03, 5, 1020).h, 12),
+    (0.1, lambda: _circle(512), 40),
+], ids=["k3_profile", "k5_cut", "circle"])
+def test_degenerate_pair_split_by_the_cut_is_labelled(alpha, build, j_max):
     # the 12th and 13th eigenpairs at (0.03, k5, n 1020) are one degenerate
-    # pair of Bloch class 1; the kept member is rotated to a parity too
-    dec = decompose(assemble_profile(0.03, 5, 1020).h, 0.03, j_max=12)
-    assert all(p in ("even", "odd") for p in dec.parities)
+    # pair of Bloch class 1, and at the circle every pair but the constant
+    # mode is degenerate; each kept member carries the parity of its sector,
+    # which its vector has to rounding
+    dec = decompose(build(), alpha, j_max=j_max)
+    phi = dec.eigenfunctions
+    mirrored = phi[:, (-np.arange(phi.shape[1])) % phi.shape[1]]
+    for parity, row, back in zip(dec.parities, phi, mirrored):
+        sign = {"even": 1.0, "odd": -1.0}[parity]
+        assert np.max(np.abs(back - sign * row)) <= 1e-12 * np.max(np.abs(row))
 
 
 def _c3_body_without_mirror():
@@ -167,6 +178,17 @@ def _c3_body_without_mirror():
     h = assemble_profile(0.12, 3, 252).h
     v = h.values + 1e-3 * np.sin(6.0 * h.grid.nodes)
     return SupportFunction(h.grid, np.tile(v[:84], 3))
+
+
+@pytest.mark.parametrize("build", [
+    _c3_body_without_mirror,
+    lambda: rotate_nodes(assemble_profile(0.12, 3, 252).h, 5),
+], ids=["c3_body", "rotated_d3_profile"])
+def test_no_parity_without_the_mirror(build):
+    # no mirror sector exists, so no pair is labelled even or odd, not even
+    # one whose vector is symmetric about theta = 0 to rounding
+    dec = decompose(build(), 0.12, j_max=16)
+    assert dec.parities == (None,) * 16
 
 
 @pytest.mark.parametrize("alpha,build,k", [
