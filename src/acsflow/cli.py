@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, entropy, flow, geometry, modes, shrinker, spectral
+from . import __version__, flow, geometry, modes, shrinker, spectral
 from .errors import AcsflowError, AlphaMismatch, BadConfig, OutOfRange
 
 EXIT_DOMAIN = 2
@@ -431,8 +431,8 @@ def _build_parser(require=True):
                         "is not in use (default %(default)s)")
     p.add_argument("--stop-min-radius", type=float,
                    default=flow.FlowConfig.stop_min_radius,
-                   help="stop once the least radius of curvature falls below this "
-                        "(default %(default)s)")
+                   help="stop once the least radius of curvature falls below this, "
+                        "which must be >= 0 (default %(default)s)")
     p.add_argument("--rtol", type=float, default=flow.FlowConfig.rtol,
                    help="bound on the estimated local error of each order-7 step, "
                         "relative to the support function about the Steiner point "

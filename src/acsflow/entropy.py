@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvex, OptimFailed, OutOfRange, PointOutside
-from .geometry import (CONVEXITY_RTOL, SupportFunction, _basis, _strictly_convex, area,
+from .errors import NonConvex, OptimFailed, OutOfRange
+from .geometry import (CONVEXITY_RTOL, SupportFunction, _basis, _strictly_convex,
                        radius_of_curvature)
 
 # probes whose translated support dips below this are rejected, the integrand
@@ -73,16 +73,6 @@ def _probe(vals, z, alpha):
     if inside.any():
         f[inside] = _value(uz[inside], alpha)
     return uz, f
-
-
-def entropy_at(u: SupportFunction, z0, alpha) -> float:
-    """Entropy of the body with the base point fixed at z0."""
-    _check_alpha(alpha)
-    area_term = 0.5 * math.log(area(u) / math.pi)
-    uz = _translated(u.values[None], np.array([z0], dtype=float))
-    if np.min(uz) < BOUNDARY_GUARD:
-        raise PointOutside(f"base point {tuple(z0)} is not strictly interior")
-    return float(_value(uz[0], alpha)) - area_term
 
 
 def entropy(u: SupportFunction, alpha) -> EntropyResult:

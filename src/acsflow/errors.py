@@ -9,10 +9,6 @@ class NonConvex(AcsflowError):
     """Support function fails the strict convexity check min(u_thth + u) > tol."""
 
 
-class GridMismatch(AcsflowError):
-    """Two grid-sampled quantities live on different angular grids."""
-
-
 class OutOfRange(AcsflowError):
     """Parameter outside the admissible domain (alpha, k, r, ...)."""
 
@@ -26,10 +22,6 @@ class NoBracket(AcsflowError):
     """Shooting grew u_max to its cap without the arc reaching its target."""
 
 
-class PointOutside(AcsflowError):
-    """Entropy base point is outside (or too close to the boundary of) the body."""
-
-
 class OptimFailed(AcsflowError):
     """Entropy-point maximization did not converge within its evaluation budget."""
 
@@ -37,10 +29,6 @@ class OptimFailed(AcsflowError):
 class EigenFailed(AcsflowError):
     """Dense solve of a Bloch class of the pencil failed, or a pair breaks
     its backward-error bound."""
-
-
-class WindowEscaped(AcsflowError):
-    """Growth-rate fit window left the linear-dominated regime."""
 
 
 class AlphaMismatch(AcsflowError):
@@ -57,7 +45,3 @@ class OrderingViolated(AcsflowError):
 
 class BadConfig(AcsflowError):
     """Invalid run configuration."""
-
-
-class InsufficientData(AcsflowError):
-    """Not enough trace rows for the requested fit."""

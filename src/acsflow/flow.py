@@ -95,23 +95,25 @@ the true derivative, and P is of order 7, as the step is. The end slope is
 not h f(u_1): that carries the node rounding of u_1 times the stiffest rate
 of f, and every level of P would share it, so the error estimate below
 could not see it (with h f(u_1), and steps up to h 0.99, the n 1024 tau run
-below is 1.07e-12 off). P is linear in the kept increments with weights that depend
-on s alone (_extension_tables), so a step's samples cost one small matrix
-product and one batched irfft. Its error is bounded: P_1 and P_2 extrapolate
-each derivative over one and two chains fewer and leave out the top one and
-two conditions, so they are of orders 6 and 5. With d1 and d2 the largest
-|P - P_1| and |P_1 - P_2| of each node over the step's samples and s = 1/4,
-1/2 and 3/4, the error over the step is estimated as d1 (d1 / d2)^(1/2): the
-levels' errors shrink by about d1 / d2 from one to the next, and the root
-hedges that ratio. Where d1 > d2 the levels do not yet shrink, and the error
-can exceed d1 (on u' = 3u at h 0.4 d1 is 0.79 of the error, and the factor
-lifts the estimate to 1.19 times it). Taken at each sample alone, the estimate reads far
-below the error where P - P_1 changes sign (on u' = -u with h 0.4, 3.1e-5 of
-it at s 0.57). Of the estimates either side of it, d1 alone overstates the
-error and costs steps (an alpha 1/2 circle sampled every 0.05 to t 0.4 takes
-18 steps and 12 sample rejections, against 17 and 11), and d1^2 / d2
-understates it (the same circle's samples then drift 1.1e-13 off the exact
-law, against 2.8e-14). A step whose estimate exceeds atol + rtol |u_s| at
+below is 1.07e-12 off). P is linear in the kept increments with weights that
+depend on s alone (_extension_tables), so each 16 of a step's samples and
+probes cost one small matrix product and one batched irfft, and a step's
+extension needs little memory beyond its samples' rows. Its error is
+bounded: P_1 and P_2 extrapolate each derivative over one and two chains
+fewer and leave out the top one and two conditions, so they are of orders 6
+and 5. With d1 and d2 the largest |P - P_1| and |P_1 - P_2| of each node
+over the step's samples and s = 1/4, 1/2 and 3/4, the error over the step is
+estimated as d1 (d1 / d2)^(1/2): the levels' errors shrink by about d1 / d2
+from one to the next, and the root hedges that ratio. Where d1 > d2 the
+levels do not yet shrink, and the error can exceed d1 (on u' = 3u at h 0.4
+d1 is 0.79 of the error, and the factor lifts the estimate to 1.19 times
+it). Taken at each sample alone, the estimate reads far below the error
+where P - P_1 changes sign (on u' = -u with h 0.4, 3.1e-5 of it at s 0.57).
+Of the estimates either side of it, d1 alone overstates the error and costs
+steps (an alpha 1/2 circle sampled every 0.05 to t 0.4 takes 18 steps and 12
+sample rejections, against 17 and 11), and d1^2 / d2 understates it (the
+same circle's samples then drift 1.1e-13 off the exact law, against
+2.8e-14). A step whose estimate exceeds atol + rtol |u_s| at
 one of its nodes is rejected and shortened like any other. W damps the top
 Fourier modes of the increments, so the extension's rounding does not grow
 with n. Against samples landed on at rtol 1e-14, a tau-gauge run of
@@ -131,10 +133,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._fmt import csv_table
-from .errors import BadConfig, InsufficientData, NonConvex
+from .entropy import entropy_rows
+from .errors import BadConfig, NonConvex
 from .geometry import (CONVEXITY_RTOL, AngularGrid, SupportFunction,
                        _about_steiner_point, _area_weights, _curvature_radii,
-                       _nodal, _spectrum, _strictly_convex, _symbols, area,
+                       _nodal, _spectrum, _strictly_convex, _symbols,
                        radius_of_curvature, require_convex)
 
 _MODES = ("unnormalized", "normalized_tau", "normalized_area")
@@ -165,6 +168,9 @@ _DENSE_TOP = 5
 # fractions 1 - s of a step, s = 1/4, 1/2 and 3/4, at which its extension's
 # error is probed besides the samples
 _PROBES = np.array([0.75, 0.5, 0.25])
+# fractions of a step at which its extension is formed in one batch, so that
+# its temporaries do not grow with the samples the step holds
+_EXTENSION_ROWS = 16
 
 # rows of a run's trace whose diagnostics are formed in one batch
 _DIAGNOSTIC_ROWS = 32
@@ -490,12 +496,21 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
             if not sampled:
                 break
             # samples inside the step: the continuous extension, whose
-            # estimated error is bounded over the step
+            # estimated error is bounded over the step, formed
+            # _EXTENSION_ROWS fractions at a time; of each block the
+            # samples' rows of Q_0 are kept, and of d1 and d2 only the node
+            # maxima of |d1| and |d2|, which are all the estimate reads
             states[-2:] = h_step * k1, dz
-            v = (t_next - np.array(sample_times[i_s:j_s])) / h_step
-            ext, d1, d2 = _nodal(_extension(np.append(v, _PROBES), states))
+            v = np.append((t_next - np.array(sample_times[i_s:j_s])) / h_step, _PROBES)
+            ext = np.empty((j_s - i_s, u.shape[-1]))
+            peaks = np.zeros((2, u.shape[-1]))
+            for lo in range(0, len(v), _EXTENSION_ROWS):
+                levels = _nodal(_extension(v[lo:lo + _EXTENSION_ROWS], states))
+                kept = ext[lo:lo + _EXTENSION_ROWS]
+                kept[:] = levels[0, :len(kept)]
+                np.maximum(peaks, np.abs(levels[1:]).max(axis=1), out=peaks)
             stats.dense_evals += 1
-            ratio = (_extension_estimate(d1, d2) / escale).max()
+            ratio = (_extension_estimate(peaks[:1], peaks[1:]) / escale).max()
             if ratio <= 1.0:
                 break
             stats.rejected_sample += 1
@@ -505,7 +520,7 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
         stats.count_step("landing" if landing else "error", h_step)
         if record is not None:
             if sampled:
-                for t_s, row in zip(sample_times[i_s:j_s], u + ext[:j_s - i_s]):
+                for t_s, row in zip(sample_times[i_s:j_s], u + ext):
                     record(t_s, u1 if t_s == t_next else row)
             elif every_state:
                 record(t_next, u1)
@@ -590,6 +605,9 @@ def _validate(config: FlowConfig):
                             f"got {config.t_end}")
     if not (math.isfinite(config.rtol) and config.rtol >= 0.0):
         raise BadConfig(f"rtol must be finite and >= 0, got {config.rtol}")
+    # a NaN or negative floor never stops the march
+    if not config.stop_min_radius >= 0.0:
+        raise BadConfig(f"stop_min_radius must be >= 0, got {config.stop_min_radius}")
     if config.max_steps < 1:
         raise BadConfig("max_steps must be >= 1")
     try:
@@ -605,8 +623,6 @@ def run(config: FlowConfig) -> FlowTrace:
     already; their diagnostic columns follow from the states, formed in
     batches of _DIAGNOSTIC_ROWS rows."""
     _validate(config)
-    from .entropy import entropy_rows  # local import, no cycle
-
     grid = config.initial.grid
     u = config.initial.values.copy()
     stats = FlowStats()
@@ -659,80 +675,6 @@ def run(config: FlowConfig) -> FlowTrace:
         iso_ratio=area_col / length_col ** 2, min_curvature=min_curv,
         max_curvature=max_curv, entropy=entropy_col, snapshots=snapshots,
         terminal_reason=reason, n_steps=stats.accepted, stats=stats)
-
-
-def area_derivative_check(u: SupportFunction, alpha, dt=1e-5) -> float:
-    """Relative residual of dA/dt = -integral kappa^(alpha-1) over one step."""
-    grid = u.grid
-    a0 = area(u)
-
-    vals = u.values.copy()
-    stats = FlowStats()
-    flow_advance(vals, 0.0, dt / 8.0, dt / 2.0, alpha, "unnormalized",
-                 1e-11, 1e-14, 0.0, stats)
-    w_mid = radius_of_curvature(vals)
-    flow_advance(vals, dt / 2.0, dt / 8.0, dt, alpha, "unnormalized",
-                 1e-11, 1e-14, 0.0, stats)
-    a1 = 0.5 * grid.dtheta * float(np.sum(vals * radius_of_curvature(vals)))
-
-    lhs = (a1 - a0) / dt
-    rhs_exact = -grid.dtheta * float(np.sum(w_mid ** (1.0 - alpha)))
-    return abs(lhs - rhs_exact) / abs(rhs_exact)
-
-
-@dataclass(frozen=True)
-class AreaLawFit:
-    exponent: float
-    a_hat: float
-    rms: float
-    t_extinction: float
-
-
-def area_law_fit(trace: FlowTrace, min_rows=20) -> AreaLawFit:
-    """Fit A = (a_hat * (T - t))^p over the last decade before extinction.
-
-    T is chosen to minimize the least-squares rms of log A against
-    log(T - t); the asymptotic law has p = 2/(1 + alpha).
-    """
-    from scipy.optimize import minimize_scalar
-    t = trace.times
-    a = trace.area
-    if len(t) < min_rows:
-        raise InsufficientData(f"need at least {min_rows} rows, got {len(t)}")
-    t_last, a_last = t[-1], a[-1]
-    # crude extinction horizon from the circle law, generous bracket
-    hint = a_last ** ((1.0 + trace.alpha) / 2.0)
-
-    def fit_for(t_ext):
-        dt_ext = t_ext - t
-        mask = dt_ext <= 10.0 * (t_ext - t_last)
-        if mask.sum() < min_rows:
-            mask = np.zeros(len(t), dtype=bool)
-            mask[-min_rows:] = True
-        x = np.log(dt_ext[mask])
-        y = np.log(a[mask])
-        coef = np.polyfit(x, y, 1)
-        resid = y - np.polyval(coef, x)
-        return float(np.sqrt(np.mean(resid**2))), coef
-
-    res = minimize_scalar(lambda T: fit_for(T)[0],
-                          bounds=(t_last + 1e-3 * hint, t_last + 50.0 * hint),
-                          method="bounded",
-                          options={"xatol": 1e-14})
-    t_ext = float(res.x)
-    rms, coef = fit_for(t_ext)
-    p, c = float(coef[0]), float(coef[1])
-    return AreaLawFit(exponent=p, a_hat=math.exp(c / p), rms=rms, t_extinction=t_ext)
-
-
-def entropy_monotonicity_check(trace: FlowTrace) -> float:
-    """Largest increase of the logged entropy between consecutive samples."""
-    ent = trace.entropy
-    good = ~np.isnan(ent)
-    if good.sum() < 2:
-        raise InsufficientData("trace has no logged entropy column")
-    diffs = np.diff(ent[good])
-    return float(np.max(diffs))
 
 
 def trace_to_csv(trace: FlowTrace) -> str:

@@ -129,16 +129,6 @@ def _curvature_radii(z, n):
     return np.fft.irfft(lap * z[..., :-1], n) + z[..., -1:].real
 
 
-def deriv1(values):
-    """Spectral first derivative of periodic nodal data, along the last axis."""
-    n = values.shape[-1]
-    spec = np.fft.rfft(values) * (1j * np.arange(n // 2 + 1, dtype=float))
-    if n % 2 == 0:
-        # The Nyquist cosine has no representable sine derivative on this grid.
-        spec[..., -1] = 0.0
-    return np.fft.irfft(spec, n)
-
-
 def radius_of_curvature(values) -> np.ndarray:
     """Per-node u_thth + u of periodic nodal data, along the last axis: the
     radius of curvature in the normal-angle gauge, (d_thth + 1) u."""
@@ -169,40 +159,11 @@ def area(u: SupportFunction) -> float:
     return 0.5 * u.grid.dtheta * float(np.sum(u.values * w))
 
 
-def length(u: SupportFunction) -> float:
-    """Boundary length, the integral of the radius of curvature."""
-    w = require_convex(u)
-    return u.grid.dtheta * float(np.sum(w))
-
-
 def translate(u: SupportFunction, z) -> SupportFunction:
     """Support function of the same body with the origin moved to z."""
     zx, zy = float(z[0]), float(z[1])
     c, s = _basis(u.n)
     return SupportFunction(u.grid, u.values - (zx * c + zy * s))
-
-
-def rotate_nodes(u: SupportFunction, shift: int) -> SupportFunction:
-    """Rotate the body by shift grid spacings (u'(th) = u(th + shift*dth))."""
-    return SupportFunction(u.grid, np.roll(u.values, -shift))
-
-
-def embed(u: SupportFunction) -> np.ndarray:
-    """Boundary points X(theta_i), shape (n, 2)."""
-    require_convex(u)
-    ut = deriv1(u.values)
-    c, s = _basis(u.n)
-    return np.stack([u.values * c - ut * s, u.values * s + ut * c], axis=1)
-
-
-def steiner_point(u: SupportFunction) -> np.ndarray:
-    """Curvature-weighted boundary centroid; strictly interior for convex bodies.
-
-    The curvature weight kappa ds is dtheta, so this is the mean of the
-    boundary points over the uniform angle grid, (1/pi) integral u (cos, sin),
-    by the trapezoid rule (2/n) e u for e the cos and sin rows of _basis.
-    """
-    return (2.0 / u.n) * (_basis(u.n) @ u.values)
 
 
 def _about_steiner_point(values):
@@ -229,12 +190,6 @@ def _fourier_coefficients(values, m_max):
 def circle_support(grid: AngularGrid, radius: float = 1.0, center=(0.0, 0.0)) -> SupportFunction:
     c, s = _basis(grid.n)
     return SupportFunction(grid, radius + center[0] * c + center[1] * s)
-
-
-def ellipse_support(grid: AngularGrid, a: float, b: float) -> SupportFunction:
-    """Origin-centered axis-aligned ellipse with semi-axes (a, b)."""
-    th = grid.nodes
-    return SupportFunction(grid, np.sqrt((a * np.cos(th)) ** 2 + (b * np.sin(th)) ** 2))
 
 
 def random_convex_support(grid: AngularGrid, rng: "np.random.Generator",
@@ -266,4 +221,3 @@ def support_to_json(u: SupportFunction) -> dict:
 
 def support_from_json(obj: dict) -> SupportFunction:
     return SupportFunction(AngularGrid(int(obj["n"])), np.asarray(obj["values"], dtype=float))
-

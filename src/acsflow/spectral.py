@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EigenFailed, GridMismatch, OutOfRange, WindowEscaped
+from .errors import EigenFailed, OutOfRange
 from .geometry import (SupportFunction, _fourier_coefficients, _symbols,
                        radius_of_curvature)
 
@@ -91,29 +91,6 @@ class WeightedInnerProduct:
 
     def norm(self, v):
         return math.sqrt(max(self.inner(v, v), 0.0))
-
-
-def apply_L(h: SupportFunction, alpha, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (h.grid.n,):
-        raise GridMismatch(f"vector of length {v.shape} on a grid of {h.grid.n} nodes")
-    g = h.values ** (1.0 + 1.0 / alpha)
-    return alpha * g * radius_of_curvature(v) + v
-
-
-def circle_eigenvalues(alpha, l_max) -> np.ndarray:
-    """Closed-form eigenvalues of -L at the unit circle, with multiplicity.
-
-    The constant mode carries -alpha - 1; each angular frequency l >= 1
-    contributes the double eigenvalue alpha (l^2 - 1) - 1.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise OutOfRange(f"alpha must lie in (0, 1), got {alpha}")
-    lams = [-alpha - 1.0]
-    for l in range(1, l_max + 1):
-        lam = alpha * (l * l - 1.0) - 1.0
-        lams.extend((lam, lam))
-    return np.array(lams)
 
 
 @dataclass
@@ -337,7 +314,8 @@ def decompose(h: SupportFunction, alpha, j_max=40) -> SpectralDecomposition:
     if not np.max(backward) <= BACKWARD_TOL:
         raise EigenFailed(f"eigenpair backward error {np.max(backward):.3g} "
                           f"exceeds {BACKWARD_TOL:g}")
-    # ||L phi + lam phi||_h of every pair, as apply_L and ip.norm form them
+    # ||L phi + lam phi||_h of every pair, with L phi = alpha h^(1 + 1/alpha)
+    # (phi_thth + phi) + phi and ||r||_h^2 = dtheta sum(b r^2)
     r = alpha * h.values ** (1.0 + 1.0 / alpha) * w_phi + phi + lams[:, None] * phi
     residuals = np.sqrt(np.maximum(h.grid.dtheta * np.sum(r * r * b, axis=1), 0.0))
     return SpectralDecomposition(
@@ -347,71 +325,6 @@ def decompose(h: SupportFunction, alpha, j_max=40) -> SpectralDecomposition:
         kernel_dim=int(np.sum(np.abs(lams) <= ZERO_TOL)),
         rotation_order=k, bloch_classes=classes,
         parities=tuple(labels[i] for i in order))
-
-
-def energy_split(v, decomposition: SpectralDecomposition):
-    """Coefficients of v in the retained eigenbasis, its unstable, neutral and
-    stable energies, and the energy beyond the basis: the squared weighted
-    norm of v minus its projection on the basis. v is one vector or a
-    matrix whose columns are vectors; each result then has one entry per column.
-    GridMismatch unless v has one row per node of the decomposition's grid.
-    """
-    dec = decomposition
-    if np.shape(v)[0] != dec.h.grid.n:
-        raise GridMismatch(f"vectors of shape {np.shape(v)} on a grid of "
-                           f"{dec.h.grid.n} nodes")
-    dtheta, b, lam = dec.h.grid.dtheta, dec.inner_product.weights, dec.eigenvalues
-    coef = dtheta * (dec.eigenfunctions * b) @ v
-    e_minus, e_zero, e_plus = (np.sum(coef[sel] ** 2, axis=0) for sel in (
-        lam < -ZERO_TOL, np.abs(lam) <= ZERO_TOL, lam > ZERO_TOL))
-    rest = v - dec.eigenfunctions.T @ coef
-    remainder = dtheta * (b @ (rest * rest))
-    return coef, (e_minus, e_zero, e_plus), remainder
-
-
-def measure_growth_rate(h: SupportFunction, alpha, j, epsilon, tau_window,
-                        decomposition=None) -> float:
-    """Fit d/dtau log |(v, phi_j)_h| for the flow started at h + eps phi_j.
-
-    The flow runs at its default tolerances and is sampled every 0.01.
-
-    The fitted rate approximates -lambda_j. For modes with a nonzero
-    eigenvalue the run is rejected (WindowEscaped) if the nonlinear residual
-    exceeds a tenth of the linear term at mid-window; a neutral mode has no
-    linear term to compare against, so no escape check applies.
-    """
-    from .flow import FlowConfig, rhs, run
-
-    dec = decomposition if decomposition is not None else decompose(
-        h, alpha, j_max=max(int(j) + 3, 12))
-    if dec.h.grid.n != h.grid.n:
-        raise GridMismatch("decomposition grid does not match the profile grid")
-    phi = dec.eigenfunctions[j]
-    lam = dec.eigenvalues[j]
-    t0, t1 = tau_window
-    u0 = SupportFunction(h.grid, h.values + epsilon * phi)
-    trace = run(FlowConfig(alpha=alpha, mode="normalized_tau", initial=u0,
-                           t_end=t1, sample_dt=0.01, stop_min_radius=1e-6))
-    if trace.terminal_reason != "reached_end":
-        raise WindowEscaped(f"flow stopped early: {trace.terminal_reason}")
-    sel = np.nonzero((trace.times >= t0 - 1e-12) & (trace.times <= t1 + 1e-12))[0]
-    coefs = h.grid.dtheta * ((trace.snapshots[sel] - h.values)
-                             @ (phi * dec.inner_product.weights))
-    if np.min(np.abs(coefs)) < 1e-13:
-        raise WindowEscaped("mode coefficient fell to rounding level inside the window")
-
-    if abs(lam) > ZERO_TOL:
-        mid = sel[len(sel) // 2]
-        u_mid = SupportFunction(h.grid, trace.snapshots[mid])
-        v_mid = trace.snapshots[mid] - h.values
-        linear = apply_L(h, alpha, v_mid)
-        nonlin = rhs(u_mid, alpha, "normalized_tau") - linear
-        if dec.norm(nonlin) > 0.1 * dec.norm(linear):
-            raise WindowEscaped(
-                "nonlinearity exceeds 10% of the linear term mid-window")
-
-    taus = trace.times[sel]
-    return float(np.polyfit(taus, np.log(np.abs(coefs)), 1)[0])
 
 
 def spectrum_to_json_dict(decomposition: SpectralDecomposition, profile_tag) -> dict:

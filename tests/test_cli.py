@@ -151,6 +151,9 @@ def test_exit_codes(tmp_path, capsys):
     # 4: tolerances that are negative or not a number
     assert cli.main(flow + ["--rtol=-1e-12"]) == 4
     assert cli.main(flow + ["--rtol", "nan"]) == 4
+    # 4: a stop radius that is not a number or is negative
+    assert cli.main(flow + ["--stop-min-radius", "nan"]) == 4
+    assert cli.main(flow + ["--stop-min-radius=-1"]) == 4
     # 4: sample times up to an endless t_end, or an endless sample interval
     tau = ["flow", "--alpha", "0.1", "--mode", "tau", "--n", "32"]
     assert cli.main(tau + ["--t-end", "inf"]) == 4

@@ -5,13 +5,13 @@ import pytest
 from scipy.optimize import minimize
 
 from acsflow import entropy as entropy_module
-from acsflow.entropy import entropy, entropy_at, entropy_rows
-from acsflow.errors import NonConvex, OptimFailed, OutOfRange, PointOutside
-from acsflow.geometry import (SupportFunction, circle_support, ellipse_support,
-                              random_convex_support, translate)
+from acsflow.entropy import entropy, entropy_rows
+from acsflow.errors import NonConvex, OptimFailed, OutOfRange
+from acsflow.geometry import SupportFunction, circle_support, random_convex_support, translate
 from acsflow.shrinker import assemble_profile, shrinker_entropy
 
 import oracles
+from analysis import PointOutside, ellipse_support, entropy_at
 
 
 def test_unit_circle_zero(grid256):

@@ -1,20 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from acsflow import flow, geometry, spectral
 from acsflow.entropy import entropy
-from acsflow.errors import BadConfig, InsufficientData
-from acsflow.flow import (FlowConfig, area_derivative_check, area_law_fit,
-                          entropy_monotonicity_check, rhs, run, trace_to_csv)
+from acsflow.errors import BadConfig
+from acsflow.flow import FlowConfig, rhs, run, trace_to_csv
 from acsflow.geometry import (AngularGrid, SupportFunction, area, circle_support,
-                              random_convex_support, rotate_nodes, steiner_point,
-                              translate)
+                              random_convex_support, translate)
 from acsflow.modes import quasi_steady_seed
 from acsflow.shrinker import assemble_profile
 
 import oracles
+from analysis import (InsufficientData, area_derivative_check, area_law_fit,
+                      entropy_monotonicity_check, rotate_nodes, steiner_point)
 
 
 def _perturbed(grid, m, eps):
@@ -62,6 +63,11 @@ def test_config_validation(grid256):
         with pytest.raises(BadConfig):
             run(FlowConfig(alpha=0.5, mode="unnormalized", initial=good, t_end=1.0,
                            rtol=rtol))
+    # a NaN or negative stop radius would switch the floor off
+    for stop in (math.nan, -1.0):
+        with pytest.raises(BadConfig):
+            run(FlowConfig(alpha=0.5, mode="unnormalized", initial=good, t_end=10.0,
+                           stop_min_radius=stop))
     # sample times are listed up to t_end, so both must be finite; an
     # unsampled run may go on until a stop
     for t_end, sample_dt in ((math.inf, 0.01), (1.0, math.inf), (1.0, math.nan)):
@@ -262,6 +268,23 @@ def test_sample_interval_past_t_end_records_only_the_ends():
                         t_end=0.012, sample_dt=0.01))
     assert tr.terminal_reason == "reached_end" and tr.n_steps > 1
     assert tr.times.tolist() == [0.0, 0.012]
+
+
+def test_extension_memory_stays_near_the_snapshots():
+    # 8 steps hold 1,000 samples; the extension is formed 16 fractions at a
+    # time, so the traced peak is the snapshots' rows and their array, 8.2 MB
+    # each (measured 2.3 times their size, and 6.9 when all of a step's
+    # samples were formed at once)
+    u0 = quasi_steady_seed(AngularGrid(1024), 3, 1e-3)
+    tracemalloc.start()
+    try:
+        tr = run(FlowConfig(alpha=1 / 8, mode="normalized_tau", initial=u0, t_end=1.0,
+                            sample_dt=1e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tr) == 1001
+    assert peak <= 3 * tr.snapshots.nbytes
 
 
 def test_area_derivative_identity(grid256, rng):

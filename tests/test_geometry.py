@@ -7,12 +7,12 @@ from acsflow._fmt import CSV_FMT, csv_table
 from acsflow.errors import NonConvex
 from acsflow.geometry import (AngularGrid, SupportFunction,
                               _fourier_coefficients, area, circle_support,
-                              deriv1, ellipse_support, embed, length,
                               radius_of_curvature, random_convex_support,
-                              require_convex, rotate_nodes, steiner_point,
-                              support_from_json, support_to_json, translate)
+                              require_convex, support_from_json, support_to_json,
+                              translate)
 
 import oracles
+from analysis import deriv1, ellipse_support, embed, length, rotate_nodes, steiner_point
 
 
 def test_grid_validation():

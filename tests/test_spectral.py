@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from acsflow.errors import EigenFailed, GridMismatch, WindowEscaped
-from acsflow.geometry import (AngularGrid, SupportFunction, circle_support, deriv1,
-                              radius_of_curvature, random_convex_support, rotate_nodes)
+from acsflow.errors import EigenFailed
+from acsflow.geometry import (AngularGrid, SupportFunction, circle_support,
+                              radius_of_curvature, random_convex_support)
 from acsflow.shrinker import assemble_profile
-from acsflow.spectral import (SHIFT, WeightedInnerProduct, apply_L,
-                              circle_eigenvalues, decompose, energy_split,
-                              measure_growth_rate, spectrum_to_json_dict)
+from acsflow.spectral import SHIFT, WeightedInnerProduct, decompose, spectrum_to_json_dict
+
+from analysis import (GridMismatch, WindowEscaped, apply_L, circle_eigenvalues, deriv1,
+                      energy_split, measure_growth_rate, rotate_nodes)
 
 
 def _circle(n=256):
