@@ -207,21 +207,17 @@ def _initial_from_spec(spec, n):
                 return geometry.support_from_json(json.load(fh))
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise BadConfig(f"cannot read initial support from {path}: {exc}")
-    if spec.startswith("perturb:"):
+    kind, colon, params = spec.partition(":")
+    if colon and kind in ("perturb", "seed"):
+        name = "m" if kind == "perturb" else "k"
         try:
-            m_str, eps_str = spec[8:].split(",")
+            m_str, eps_str = params.split(",")
             m, eps = int(m_str), float(eps_str)
         except ValueError:
-            raise BadConfig(f"expected perturb:<m>,<eps>, got {spec!r}")
-        th = grid.nodes
-        return geometry.SupportFunction(grid, 1.0 + eps * np.cos(m * th))
-    if spec.startswith("seed:"):
-        try:
-            k_str, eps_str = spec[5:].split(",")
-            k, eps = int(k_str), float(eps_str)
-        except ValueError:
-            raise BadConfig(f"expected seed:<k>,<eps>, got {spec!r}")
-        return modes.quasi_steady_seed(grid, k, eps)
+            raise BadConfig(f"expected {kind}:<{name}>,<eps>, got {spec!r}")
+        if kind == "seed":
+            return modes.quasi_steady_seed(grid, m, eps)
+        return geometry.SupportFunction(grid, 1.0 + eps * np.cos(m * grid.nodes))
     raise BadConfig(f"unknown --init {spec!r}")
 
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvex, OptimFailed, OutOfRange
-from .geometry import (CONVEXITY_RTOL, SupportFunction, _basis, _strictly_convex,
-                       radius_of_curvature)
+from .errors import OptimFailed, OutOfRange
+from .geometry import SupportFunction, _basis, require_convex
 
 # probes whose translated support dips below this are rejected, the integrand
 # u^(1-1/alpha) blows up at the boundary
@@ -108,12 +107,7 @@ def entropy_rows(values, alpha) -> list:
     _check_alpha(alpha)
     vals = np.asarray(values, dtype=float)
     rows, n = vals.shape
-    w = radius_of_curvature(vals)
-    ubar = np.sum(vals, axis=-1) / n
-    if not _strictly_convex(w, ubar[:, None]):
-        i = next(i for i in range(rows) if not _strictly_convex(w[i], ubar[i]))
-        raise NonConvex(f"row {i}: min radius of curvature {np.min(w[i]):.3e} <= "
-                        f"tolerance {CONVEXITY_RTOL * ubar[i]:.3e}")
+    w = require_convex(vals)
     area_term = 0.5 * np.log((math.pi / n) * np.sum(vals * w, axis=-1) / math.pi)
     e = _basis(n)
     ee = np.stack((e[0] * e[0], e[0] * e[1], e[1] * e[1]))

@@ -135,10 +135,10 @@ import numpy as np
 from ._fmt import csv_table
 from .entropy import entropy_rows
 from .errors import BadConfig, NonConvex
-from .geometry import (CONVEXITY_RTOL, AngularGrid, SupportFunction,
-                       _about_steiner_point, _area_weights, _curvature_radii,
-                       _nodal, _spectrum, _strictly_convex, _symbols,
-                       radius_of_curvature, require_convex)
+from .geometry import (AngularGrid, SupportFunction, _about_steiner_point,
+                       _area_weights, _curvature_radii, _nodal, _spectrum,
+                       _strictly_convex, _symbols, radius_of_curvature,
+                       require_convex)
 
 _MODES = ("unnormalized", "normalized_tau", "normalized_area")
 
@@ -249,8 +249,8 @@ def _flow_rhs(z, alpha, mode, stats):
     (f, w), f spectral like z and w = u_thth + u at the nodes.
 
     z is one state or a stack of states in its rows, each taken on its own.
-    f is None when min(w) of some row is not above CONVEXITY_RTOL times
-    the row's mean, which every non-finite row fails too.
+    f is None when some row fails geometry's convexity test, as every
+    non-finite row does.
     """
     cols = z.shape[-1]
     stats.rhs_evals += z.size // cols
@@ -272,10 +272,8 @@ def rhs(u: SupportFunction, alpha, mode) -> np.ndarray:
     """Right-hand side of the flow in the given gauge at u, as the marcher forms it."""
     if mode not in _MODES:
         raise BadConfig(f"unknown mode {mode!r}")
-    du, w = _flow_rhs(_spectrum(u.values), alpha, mode, FlowStats())
-    if du is None:
-        raise NonConvex(f"min radius of curvature {np.min(w):.3e} <= tolerance "
-                        f"{CONVEXITY_RTOL * np.mean(u.values):.3e}")
+    require_convex(u.values)
+    du, _ = _flow_rhs(_spectrum(u.values), alpha, mode, FlowStats())
     return _nodal(du)
 
 
@@ -611,7 +609,7 @@ def _validate(config: FlowConfig):
     if config.max_steps < 1:
         raise BadConfig("max_steps must be >= 1")
     try:
-        require_convex(config.initial)
+        require_convex(config.initial.values)
     except NonConvex as exc:
         raise BadConfig(f"initial support function is not strictly convex: {exc}")
 

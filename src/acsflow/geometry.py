@@ -10,6 +10,9 @@ of curvature w = u_thth + u, whose minimum is > 0 on a strictly convex body,
 is formed from that state by radius_of_curvature and by the flow's marcher
 alike. Transforming v - mean(v), not v, keeps the rounding of the rfft of a
 constant out of w, so a centred circle's w is exactly constant.
+require_convex, on one body or rows of them, is the one convexity test that
+raises NonConvex; the marcher, which rejects a step instead, asks
+_strictly_convex alone.
 _area_weights give sum(u w), (n / pi) times the area, from the state with no
 FFT; _basis holds the cos and sin rows behind the Steiner point and
 translations.
@@ -143,19 +146,24 @@ def _strictly_convex(w, ubar) -> bool:
     return bool((w > CONVEXITY_RTOL * ubar).all())
 
 
-def require_convex(u: SupportFunction) -> np.ndarray:
-    """Radius-of-curvature array of a strictly convex body, else NonConvex."""
-    w = radius_of_curvature(u.values)
-    ubar = np.mean(u.values)
+def require_convex(values) -> np.ndarray:
+    """Radii of curvature of nodal data, or of its rows along the last axis,
+    when each is strictly convex; else NonConvex, which names the first
+    failing row of a 2-D input. The one check of the lab that raises it."""
+    w = radius_of_curvature(values)
+    ubar = np.mean(values, axis=-1, keepdims=True)
     if not _strictly_convex(w, ubar):
-        raise NonConvex(f"min radius of curvature {np.min(w):.3e} <= tolerance "
-                        f"{CONVEXITY_RTOL * ubar:.3e}")
+        rows, bars = np.atleast_2d(w), np.atleast_2d(ubar)[:, 0]
+        i = next(i for i in range(len(rows)) if not _strictly_convex(rows[i], bars[i]))
+        where = f"row {i}: " if w.ndim > 1 else ""
+        raise NonConvex(f"{where}min radius of curvature {np.min(rows[i]):.3e} <= "
+                        f"tolerance {CONVEXITY_RTOL * bars[i]:.3e}")
     return w
 
 
 def area(u: SupportFunction) -> float:
     """Enclosed area (1/2) integral of u * (u_thth + u)."""
-    w = require_convex(u)
+    w = require_convex(u.values)
     return 0.5 * u.grid.dtheta * float(np.sum(u.values * w))
 
 
@@ -192,22 +200,21 @@ def circle_support(grid: AngularGrid, radius: float = 1.0, center=(0.0, 0.0)) ->
     return SupportFunction(grid, radius + center[0] * c + center[1] * s)
 
 
-def random_convex_support(grid: AngularGrid, rng: "np.random.Generator",
-                          max_mode: int = 8, amplitude: float = 0.3,
-                          min_radius: float = 0.05) -> SupportFunction:
+def random_convex_support(grid: AngularGrid, rng: "np.random.Generator") -> SupportFunction:
     """Random smooth strictly convex body: damped random Fourier modes on a circle.
 
-    The perturbation is halved until min(u_thth + u) >= min_radius, so every
-    returned body passes the convexity check with margin.
+    Modes m = 1..8 get normal coefficients of scale 0.3 / (1 + m^2); the
+    perturbation is halved until min(u_thth + u) >= 0.05, so every returned
+    body passes the convexity check with margin.
     """
     th = grid.nodes
     pert = np.zeros(grid.n)
-    for m in range(1, max_mode + 1):
-        am, bm = rng.normal(size=2) * amplitude / (1.0 + m * m)
+    for m in range(1, 9):
+        am, bm = rng.normal(size=2) * 0.3 / (1.0 + m * m)
         pert += am * np.cos(m * th) + bm * np.sin(m * th)
     for _ in range(60):
         u = SupportFunction(grid, 1.0 + pert)
-        if np.min(radius_of_curvature(u.values)) >= min_radius:
+        if np.min(radius_of_curvature(u.values)) >= 0.05:
             return u
         pert *= 0.5
     return SupportFunction(grid, np.ones(grid.n))

@@ -98,8 +98,8 @@ def track_modes(trace: FlowTrace, k, m_max=None) -> ModeTrace:
     if len(dts) < 4:
         raise BadConfig("trace too short to track modes")
     if np.max(np.abs(dts - dts[0])) > 1e-9 or dts[0] > 0.01 + 1e-12:
-        raise BadConfig("mode tracking needs uniform samples with spacing <= 0.01 "
-                        "(run the flow with sample_dt)")
+        raise BadConfig("mode tracking needs rows evenly spaced at most 0.01 apart, as a "
+                        "sample_dt run with t_end a multiple of sample_dt writes them")
     if m_max is None:
         m_max = max(2 * k, 8)
     if m_max < 2 * k:

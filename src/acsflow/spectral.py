@@ -2,8 +2,9 @@
 
 At a profile h the linearized operator is
     L v = alpha h^(1 + 1/alpha) (v_thth + v) + v,
-self-adjoint for the inner product weighted by b = h^(-1-1/alpha). Eigenvalues
-always refer to -L, so negative eigenvalues are unstable directions.
+self-adjoint for the inner product weighted by b = h^(-1-1/alpha),
+SpectralDecomposition.inner. Eigenvalues always refer to -L, so negative
+eigenvalues are unstable directions.
 
 The eigenpairs are those of the symmetric-definite pencil
     -(v_thth + v) = mu b v,   lambda = alpha mu - 1,
@@ -71,31 +72,11 @@ SHIFT = -1.5  # below every mu: at a profile only the scaling mode has mu < 0, a
 BACKWARD_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class WeightedInnerProduct:
-    h: SupportFunction
-    alpha: float
-    weights: np.ndarray = field(repr=False)  # h^(-1-1/alpha) per node
-
-    @classmethod
-    def build(cls, h: SupportFunction, alpha):
-        if not 0.0 < alpha < 1.0:
-            raise OutOfRange(f"alpha must lie in (0, 1), got {alpha}")
-        w = h.values ** (-1.0 - 1.0 / alpha)
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise OutOfRange("profile must be strictly positive")
-        return cls(h=h, alpha=alpha, weights=w)
-
-    def inner(self, v, w):
-        return self.h.grid.dtheta * float(np.sum(v * w * self.weights))
-
-    def norm(self, v):
-        return math.sqrt(max(self.inner(v, v), 0.0))
-
-
 @dataclass
 class SpectralDecomposition:
-    inner_product: WeightedInnerProduct
+    h: SupportFunction
+    alpha: float
+    weights: np.ndarray = field(repr=False)  # b = h^(-1-1/alpha) per node
     eigenvalues: np.ndarray  # ascending, of -L
     eigenfunctions: np.ndarray  # rows, orthonormal for the weighted product
     residuals: np.ndarray  # per pair, weighted norm of L phi + lambda phi (reported)
@@ -106,19 +87,13 @@ class SpectralDecomposition:
     bloch_classes: np.ndarray  # per pair, its Bloch class q in 0..k//2 (k - q is q)
     parities: tuple  # per pair, its sector's 'even' or 'odd'; None without the mirror
 
-    @property
-    def h(self):
-        return self.inner_product.h
-
-    @property
-    def alpha(self):
-        return self.inner_product.alpha
-
     def inner(self, v, w):
-        return self.inner_product.inner(v, w)
+        """The weighted product dtheta sum(v w b) of nodal rows, under which L
+        is self-adjoint."""
+        return self.h.grid.dtheta * float(np.sum(v * w * self.weights))
 
     def norm(self, v):
-        return self.inner_product.norm(v)
+        return math.sqrt(max(self.inner(v, v), 0.0))
 
 
 def _fix_signs(phi):
@@ -259,20 +234,30 @@ def decompose(h: SupportFunction, alpha, j_max=40) -> SpectralDecomposition:
     The pencil is split into the sectors of the rotations that leave h
     unchanged (Bloch classes) and, when h is exactly even about node 0, of
     the mirror as well; each sector's pencil gets one dense solve, and each
-    pair it supplies carries that sector's Bloch class and parity.
+    pair it supplies carries that sector's Bloch class and parity. The
+    result holds h, alpha and the weights b = h^(-1-1/alpha), and its inner
+    is the weighted product for which the eigenfunctions are orthonormal.
 
-    Raises OutOfRange unless 1 <= j_max <= n - 1, and EigenFailed when a
+    Raises OutOfRange unless 0 < alpha < 1, h > 0 with finite nonzero
+    weights b and 1 <= j_max <= n - 1, and EigenFailed when a
     sector's dense solve fails (K = A - SHIFT B is not positive definite
     when h is far from a profile; the message names its Bloch class) or a
     pair's backward error exceeds BACKWARD_TOL.
     """
     import scipy.linalg
 
-    ip = WeightedInnerProduct.build(h, alpha)
+    if not 0.0 < alpha < 1.0:
+        raise OutOfRange(f"alpha must lie in (0, 1), got {alpha}")
+    # positivity first: the weight of an h <= 0 divides by zero or is NaN
+    if not np.all(h.values > 0.0):
+        raise OutOfRange("profile must be strictly positive")
+    with np.errstate(over="ignore"):
+        b = h.values ** (-1.0 - 1.0 / alpha)
+    if not np.all(np.isfinite(b) & (b > 0.0)):
+        raise OutOfRange(f"profile weights h^(-1-1/alpha) overflow or vanish at alpha {alpha}")
     n = h.grid.n
     if not 1 <= j_max <= n - 1:
         raise OutOfRange(f"j_max must lie in [1, {n - 1}], got {j_max}")
-    b = ip.weights
     # blocks of more than j_max nodes, so that each supplies its lowest j_max
     s = _rotation_period(h.values, j_max + 1)
     k = n // s
@@ -319,7 +304,7 @@ def decompose(h: SupportFunction, alpha, j_max=40) -> SpectralDecomposition:
     r = alpha * h.values ** (1.0 + 1.0 / alpha) * w_phi + phi + lams[:, None] * phi
     residuals = np.sqrt(np.maximum(h.grid.dtheta * np.sum(r * r * b, axis=1), 0.0))
     return SpectralDecomposition(
-        inner_product=ip, eigenvalues=lams, eigenfunctions=phi,
+        h=h, alpha=alpha, weights=b, eigenvalues=lams, eigenfunctions=phi,
         residuals=residuals, backward_errors=backward,
         morse_index=int(np.sum(lams < -ZERO_TOL)),
         kernel_dim=int(np.sum(np.abs(lams) <= ZERO_TOL)),

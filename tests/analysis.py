@@ -56,7 +56,7 @@ def deriv1(values):
 
 def length(u: SupportFunction) -> float:
     """Boundary length, the integral of the radius of curvature."""
-    w = require_convex(u)
+    w = require_convex(u.values)
     return u.grid.dtheta * float(np.sum(w))
 
 
@@ -67,7 +67,7 @@ def rotate_nodes(u: SupportFunction, shift: int) -> SupportFunction:
 
 def embed(u: SupportFunction) -> np.ndarray:
     """Boundary points X(theta_i), shape (n, 2)."""
-    require_convex(u)
+    require_convex(u.values)
     ut = deriv1(u.values)
     c, s = _basis(u.n)
     return np.stack([u.values * c - ut * s, u.values * s + ut * c], axis=1)
@@ -212,7 +212,7 @@ def energy_split(v, decomposition: SpectralDecomposition):
     if np.shape(v)[0] != dec.h.grid.n:
         raise GridMismatch(f"vectors of shape {np.shape(v)} on a grid of "
                            f"{dec.h.grid.n} nodes")
-    dtheta, b, lam = dec.h.grid.dtheta, dec.inner_product.weights, dec.eigenvalues
+    dtheta, b, lam = dec.h.grid.dtheta, dec.weights, dec.eigenvalues
     coef = dtheta * (dec.eigenfunctions * b) @ v
     e_minus, e_zero, e_plus = (np.sum(coef[sel] ** 2, axis=0) for sel in (
         lam < -ZERO_TOL, np.abs(lam) <= ZERO_TOL, lam > ZERO_TOL))
@@ -246,7 +246,7 @@ def measure_growth_rate(h: SupportFunction, alpha, j, epsilon, tau_window,
         raise WindowEscaped(f"flow stopped early: {trace.terminal_reason}")
     sel = np.nonzero((trace.times >= t0 - 1e-12) & (trace.times <= t1 + 1e-12))[0]
     coefs = h.grid.dtheta * ((trace.snapshots[sel] - h.values)
-                             @ (phi * dec.inner_product.weights))
+                             @ (phi * dec.weights))
     if np.min(np.abs(coefs)) < 1e-13:
         raise WindowEscaped("mode coefficient fell to rounding level inside the window")
 

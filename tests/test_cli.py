@@ -148,6 +148,9 @@ def test_exit_codes(tmp_path, capsys):
     # 4: a config file that does not exist, and a non-convex initial body
     assert cli.main(flow + ["--config", str(tmp_path / "missing.json")]) == 4
     assert cli.main(flow + ["--init", "perturb:2,0.5"]) == 4
+    # 4: initial specs that do not parse
+    for spec in ("perturb:3", "seed:3,x", "bogus:1"):
+        assert cli.main(flow + ["--init", spec]) == 4
     # 4: tolerances that are negative or not a number
     assert cli.main(flow + ["--rtol=-1e-12"]) == 4
     assert cli.main(flow + ["--rtol", "nan"]) == 4

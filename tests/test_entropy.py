@@ -177,7 +177,7 @@ def test_entropy_rows_raise_for_one_bad_row(grid256, rng, monkeypatch):
     rows = _distinct_bodies(grid256, rng)
     bent = rows.copy()
     bent[1] = 1.0 + 0.5 * np.cos(2 * grid256.nodes)  # not convex
-    with pytest.raises(NonConvex):
+    with pytest.raises(NonConvex, match="row 1: min radius of curvature"):
         entropy_rows(bent, 0.5)
     # a Newton step that does not ascend, in one row of the batch
     real = np.linalg.solve

@@ -77,6 +77,12 @@ def test_track_modes_guards():
                             sample_dt=0.05))
     with pytest.raises(BadConfig):
         track_modes(coarse, 3)
+    # a last row 0.005 after the one before it: t_end is not a multiple of sample_dt
+    ragged = run(FlowConfig(alpha=1 / 8, mode="normalized_tau",
+                            initial=_pure(grid, 3, 1e-3), t_end=0.055,
+                            sample_dt=0.01))
+    with pytest.raises(BadConfig, match="evenly spaced at most 0.01 apart"):
+        track_modes(ragged, 3)
 
 
 def test_rotational_covariance():

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from acsflow.errors import EigenFailed
+from acsflow.errors import EigenFailed, OutOfRange
 from acsflow.geometry import (AngularGrid, SupportFunction, circle_support,
                               radius_of_curvature, random_convex_support)
 from acsflow.shrinker import assemble_profile
-from acsflow.spectral import SHIFT, WeightedInnerProduct, decompose, spectrum_to_json_dict
+from acsflow.spectral import SHIFT, decompose, spectrum_to_json_dict
 
 from analysis import (GridMismatch, WindowEscaped, apply_L, circle_eigenvalues, deriv1,
                       energy_split, measure_growth_rate, rotate_nodes)
@@ -56,20 +56,35 @@ def test_kernel_identity_profiles():
     for alpha, k, n, tol in [(1 / 24, 3, 768, 1e-6), (1 / 24, 4, 512, 1e-6),
                              (0.12, 3, 252, 1e-9)]:
         p = assemble_profile(alpha, k, n)
-        ip = WeightedInnerProduct.build(p.h, alpha)
+        ip = decompose(p.h, alpha, j_max=1)
         ht = deriv1(p.h.values)
         assert ip.norm(apply_L(p.h, alpha, ht)) / ip.norm(ht) < tol
 
 
 def test_self_adjointness(rng):
     p = assemble_profile(1 / 24, 3, 510)
-    ip = WeightedInnerProduct.build(p.h, 1 / 24)
+    ip = decompose(p.h, 1 / 24, j_max=1)
     for _ in range(3):
         v = rng.normal(size=510)
         w = rng.normal(size=510)
         a = ip.inner(apply_L(p.h, 1 / 24, v), w)
         b = ip.inner(v, apply_L(p.h, 1 / 24, w))
         assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
+
+
+def test_decompose_raises_out_of_range_for_what_it_cannot_weight():
+    h = _circle(64)
+    for alpha in (0.0, 1.0, 1.5):
+        with pytest.raises(OutOfRange, match="alpha"):
+            decompose(h, alpha)
+    # zeros divide by zero in the weights, 1e-300 overflows them and -1 makes
+    # them NaN: each raises OutOfRange before numpy warns
+    for values in (np.zeros(64), np.full(64, 1e-300), np.full(64, -1.0)):
+        with pytest.raises(OutOfRange, match="profile"):
+            decompose(SupportFunction(h.grid, values), 0.3)
+    for j_max in (0, 64):
+        with pytest.raises(OutOfRange, match="j_max"):
+            decompose(h, 0.3, j_max=j_max)
 
 
 def test_decompose_circle_matches_formula():
@@ -242,7 +257,7 @@ def test_returned_pairs_meet_the_backward_error_contract():
     h = assemble_profile(alpha, 3, 252).h
     dec = decompose(h, alpha, j_max=40)
     n = h.grid.n
-    b = dec.inner_product.weights
+    b = dec.weights
     mus = (dec.eigenvalues + 1.0) / alpha
     phi = dec.eigenfunctions
     resid = -radius_of_curvature(phi) - mus[:, None] * phi * b
