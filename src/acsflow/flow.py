@@ -10,14 +10,35 @@ One marcher, flow_advance: extrapolated linearly implicit Euler
 (Deuflhard, SIAM Rev. 27, 1985; Hairer & Wanner, Solving ODEs II, IV.9), of
 order 7. A step of size h runs, from u, chains of j substeps of size h/j for
 j = 1, 2, 3, 4, 6, 8 and 10; a substep from the state u + d adds
-(h/j) W^-1 f(u + d) to d, with W = I - (h/j) c P (d_thth + 1),
-c = alpha max w^(-1-alpha) (divided by m in the area gauge)
-the largest coefficient of the true Jacobian alpha w^(-1-alpha) (d_thth + 1),
-and P dropping Fourier modes 0 and 1, so W is diagonal in Fourier space with
-entries >= 1. The linearly implicit Euler step is a W-method: for any such
-fixed approximate Jacobian the increment T_j of chain j has an error
-expansion in powers of h/j, so the step is set by accuracy, not by the
-explicit stability limit of the stiffest mode. Aitken-Neville extrapolation
+(h/j) W^-1 f(u + d) to d, with W = I - (h/j) c P (d_thth + 1), c a
+constant of the step (below) and P dropping Fourier modes 0 and 1, so W is
+diagonal in Fourier space with entries >= 1. The linearly implicit Euler
+step is a W-method: for any such fixed approximate Jacobian the increment
+T_j of chain j has an error expansion in powers of h/j (Steihaug &
+Wolfbrandt, Math. Comp. 33, 1979; Hairer & Wanner, Solving ODEs II, IV.7),
+so the step is set by accuracy, not by the explicit stability limit of the
+stiffest mode, and c may be chosen for the step count. The true Jacobian is
+a (d_thth + 1), with a = alpha w^(-1-alpha) at each node (divided by m in
+the area gauge). A substep multiplies a stiff mode of local coefficient a
+by R(inf) = 1 - a/c, so c = max(a) damps every mode, but on the flat sides
+of a non-round body, where a is many times smaller, R is near 1: W is far
+stiffer there than the flow, and the error estimate keeps h short. c is set
+at each step's start by one rule:
+  c = max(a)          where min(a) >= 0.9 max(a),
+  c = (3/4) max(a)    otherwise (FlowStats.w_damped counts these steps).
+3/4 is the smallest factor that still damps the stiffest node's modes by a
+factor of 3 (R >= -1/3), and it cuts W's overshoot at every other node by a
+quarter. On the three `relax` bodies of the benchmark's `flows` (area
+gauge, alpha 1/2, n 256, tau 2, samples every 0.01) the factors 1, 0.85,
+3/4 and 0.65 take 221/118/122, 187/101/103, 164/88/90 and 142/79/80 steps
+with no rejection, and their samples stay within 4e-13 of those at 1. At
+0.6 (R = -2/3) the runs take 146/84/89 steps and 21/10/15 sample
+rejections, and the samples move by up to 8e-12; 3/4 keeps a margin from
+that edge. The 10% split keeps near-round bodies on c = max(a): there every
+node's coefficient is already within 10% of c, so damping has little to
+gain, and their step sequences stay as they were (the circle, the neutral
+seed and the roll-equivariance body, whose min(a)/max(a) are 1, above 0.95
+and 0.915). Aitken-Neville extrapolation
 in 1/j to 0 combines the seven increments into the order-7 step T_77; each of
 its levels adds a difference of increments over n_i / n_i-k - 1, so the
 rounding of an increment is not amplified. The sequence keeps the
@@ -120,7 +141,7 @@ with n. Against samples landed on at rtol 1e-14, a tau-gauge run of
 seed:3,1e-3 at alpha 1/8 (t_end 2, samples every 0.01) is off by at most
 1.2e-13 at n 512 and 1.6e-13 at n 1024, in 9 steps up to h 0.99 with no
 sample rejection at both n (the reference takes 204), and an area-gauge
-random body (n 256, same sampling) by 9.8e-13, in 226 steps (616 for the
+random body (n 256, same sampling) by 7.2e-13, in 172 steps (502 for the
 reference).
 """
 
@@ -175,6 +196,12 @@ _EXTENSION_ROWS = 16
 # rows of a run's trace whose diagnostics are formed in one batch
 _DIAGNOSTIC_ROWS = 32
 
+# W's coefficient c is max(a), a = alpha w^(-1 - alpha) at the step's start,
+# while min(a) >= _W_SPREAD max(a), and _W_DAMPED max(a) otherwise (see the
+# module docstring)
+_W_SPREAD = 0.9
+_W_DAMPED = 0.75
+
 # Factors by which the controller changes h: quarter octaves 2^(j/4) from
 # below its 0.1 floor on a rejection up to its growth cap of 4.
 _STEP_RATIOS = tuple(2.0 ** (j / 4) for j in range(-14, 9))
@@ -200,7 +227,10 @@ class FlowStats:
     rejection and at most 28 per convexity rejection (k1 is reused).
     dense_evals counts the continuous extensions formed: one per step with
     samples inside it whose end state passes the error and convexity tests,
-    accepted or rejected by the sample bound. entropy_evals sums the
+    accepted or rejected by the sample bound. w_damped counts the accepted
+    steps whose W took 3/4 of the largest coefficient, as a body whose
+    coefficients spread by more than 10% does (see the module docstring);
+    it is a count only, which the rule does not read. entropy_evals sums the
     evaluations of the entropy maximizations of a run's rows (0 when run
     does not log the entropy).
     """
@@ -215,6 +245,7 @@ class FlowStats:
     h_min: float | None = None
     h_max: float | None = None
     dense_evals: int = 0
+    w_damped: int = 0  # accepted steps whose W took the damped coefficient
     entropy_evals: int = 0
 
     def count_step(self, cap, h):
@@ -284,10 +315,12 @@ def _chain_increments(z, h, k1, coeff, alpha, mode, stats, states=None):
 
     A substep from z + d adds (h/j) f(z + d) / (1 + (h/j) c max(m^2 - 1, 0)),
     a solve with W = I - (h/j) c P (d_thth + 1), which is 1 on the mean
-    column; coeff is c. The chains share k1 = f(z), and the i-th substeps of
-    the chains still running are the rows of one RHS call: 27 states in 9
-    calls besides k1. states, when given, receives the increment of every
-    substep, packed as _KEPT says, in its first _KEPT[-1] rows.
+    column; coeff is c, the largest coefficient of the flow's Jacobian or
+    3/4 of it (see the module docstring). The chains share k1 = f(z), and
+    the i-th substeps of the chains still running are the rows of one RHS
+    call: 27 states in 9 calls besides k1. states, when given, receives the
+    increment of every substep, packed as _KEPT says, in its first
+    _KEPT[-1] rows.
     """
     _, msq = _symbols(2 * z.shape[-1] - 4)
     hj = h / _SEQ_COL
@@ -453,8 +486,11 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
     while True:
         if w.min() < stop_min_radius:
             return "min_radius", t, h
-        # W's coefficient and the error scale of u
-        coeff = alpha * (w ** (-alpha - 1.0)).max()
+        # W's coefficient (see the module docstring) and the error scale of u
+        a = w ** (-alpha - 1.0)
+        a_max = a.max()
+        damped = bool(a.min() < _W_SPREAD * a_max)
+        coeff = alpha * a_max * (_W_DAMPED if damped else 1.0)
         if mode == "normalized_area":
             coeff = coeff / _area_gauge(z, w, w ** -alpha)[0].item()
         escale = atol + rtol * np.abs(_about_steiner_point(u))
@@ -516,6 +552,7 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
 
         n_acc += 1
         stats.count_step("landing" if landing else "error", h_step)
+        stats.w_damped += damped
         if record is not None:
             if sampled:
                 for t_s, row in zip(sample_times[i_s:j_s], u + ext):

@@ -91,6 +91,7 @@ def test_circle_run_matches_exact_law(grid256):
     # the error bound of the continuous extension shortens some of the
     # steps that hold samples
     assert tr.stats.rejected_sample > 0
+    assert tr.stats.w_damped == 0  # a circle keeps W at the largest coefficient
     for i, t in enumerate(tr.times):
         r_exact = oracles.circle_radius_at(0.5, t)
         assert tr.snapshots[i].mean() == pytest.approx(r_exact, abs=5e-12)
@@ -605,8 +606,8 @@ def _landing_reference(u0, alpha, mode):
 
 
 @pytest.mark.parametrize("case, bound", [
-    ("tau", 2e-11),  # measured 5.9e-14
-    ("area", 2e-12),  # measured 9.5e-13
+    ("tau", 2e-11),  # measured 1.2e-13
+    ("area", 2e-12),  # measured 7.2e-13
 ], ids=["tau", "area"])
 def test_sampled_states_match_landing_reference(rng, case, bound):
     # samples from the continuous extension of the steps against a run that
@@ -627,6 +628,11 @@ def test_sampled_states_match_landing_reference(rng, case, bound):
     assert np.max(np.abs(tr.snapshots - reference)) < bound
     if case == "tau":
         assert tr.n_steps <= stats.accepted / 10
+        assert tr.stats.w_damped == 0
+    else:
+        # the body's coefficients spread, so W takes 3/4 of the largest:
+        # 172 steps, where the largest itself took 226
+        assert tr.n_steps <= 180 and tr.stats.w_damped > 0
 
 
 @pytest.mark.parametrize("n", [512, 1024])
@@ -641,6 +647,7 @@ def test_tau_samples_need_no_rejections_at_any_n(n):
                         sample_dt=0.01))
     assert tr.terminal_reason == "reached_end"
     assert tr.n_steps <= 10 and tr.stats.rejected_sample == 0
+    assert tr.stats.w_damped == 0  # min(a) / max(a) 0.98: W is not damped
     reference, _ = _landing_reference(u0, 1 / 8, "normalized_tau")
     assert np.max(np.abs(tr.snapshots - reference)) <= 5e-13
 
