@@ -4,6 +4,11 @@ Subcommands: shrinker, spectrum, flow, modes, entropy-table. Each success
 prints exactly one JSON record to stdout; data files land under the output
 directory with fixed names (trace.csv, meta.json, snapshots.npy,
 spectrum.json, profile.json, segment.csv, modes.csv, residuals.json).
+Each cmd_* computes and returns (record, out, files): the record to print,
+the output directory (None for none) and each file's content by name. main
+is the one place that writes outputs: it makes the directory, writes the
+files (_save), stamps meta.json with the command and version, and prints
+the record.
 Identical invocations produce byte-identical files: JSON is written by
 json.dumps, whose floats are the shortest repr that round-trips exactly;
 snapshots.npy holds the flow's rows of support values as the float64 array
@@ -83,25 +88,6 @@ def _parse(argv):
     return merged
 
 
-def _ensure_outdir(path):
-    if path is None:
-        return None
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise BadConfig(f"cannot create output directory {path}: {exc}")
-    return path
-
-
-def _write(path, name, text):
-    with open(os.path.join(path, name), "w") as fh:
-        fh.write(text)
-
-
-def _write_json(path, name, obj):
-    _write(path, name, json.dumps(obj, indent=2) + "\n")
-
-
 def _grid_size(value):
     """An AngularGrid size: an even integer >= 16."""
     try:
@@ -144,24 +130,18 @@ def cmd_shrinker(args):
     alpha = args.alpha
     profile = _profile(alpha, args.k, args.n)
     n = profile.h.grid.n
-    record = shrinker.profile_to_json_dict(profile)
-    out = _ensure_outdir(args.out)
-    if out:
-        _write_json(out, "profile.json", record)
-        seg = profile.segment
-        if seg is not None:
-            _write(out, "segment.csv", shrinker.segment_to_csv(seg))
-        _write_json(out, "meta.json", {
-            "command": "shrinker", "version": __version__,
-            "alpha": alpha, "k": profile.k, "n": n,
-            "residual": profile.residual,
-            "fint_drift": None if seg is None else seg.fint_drift,
-            "arc_solves": None if seg is None else seg.arc_solves,
-        })
-    record["n"] = n
-    record.pop("h")
-    print(json.dumps(record))
-    return 0
+    seg = profile.segment
+    files = {"profile.json": shrinker.profile_to_json_dict(profile), "meta.json": {
+        "alpha": alpha, "k": profile.k, "n": n,
+        "residual": profile.residual,
+        "fint_drift": None if seg is None else seg.fint_drift,
+        "arc_solves": None if seg is None else seg.arc_solves,
+    }}
+    if seg is not None:
+        files["segment.csv"] = shrinker.segment_to_csv(seg)
+    record = dict(files["profile.json"], n=n)
+    del record["h"]
+    return record, args.out, files
 
 
 # -- spectrum ------------------------------------------------------------------
@@ -177,17 +157,11 @@ def cmd_spectrum(args):
         "kernel_dim": dec.kernel_dim,
         "lambda_min": float(dec.eigenvalues[0]),
     }
-    out = _ensure_outdir(args.out)
-    if out:
-        _write_json(out, "spectrum.json",
-                    spectral.spectrum_to_json_dict(dec, _fold_tag(profile.k)))
-        _write_json(out, "meta.json", {
-            "command": "spectrum", "version": __version__,
-            "alpha": alpha, "profile": _fold_tag(profile.k),
-            "n": profile.h.grid.n, "jmax": args.jmax,
-        })
-    print(json.dumps(record))
-    return 0
+    return record, args.out, {
+        "spectrum.json": spectral.spectrum_to_json_dict(dec, _fold_tag(profile.k)),
+        "meta.json": {"alpha": alpha, "profile": _fold_tag(profile.k),
+                      "n": profile.h.grid.n, "jmax": args.jmax},
+    }
 
 
 # -- flow ----------------------------------------------------------------------
@@ -243,12 +217,10 @@ def cmd_flow(args):
         "iso_ratio_final": float(trace.iso_ratio[-1]),
         "stats": trace.stats.to_json_dict(),
     }
-    out = _ensure_outdir(args.outdir)
-    if out:
-        _write(out, "trace.csv", flow.trace_to_csv(trace))
-        np.save(os.path.join(out, "snapshots.npy"), trace.snapshots)
-        _write_json(out, "meta.json", {
-            "command": "flow", "version": __version__,
+    return record, args.outdir, {
+        "trace.csv": flow.trace_to_csv(trace),
+        "snapshots.npy": trace.snapshots,
+        "meta.json": {
             "alpha": alpha, "mode": mode, "n": initial.grid.n, "init": args.init,
             "t_end": args.t_end,
             # null when sampling by sample_dt: run then keeps every sample
@@ -259,9 +231,8 @@ def cmd_flow(args):
             "terminal_reason": trace.terminal_reason,
             "rows": len(trace), "accepted_steps": trace.n_steps,
             "stats": trace.stats.to_json_dict(),
-        })
-    print(json.dumps(record))
-    return 0
+        },
+    }
 
 
 # -- modes ---------------------------------------------------------------------
@@ -347,34 +318,22 @@ def cmd_modes(args):
     except AcsflowError as exc:
         rec["measured_rho_rate"] = None
         reports.setdefault("error", str(exc))
-    out = _ensure_outdir(args.out)
-    target = out or args.trace
-    _write(target, "modes.csv", modes.mode_trace_to_csv(mtrace))
-    _write_json(target, "residuals.json", {
-        "k": k, "alpha": mtrace.alpha, "cstar": modes.cstar(k),
-        "measured_rho_rate": rec.get("measured_rho_rate"),
-        "reports": reports,
-    })
-    print(json.dumps(rec))
-    return 0
+    return rec, args.trace if args.out is None else args.out, {
+        "modes.csv": modes.mode_trace_to_csv(mtrace),
+        "residuals.json": {
+            "k": k, "alpha": mtrace.alpha, "cstar": rec["cstar"],
+            "measured_rho_rate": rec.get("measured_rho_rate"),
+            "reports": reports,
+        },
+    }
 
 
 # -- entropy table --------------------------------------------------------------
 
 def cmd_entropy_table(args):
     alpha = args.alpha
-    rows = shrinker.entropy_ordering(alpha)
-    record = {"alpha": alpha,
-              "rows": [[tag if tag == "circle" else int(tag), float(val)]
-                       for tag, val in rows]}
-    out = _ensure_outdir(args.out)
-    if out:
-        _write_json(out, "entropy_table.json", record)
-        _write_json(out, "meta.json", {
-            "command": "entropy-table", "version": __version__, "alpha": alpha,
-        })
-    print(json.dumps(record))
-    return 0
+    record = {"alpha": alpha, "rows": shrinker.entropy_ordering(alpha)}
+    return record, args.out, {"entropy_table.json": record, "meta.json": {"alpha": alpha}}
 
 
 # -- main ------------------------------------------------------------------------
@@ -453,10 +412,34 @@ def _build_parser(require=True):
     return parser
 
 
+def _save(command, out, files):
+    """Write files into the directory out, made if need be: a dict as indented
+    JSON, a str as it is and an array as .npy. meta.json's dict is headed by
+    the command and the package version."""
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise BadConfig(f"cannot create output directory {out}: {exc}")
+    for name, content in files.items():
+        path = os.path.join(out, name)
+        if name == "meta.json":
+            content = {"command": command, "version": __version__, **content}
+        if isinstance(content, np.ndarray):
+            np.save(path, content)
+        else:
+            with open(path, "w") as fh:
+                fh.write(content if isinstance(content, str)
+                         else json.dumps(content, indent=2) + "\n")
+
+
 def main(argv=None):
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
-        return args.func(args)
+        record, out, files = args.func(args)
+        if out is not None:
+            _save(args.command, out, files)
+        print(json.dumps(record))
+        return 0
     except (OutOfRange, AlphaMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -265,14 +265,14 @@ class FlowStats:
 
 
 def _area_gauge(z, w, speed):
-    """(m, Q) of the area gauge at the spectral states z, rows of them, whose
-    radii of curvature are w and speeds w^-alpha are speed: Q = sum(u w),
-    from z by Parseval, and m = sum(w^(1 - alpha)) / Q, which is
+    """m of the area gauge at the spectral states z, rows of them, whose
+    radii of curvature are w and speeds w^-alpha are speed:
+    m = sum(w^(1 - alpha)) / Q with Q = sum(u w), from z by Parseval, which is
     mean(w^(1 - alpha)) pi / A(u), so that
     dA/dtau = 2 A - (2 pi / m) mean(w^(1 - alpha)) = 0."""
     zv = z.view(float)
     q = np.einsum("...j,...j,j->...", zv, zv, _area_weights(w.shape[-1]))[..., None]
-    return np.einsum("...j,...j->...", w, speed)[..., None] / q, q
+    return np.einsum("...j,...j->...", w, speed)[..., None] / q
 
 
 def _flow_rhs(z, alpha, mode, stats):
@@ -295,8 +295,7 @@ def _flow_rhs(z, alpha, mode, stats):
         return -f, w
     if mode == "normalized_tau":
         return z - f, w
-    m, _ = _area_gauge(z, w, speed)
-    return z - f / m, w
+    return z - f / _area_gauge(z, w, speed), w
 
 
 def rhs(u: SupportFunction, alpha, mode) -> np.ndarray:
@@ -492,7 +491,7 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
         damped = bool(a.min() < _W_SPREAD * a_max)
         coeff = alpha * a_max * (_W_DAMPED if damped else 1.0)
         if mode == "normalized_area":
-            coeff = coeff / _area_gauge(z, w, w ** -alpha)[0].item()
+            coeff = coeff / _area_gauge(z, w, w ** -alpha).item()
         escale = atol + rtol * np.abs(_about_steiner_point(u))
         while True:
             # the landing step is clamped for output only; the controller
@@ -555,7 +554,8 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
         stats.w_damped += damped
         if record is not None:
             if sampled:
-                for t_s, row in zip(sample_times[i_s:j_s], u + ext):
+                ext += u
+                for t_s, row in zip(sample_times[i_s:j_s], ext):
                     record(t_s, u1 if t_s == t_next else row)
             elif every_state:
                 record(t_next, u1)

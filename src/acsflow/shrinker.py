@@ -310,7 +310,7 @@ def _shoot(alpha, u_max, target, end_value, what) -> ShrinkerSegment:
         if not newton:
             step = (0.5 * (lo + hi) if hi < math.inf else top) - u_max
         tol = SHOOT_ULPS * math.ulp(u_max)
-        if value == target or abs(step) <= tol or hi - lo <= tol:
+        if abs(step) <= tol or hi - lo <= tol:
             break
         u_max += step
         if u_max > SHOOT_U_MAX_CAP:
@@ -445,7 +445,7 @@ def profile_to_json_dict(profile: ShrinkerProfile) -> dict:
     theta = period_limit(profile.alpha) if profile.k == "circle" else math.pi / profile.k
     return {
         "alpha": profile.alpha,
-        "k": profile.k if profile.k == "circle" else int(profile.k),
+        "k": profile.k,
         "r": profile.r_k,
         "theta": float(theta),
         "entropy": profile.entropy,

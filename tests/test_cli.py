@@ -421,6 +421,51 @@ def test_an_output_directory_that_cannot_be_made_is_a_config_error(tmp_path, cap
     assert captured.err.startswith(f"error: cannot create output directory {out}")
 
 
+_SMALL_COMMANDS = {
+    "--out": [["shrinker", "--alpha", "0.1", "--k", "3", "--n", "192"],
+              ["spectrum", "--alpha", "0.2", "--profile", "circle", "--n", "32",
+               "--jmax", "5"],
+              ["entropy-table", "--alpha", "0.05"]],
+    "--outdir": [["flow", "--alpha", "0.125", "--mode", "tau", "--init",
+                  "seed:3,0.001", "--n", "32", "--t-end", "0.05", "--sample-dt", "0.01"]],
+}
+
+
+def test_commands_without_an_output_directory_write_nothing(tmp_path, monkeypatch,
+                                                             capsys):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    for option, commands in _SMALL_COMMANDS.items():
+        for argv in commands:
+            assert cli.main(argv) == 0
+            bare = capsys.readouterr().out
+            out = str(tmp_path / argv[0])
+            assert cli.main(argv + [option, out]) == 0
+            assert capsys.readouterr().out == bare
+            assert "meta.json" in os.listdir(out)
+    assert os.listdir(cwd) == []
+
+
+def test_modes_without_out_writes_into_the_trace(tmp_path, capsys):
+    trace = str(tmp_path / "trace")
+    _tau_flow(trace)
+    before = set(os.listdir(trace))
+    assert cli.main(["modes", "--trace", trace, "--k", "3"]) == 0
+    assert set(os.listdir(trace)) - before == {"modes.csv", "residuals.json"}
+    assert len(os.listdir(trace)) == len(before) + 2
+
+
+def test_an_empty_output_directory_is_a_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for option, commands in _SMALL_COMMANDS.items():
+        assert cli.main(commands[-1] + [option, ""]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot create output directory ")
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is imported by the routines that use it, when they are called, and
     # numpy.random (6 to 7 ms under -X importtime) by the callers that pass a
