@@ -208,14 +208,17 @@ def cmd_flow(args):
         stop_min_radius=args.stop_min_radius, rtol=args.rtol,
         log_entropy=args.entropy)
     trace = flow.run(config)
+    # the run's summary, in the record and in meta.json, each with stats last
+    summary = {"terminal_reason": trace.terminal_reason, "rows": len(trace),
+               "accepted_steps": trace.n_steps}
+    stats = trace.stats.to_json_dict()
     record = {
-        "alpha": alpha, "mode": mode, "terminal_reason": trace.terminal_reason,
-        "rows": len(trace), "accepted_steps": trace.n_steps,
+        "alpha": alpha, "mode": mode, **summary,
         "t_final": float(trace.times[-1]),
         "area_final": float(trace.area[-1]),
         "length_final": float(trace.length[-1]),
         "iso_ratio_final": float(trace.iso_ratio[-1]),
-        "stats": trace.stats.to_json_dict(),
+        "stats": stats,
     }
     return record, args.outdir, {
         "trace.csv": flow.trace_to_csv(trace),
@@ -228,9 +231,7 @@ def cmd_flow(args):
             "sample_every": args.sample_every if config.sample_dt is None else None,
             "stop_min_radius": config.stop_min_radius,
             "rtol": config.rtol, "log_entropy": config.log_entropy,
-            "terminal_reason": trace.terminal_reason,
-            "rows": len(trace), "accepted_steps": trace.n_steps,
-            "stats": trace.stats.to_json_dict(),
+            **summary, "stats": stats,
         },
     }
 
@@ -243,8 +244,10 @@ def _unreadable(path, exc):
 
 
 def _trace_from_dir(path):
-    """The FlowTrace of a flow output directory; BadConfig naming the file
-    at fault when one is missing or does not hold what flow writes."""
+    """(alpha, mode, times, rows) of a flow output directory: meta.json's
+    alpha and mode, trace.csv's time column and the rows of snapshots.npy;
+    BadConfig naming the file at fault when one is missing or does not hold
+    what flow writes."""
     names = ("meta.json", "trace.csv", "snapshots.npy")
     meta_path, trace_path, snap_path = (os.path.join(path, name) for name in names)
     missing = [name for name in names if not os.path.isfile(os.path.join(path, name))]
@@ -254,22 +257,17 @@ def _trace_from_dir(path):
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)  # JSONDecodeError is a ValueError
-        grid = geometry.AngularGrid(int(meta["n"]))
-        fields = {"alpha": float(meta["alpha"]), "mode": meta["mode"],
-                  "terminal_reason": meta["terminal_reason"],
-                  "n_steps": int(meta["accepted_steps"])}
+        n = geometry.AngularGrid(int(meta["n"])).n
+        alpha, mode = float(meta["alpha"]), meta["mode"]
     except (KeyError, TypeError, ValueError) as exc:
         raise _unreadable(meta_path, exc)
     try:
         with open(trace_path) as fh:
             header = fh.readline().strip().split(",")
-            rows = [[float(x) if x else math.nan for x in line.strip().split(",")]
-                    for line in fh]
-        arr = np.array(rows).reshape(len(rows), len(header))
-        cols = {name: arr[:, i] for i, name in enumerate(header)}
-        fields.update(times=cols["time"], area=cols["area"], length=cols["length"],
-                      iso_ratio=cols["iso_ratio"], min_curvature=cols["min_curv"],
-                      max_curvature=cols["max_curv"], entropy=cols["entropy"])
+            cells = [[float(x) if x else math.nan for x in line.strip().split(",")]
+                     for line in fh]
+        table = np.array(cells).reshape(len(cells), len(header))
+        times = dict(zip(header, table.T))["time"]
     except (KeyError, ValueError) as exc:
         raise _unreadable(trace_path, exc)
     try:
@@ -277,23 +275,23 @@ def _trace_from_dir(path):
             raise ValueError("the file is empty")
         # the .npy format alone: np.load would also open a zip archive
         with open(snap_path, "rb") as fh:
-            snaps = np.lib.format.read_array(fh, allow_pickle=False)
+            rows = np.lib.format.read_array(fh, allow_pickle=False)
     except ValueError as exc:
         raise _unreadable(snap_path, exc)
-    shape = (len(rows), grid.n)
-    if snaps.dtype != np.float64 or snaps.shape != shape:
-        raise BadConfig(f"{snap_path} holds {snaps.dtype} values of shape {snaps.shape}, "
+    shape = (len(cells), n)
+    if rows.dtype != np.float64 or rows.shape != shape:
+        raise BadConfig(f"{snap_path} holds {rows.dtype} values of shape {rows.shape}, "
                         f"not float64 of shape {shape}, trace.csv's rows by n")
-    if not np.all(np.isfinite(snaps)):
+    if not np.all(np.isfinite(rows)):
         raise BadConfig(f"{snap_path} holds a value that is not finite")
-    return flow.FlowTrace(grid=grid, snapshots=snaps, **fields)
+    return alpha, mode, times, rows
 
 
 def cmd_modes(args):
     k = args.k
-    trace = _trace_from_dir(args.trace)
     m_max = max(args.mmax, 2 * k)
-    mtrace = modes.track_modes(trace, k, m_max=m_max)
+    alpha, mode, times, rows = _trace_from_dir(args.trace)
+    mtrace = modes.track_modes(times, rows, alpha, mode, k, m_max=m_max)
     rec = {
         "k": k, "alpha": mtrace.alpha,
         "cstar": modes.cstar(k),

@@ -598,6 +598,9 @@ class FlowConfig:
     log_entropy: bool = False
 
 
+# A run's rows and its work counts. run is the one producer; the CLI writes
+# the rows to trace.csv and snapshots.npy, and its modes command reads back
+# only the times and the snapshots (cli._trace_from_dir).
 @dataclass
 class FlowTrace:
     alpha: float
@@ -610,10 +613,10 @@ class FlowTrace:
     min_curvature: np.ndarray
     max_curvature: np.ndarray
     entropy: np.ndarray  # nan where not logged
-    snapshots: np.ndarray  # (rows, n); the CLI writes them to snapshots.npy
+    snapshots: np.ndarray  # (rows, n)
     terminal_reason: str
     n_steps: int
-    stats: FlowStats | None = None  # None for a trace read back from disk
+    stats: FlowStats
 
     def __len__(self):
         return len(self.times)

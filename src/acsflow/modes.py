@@ -9,9 +9,11 @@ to the single constant
 
     d rho / d tau = C(k) rho^2,   C(k) = k^2 (4 - k^2) / 6.
 
-This module extracts the coefficients from a flow trace, forms the residuals
-of each asymptotic ODE, checks the quasi-steady relations, and measures the
-effective rho-decay constant.
+This module extracts the coefficients from a run's sample times and rows of
+support values, forms the residuals of each asymptotic ODE, checks the
+quasi-steady relations, and measures the effective rho-decay constant. It
+takes a run as those arrays, from flow.run or read back by the CLI, so it
+does not depend on the flow module.
 
 The constant mode of the exponentially-renormalized gauge is unstable with
 rate 1 + alpha, so data initialized off the quasi-steady manifold drifts out
@@ -27,7 +29,6 @@ import numpy as np
 
 from ._fmt import csv_table
 from .errors import AlphaMismatch, BadConfig, TooLarge
-from .flow import FlowTrace
 from .geometry import AngularGrid, SupportFunction, _fourier_coefficients
 from .shrinker import check_fold
 
@@ -86,15 +87,20 @@ class ModeTrace:
         return self.alpha * (4.0 * self.k**2 - 1.0) - 1.0
 
 
-def track_modes(trace: FlowTrace, k, m_max=None) -> ModeTrace:
-    """Fourier coefficients of v = u - 1 along a renormalized-gauge run."""
-    alpha = alpha_for_fold(k)
-    if abs(trace.alpha - alpha) > 1e-14:
+def track_modes(times, rows, alpha, mode, k, m_max=None) -> ModeTrace:
+    """Fourier coefficients of v = u - 1 along a renormalized-gauge run, given
+    by its sample times, its rows of support values (an array of shape
+    (len(times), n), the nodes of an AngularGrid(n)), its alpha and its
+    gauge."""
+    alpha_k = alpha_for_fold(k)
+    if abs(alpha - alpha_k) > 1e-14:
         raise AlphaMismatch(
-            f"trace alpha {trace.alpha!r} is not 1/(k^2-1) = {alpha!r} for k = {k}")
-    if trace.mode != "normalized_tau":
-        raise BadConfig(f"mode tracking expects a normalized_tau trace, got {trace.mode!r}")
-    dts = np.diff(trace.times)
+            f"trace alpha {alpha!r} is not 1/(k^2-1) = {alpha_k!r} for k = {k}")
+    if mode != "normalized_tau":
+        raise BadConfig(f"mode tracking expects a normalized_tau trace, got {mode!r}")
+    if len(rows) != len(times):
+        raise BadConfig(f"{len(rows)} rows of support values for {len(times)} sample times")
+    dts = np.diff(times)
     if len(dts) < 4:
         raise BadConfig("trace too short to track modes")
     if np.max(np.abs(dts - dts[0])) > 1e-9 or dts[0] > 0.01 + 1e-12:
@@ -104,12 +110,12 @@ def track_modes(trace: FlowTrace, k, m_max=None) -> ModeTrace:
         m_max = max(2 * k, 8)
     if m_max < 2 * k:
         raise BadConfig(f"m_max must reach the 2k-th mode, got {m_max} < {2 * k}")
-    if m_max >= trace.grid.n // 2:
-        raise BadConfig(f"m_max must lie below n/2 = {trace.grid.n // 2}, got {m_max}")
+    n = rows.shape[-1]
+    if m_max >= n // 2:
+        raise BadConfig(f"m_max must lie below n/2 = {n // 2}, got {m_max}")
 
-    a0, a, b = _fourier_coefficients(trace.snapshots, m_max)
-    return ModeTrace(k=int(k), alpha=alpha, tau=trace.times.copy(), a0=a0 - 1.0,
-                     a=a, b=b)
+    a0, a, b = _fourier_coefficients(rows, m_max)
+    return ModeTrace(k=int(k), alpha=alpha_k, tau=np.array(times), a0=a0 - 1.0, a=a, b=b)
 
 
 def cstar(k) -> float:

@@ -247,6 +247,19 @@ def test_config_rejects_unknown_keys_and_non_bool_flags(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_a_config_array_and_a_bad_profile_tag_are_usage_errors(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps([{"alpha": 0.5}]))
+    assert cli.main(["flow", "--mode", "unnorm", "--t-end", "0.01",
+                     "--config", str(config)]) == 4
+    assert capsys.readouterr() == ("", "error: config file must hold a JSON object\n")
+    assert cli.main(["spectrum", "--alpha", "0.2", "--profile", "x3"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: acsflow spectrum: argument --profile: invalid ")
+    assert err.endswith(" value: 'x3'\n")
+
+
 def test_shrinker_circle_writes_no_segment(tmp_path, capsys):
     # segment.csv holds the shooting arc, which only a k-fold profile has
     out = str(tmp_path / "circle")
@@ -300,9 +313,11 @@ def test_snapshots_read_back_bit_for_bit(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli.flow, "run", recording_run)
     out = str(tmp_path / "trace")
     _tau_flow(out)
-    back = cli._trace_from_dir(out)
-    assert back.snapshots.shape == traces[0].snapshots.shape == (6, 32)
-    assert np.array_equal(back.snapshots, traces[0].snapshots)
+    alpha, mode, times, rows = cli._trace_from_dir(out)
+    assert (alpha, mode) == (0.125, "normalized_tau")
+    assert np.allclose(times, traces[0].times, rtol=1e-12, atol=0)  # 12 digits in trace.csv
+    assert rows.shape == traces[0].snapshots.shape == (6, 32)
+    assert np.array_equal(rows, traces[0].snapshots)
 
 
 def test_modes_rejects_bad_snapshots(tmp_path, capsys):
@@ -496,6 +511,15 @@ def test_decompose_leaves_scipy_sparse_unloaded():
             "from acsflow.spectral import decompose; "
             "decompose(assemble_profile(1 / 24, 3, 510).h, 1 / 24, j_max=12); "
             "print('scipy.sparse' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_modes_import_leaves_flow_unloaded():
+    # modes takes a run as its times and rows, so it needs no flow module
+    code = "import sys, acsflow.modes; print('acsflow.flow' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout

@@ -732,3 +732,26 @@ def test_tau_run_from_a_shrinker_reaches_its_end():
                         sample_dt=0.01, stop_min_radius=1e-300, max_steps=500))
     assert tr.terminal_reason == "reached_end" and tr.times[-1] == 0.05
     assert np.max(np.abs(tr.snapshots[-1] - h.values)) < 1e-9
+
+
+def test_a_march_from_its_limit_or_past_it_records_nothing():
+    u = 1.0 + 1e-2 * np.cos(3 * AngularGrid(64).nodes)
+    start, rows, stats = u.copy(), [], flow.FlowStats()
+    for t0 in (0.5, 0.75):
+        assert flow.flow_advance(u, t0, 1e-3, 0.5, 0.5, "unnormalized", 1e-8, 1e-11,
+                                 1e-3, stats, record=lambda *row: rows.append(row)) == (
+            "reached_end", t0, 1e-3)
+    assert rows == [] and stats.rhs_evals == 0 and np.array_equal(u, start)
+
+
+def test_a_tolerance_that_cannot_be_met_underflows_the_step():
+    # rtol 0 and atol 1e-300 reject every step: h shrinks by the controller's
+    # floor on each rejection until it underflows, with nothing accepted
+    u = 1.0 + 1e-2 * np.cos(3 * AngularGrid(64).nodes)
+    start, rows, stats = u.copy(), [], flow.FlowStats()
+    status, t, h = flow.flow_advance(u, 0.25, 1e-3, 1.0, 0.5, "unnormalized", 0.0, 1e-300,
+                                     1e-3, stats, record=lambda *row: rows.append(row))
+    assert status == "step_underflow" and t == 0.25
+    assert 0.0 < h <= 1e-14
+    assert rows == [] and stats.accepted == 0 and stats.rejected_error > 0
+    assert np.array_equal(u, start)

@@ -52,7 +52,7 @@ def test_track_modes_row0():
     grid = AngularGrid(128)
     eps = 1e-3
     tr = _run_tau(_pure(grid, 3, eps), 1 / 8, 0.05)
-    mt = track_modes(tr, 3)
+    mt = track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3)
     assert mt.a_k[0] == pytest.approx(eps, abs=1e-15)
     assert mt.rho[0] == pytest.approx(eps**2, rel=1e-10)
     assert abs(mt.b_k[0]) < 1e-15
@@ -64,25 +64,28 @@ def test_track_modes_guards():
     grid = AngularGrid(128)
     tr = _run_tau(_pure(grid, 3, 1e-3), 1 / 8, 0.05)
     with pytest.raises(AlphaMismatch):
-        track_modes(tr, 4)
+        track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 4)
+    with pytest.raises(BadConfig, match="5 rows of support values for 6 sample times"):
+        track_modes(tr.times, tr.snapshots[:-1], tr.alpha, tr.mode, 3)
     with pytest.raises(BadConfig):
-        track_modes(tr, 3, m_max=4)  # must reach the 2k-th mode
+        # must reach the 2k-th mode
+        track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3, m_max=4)
     area_tr = run(FlowConfig(alpha=1 / 8, mode="normalized_area",
                              initial=_pure(grid, 3, 1e-3), t_end=0.05,
                              sample_dt=0.01))
     with pytest.raises(BadConfig):
-        track_modes(area_tr, 3)
+        track_modes(area_tr.times, area_tr.snapshots, area_tr.alpha, area_tr.mode, 3)
     coarse = run(FlowConfig(alpha=1 / 8, mode="normalized_tau",
                             initial=_pure(grid, 3, 1e-3), t_end=0.5,
                             sample_dt=0.05))
     with pytest.raises(BadConfig):
-        track_modes(coarse, 3)
+        track_modes(coarse.times, coarse.snapshots, coarse.alpha, coarse.mode, 3)
     # a last row 0.005 after the one before it: t_end is not a multiple of sample_dt
     ragged = run(FlowConfig(alpha=1 / 8, mode="normalized_tau",
                             initial=_pure(grid, 3, 1e-3), t_end=0.055,
                             sample_dt=0.01))
     with pytest.raises(BadConfig, match="evenly spaced at most 0.01 apart"):
-        track_modes(ragged, 3)
+        track_modes(ragged.times, ragged.snapshots, ragged.alpha, ragged.mode, 3)
 
 
 def test_rotational_covariance():
@@ -91,8 +94,8 @@ def test_rotational_covariance():
     phase = 2 * np.pi * shift / grid.n
     tr0 = _run_tau(_pure(grid, 3, 1e-3), 1 / 8, 0.3)
     tr1 = _run_tau(_pure(grid, 3, 1e-3, phase=phase), 1 / 8, 0.3)
-    m0 = track_modes(tr0, 3)
-    m1 = track_modes(tr1, 3)
+    m0 = track_modes(tr0.times, tr0.snapshots, tr0.alpha, tr0.mode, 3)
+    m1 = track_modes(tr1.times, tr1.snapshots, tr1.alpha, tr1.mode, 3)
     ang = 3 * phase
     # (A_k, B_k) rotates by k*phase; rho and Q are invariant
     assert np.allclose(m1.a_k, m0.a_k * np.cos(ang), atol=1e-12)
@@ -103,16 +106,19 @@ def test_rotational_covariance():
 
 def test_q_rotation_invariance_grid():
     grid = AngularGrid(120)
-    base = track_modes(_run_tau(_pure(grid, 3, 2e-3), 1 / 8, 0.2), 3)
+    tr = _run_tau(_pure(grid, 3, 2e-3), 1 / 8, 0.2)
+    base = track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3)
     for shift in (5, 10, 20, 40):
         phase = 2 * np.pi * shift / grid.n
-        rot = track_modes(_run_tau(_pure(grid, 3, 2e-3, phase=phase), 1 / 8, 0.2), 3)
+        tr = _run_tau(_pure(grid, 3, 2e-3, phase=phase), 1 / 8, 0.2)
+        rot = track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3)
         assert np.allclose(rot.rho, base.rho, rtol=1e-10)
         assert np.max(np.abs(rot.q - base.q)) < 1e-10 * max(1e-30, np.max(np.abs(base.q)))
 
 
 def test_cauchy_schwarz_invariant(seeded_k3_trace):
-    mt = track_modes(seeded_k3_trace, 3)
+    tr = seeded_k3_trace
+    mt = track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3)
     rhs = mt.rho**2 * (mt.a_2k**2 + mt.b_2k**2)
     assert np.all(mt.q**2 <= rhs * (1 + 1e-12) + 1e-300)
 
@@ -120,7 +126,7 @@ def test_cauchy_schwarz_invariant(seeded_k3_trace):
 def test_residual_linear_pure_cos():
     grid = AngularGrid(256)
     tr = _run_tau(_pure(grid, 3, 1e-3), 1 / 8, 2.0)
-    rep = residual_linear_modes(track_modes(tr, 3))
+    rep = residual_linear_modes(track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3))
     for name in ("A0", "A2k", "B2k"):
         assert rep.residual(name) < 0.05
 
@@ -131,7 +137,7 @@ def test_residual_linear_pure_sine_sign():
     eps = 1e-3
     u0 = SupportFunction(grid, 1.0 + eps * np.sin(3 * th))
     tr = _run_tau(u0, 1 / 8, 1.0)
-    mt = track_modes(tr, 3)
+    mt = track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3)
     rep = residual_linear_modes(mt)
     assert rep.residual("A2k") < 0.05
     # with B_k excited, -(A_k^2 - B_k^2) > 0 forces A_2k upward initially
@@ -144,14 +150,16 @@ def test_residual_linear_scaling():
     res = {}
     for eps in (1e-3, 5e-4):
         tr = _run_tau(_pure(grid, 3, eps, phase=0.11), 1 / 8, 2.0)
-        res[eps] = residual_linear_modes(track_modes(tr, 3))
+        res[eps] = residual_linear_modes(
+            track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3))
     for name in ("A0", "A2k", "B2k"):
         ratio = res[1e-3].residual(name) / res[5e-4].residual(name)
         assert ratio >= 1.8, f"{name}: {ratio}"
 
 
 def test_residual_neutral_seeded(seeded_k3_trace):
-    mt = track_modes(seeded_k3_trace, 3)
+    tr = seeded_k3_trace
+    mt = track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3)
     rep = residual_neutral_modes(mt)
     for name in ("Ak", "Bk", "rho", "Q"):
         assert rep.residual(name) < 0.02, name
@@ -162,7 +170,9 @@ def test_residual_neutral_scaling():
     res = {}
     for eps in (2e-3, 1e-3):
         u0 = quasi_steady_seed(grid, 3, eps, phase=0.04)
-        rep = residual_neutral_modes(track_modes(_run_tau(u0, 1 / 8, 2.0), 3))
+        tr = _run_tau(u0, 1 / 8, 2.0)
+        rep = residual_neutral_modes(track_modes(tr.times, tr.snapshots, tr.alpha,
+                                                 tr.mode, 3))
         res[eps] = rep
     for name in ("Ak", "rho", "Q"):
         ratio = res[2e-3].residual(name) / res[1e-3].residual(name)
@@ -170,7 +180,8 @@ def test_residual_neutral_scaling():
 
 
 def test_chain_rule_identity(seeded_k3_trace):
-    mt = track_modes(seeded_k3_trace, 3)
+    tr = seeded_k3_trace
+    mt = track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3)
     rep = residual_neutral_modes(mt)
     idx = rep.window
     chained = (2 * mt.a_k[idx] * (rep.entries["Ak"].lhs - rep.entries["Ak"].rhs)
@@ -180,14 +191,16 @@ def test_chain_rule_identity(seeded_k3_trace):
 
 
 def test_quasi_steady_relations(seeded_k3_trace):
-    mt = track_modes(seeded_k3_trace, 3)
+    tr = seeded_k3_trace
+    mt = track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3)
     qs = quasi_steady_check(mt)
     assert qs.a0_max_dev < 0.2
     assert qs.q_max_dev < 0.2
 
 
 def test_measured_cstar(seeded_k3_trace):
-    mt = track_modes(seeded_k3_trace, 3)
+    tr = seeded_k3_trace
+    mt = track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3)
     meas = measure_cstar(mt)
     assert meas.expected == -7.5
     assert meas.rel_error < 0.15
@@ -203,7 +216,7 @@ def test_measured_cstar_at_every_fold(k, rel_error):
     # sampled every 0.01 to tau 2, decays by d rho / d tau = c*(k) rho^2
     grid = AngularGrid(512)
     tr = _run_tau(quasi_steady_seed(grid, k, 1e-4), 1.0 / (k * k - 1), 2.0)
-    mt = track_modes(tr, k)
+    mt = track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, k)
     assert measure_cstar(mt).measured == pytest.approx(k * k * (4 - k * k) / 6,
                                                        rel=3 * rel_error)
     assert residual_neutral_modes(mt).residual("rho") < 0.02
@@ -213,7 +226,7 @@ def test_too_large_guard():
     grid = AngularGrid(128)
     tr = _run_tau(_pure(grid, 3, 0.12), 1 / 8, 0.3)
     with pytest.raises(TooLarge):
-        residual_linear_modes(track_modes(tr, 3))
+        residual_linear_modes(track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3))
 
 
 def test_projection_norm_series():
@@ -263,7 +276,8 @@ def test_projection_series_matches_rowwise_inner_products():
 
 
 def test_mode_trace_csv(seeded_k3_trace):
-    mt = track_modes(seeded_k3_trace, 3, m_max=6)
+    tr = seeded_k3_trace
+    mt = track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3, m_max=6)
     text = mode_trace_to_csv(mt)
     lines = text.strip().splitlines()
     assert lines[0] == "tau,A0,A1,B1,A2,B2,A3,B3,A4,B4,A5,B5,A6,B6,rho,Q"
