@@ -98,16 +98,22 @@ def _grid_size(value):
 
 def _fold_arg(value):
     """A fold count: 'circle' or an integer."""
-    return value if value == "circle" else int(value)
+    try:
+        return value if value == "circle" else int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'circle' or an integer, got {value!r}")
 
 
 def _profile_tag(value):
     """'circle' or 'k<int>', as the fold count 'circle' or the int."""
     if value == "circle":
         return value
-    if not value.startswith("k"):
-        raise ValueError(value)
-    return int(value[1:])
+    try:
+        if value.startswith("k"):
+            return int(value[1:])
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected 'circle' or 'k<int>', got {value!r}")
 
 
 def _fold_tag(k):
@@ -189,9 +195,13 @@ def _initial_from_spec(spec, n):
             m, eps = int(m_str), float(eps_str)
         except ValueError:
             raise BadConfig(f"expected {kind}:<{name}>,<eps>, got {spec!r}")
-        if kind == "seed":
-            return modes.quasi_steady_seed(grid, m, eps)
-        return geometry.SupportFunction(grid, 1.0 + eps * np.cos(m * grid.nodes))
+        try:  # an eps that overflows gives values that are not finite
+            with np.errstate(all="ignore"):
+                if kind == "seed":
+                    return modes.quasi_steady_seed(grid, m, eps)
+                return geometry.SupportFunction(grid, 1.0 + eps * np.cos(m * grid.nodes))
+        except ValueError as exc:
+            raise BadConfig(f"--init {spec!r}: {exc}")
     raise BadConfig(f"unknown --init {spec!r}")
 
 
@@ -289,41 +299,11 @@ def _trace_from_dir(path):
 
 def cmd_modes(args):
     k = args.k
-    m_max = max(args.mmax, 2 * k)
     alpha, mode, times, rows = _trace_from_dir(args.trace)
-    mtrace = modes.track_modes(times, rows, alpha, mode, k, m_max=m_max)
-    rec = {
-        "k": k, "alpha": mtrace.alpha,
-        "cstar": modes.cstar(k),
-        "rows": len(mtrace.tau),
-    }
-    reports = {}
-    try:
-        linear = modes.residual_linear_modes(mtrace)
-        neutral = modes.residual_neutral_modes(mtrace)
-        reports["linear"] = linear.to_json_dict()
-        reports["neutral"] = neutral.to_json_dict()
-        rec["residual_rho"] = neutral.residual("rho")
-    except AcsflowError as exc:
-        reports["error"] = str(exc)
-    try:
-        meas = modes.measure_cstar(mtrace)
-        qs = modes.quasi_steady_check(mtrace)
-        rec["measured_rho_rate"] = meas.measured
-        rec["rel_error"] = meas.rel_error
-        reports["quasi_steady"] = {"a0_max_dev": qs.a0_max_dev,
-                                   "q_max_dev": qs.q_max_dev}
-    except AcsflowError as exc:
-        rec["measured_rho_rate"] = None
-        reports.setdefault("error", str(exc))
-    return rec, args.trace if args.out is None else args.out, {
-        "modes.csv": modes.mode_trace_to_csv(mtrace),
-        "residuals.json": {
-            "k": k, "alpha": mtrace.alpha, "cstar": rec["cstar"],
-            "measured_rho_rate": rec.get("measured_rho_rate"),
-            "reports": reports,
-        },
-    }
+    mtrace = modes.track_modes(times, rows, alpha, mode, k, m_max=max(args.mmax, 2 * k))
+    record, residuals = modes.report(mtrace)
+    return record, args.trace if args.out is None else args.out, {
+        "modes.csv": modes.mode_trace_to_csv(mtrace), "residuals.json": residuals}
 
 
 # -- entropy table --------------------------------------------------------------

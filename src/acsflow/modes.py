@@ -9,11 +9,21 @@ to the single constant
 
     d rho / d tau = C(k) rho^2,   C(k) = k^2 (4 - k^2) / 6.
 
-This module extracts the coefficients from a run's sample times and rows of
-support values, forms the residuals of each asymptotic ODE, checks the
-quasi-steady relations, and measures the effective rho-decay constant. It
-takes a run as those arrays, from flow.run or read back by the CLI, so it
-does not depend on the flow module.
+track_modes extracts the coefficients from a run's sample times and rows of
+support values into a ModeTrace. It takes a run as those arrays, from
+flow.run or read back by the CLI, so it does not depend on the flow module.
+Two passes then measure the trace, each on its own window of rows:
+
+- ode_terms, on the rows where rho stays within a factor two of its start,
+  gives each asymptotic ODE's measured derivative and model; residuals
+  reduces them to one number per ODE, scaled by the power of rho in LINEAR
+  or NEUTRAL;
+- quasi_steady, on the rows past the transient of the 2k-th mode, measures
+  the effective rho-decay constant and the deviations of A_0 and Q from
+  their adiabatic values.
+
+report forms the modes command's record and its residuals.json from the two
+passes, and records the error of a pass whose window the run lacks.
 
 The constant mode of the exponentially-renormalized gauge is unstable with
 rate 1 + alpha, so data initialized off the quasi-steady manifold drifts out
@@ -28,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fmt import csv_table
-from .errors import AlphaMismatch, BadConfig, TooLarge
+from .errors import AcsflowError, AlphaMismatch, BadConfig, TooLarge
 from .geometry import AngularGrid, SupportFunction, _fourier_coefficients
 from .shrinker import check_fold
 
@@ -39,6 +49,11 @@ TRANSIENT_RULE = 5.0  # quasi-steady once lambda_2k * tau exceeds this
 def alpha_for_fold(k) -> float:
     check_fold(k)
     return 1.0 / (k * k - 1.0)
+
+
+def _lambda_2k(alpha, k):
+    """The decay rate of the 2k-th mode of the circle's linearization."""
+    return alpha * (4.0 * k * k - 1.0) - 1.0
 
 
 @dataclass(frozen=True)
@@ -84,7 +99,7 @@ class ModeTrace:
 
     @property
     def lambda_2k(self):
-        return self.alpha * (4.0 * self.k**2 - 1.0) - 1.0
+        return _lambda_2k(self.alpha, self.k)
 
 
 def track_modes(times, rows, alpha, mode, k, m_max=None) -> ModeTrace:
@@ -103,7 +118,8 @@ def track_modes(times, rows, alpha, mode, k, m_max=None) -> ModeTrace:
     dts = np.diff(times)
     if len(dts) < 4:
         raise BadConfig("trace too short to track modes")
-    if np.max(np.abs(dts - dts[0])) > 1e-9 or dts[0] > 0.01 + 1e-12:
+    # written to fail on a NaN time as well
+    if not (np.all(np.abs(dts - dts[0]) <= 1e-9) and 0.0 < dts[0] <= 0.01 + 1e-12):
         raise BadConfig("mode tracking needs rows evenly spaced at most 0.01 apart, as a "
                         "sample_dt run with t_end a multiple of sample_dt writes them")
     if m_max is None:
@@ -131,45 +147,6 @@ def _fd4(y, dt):
     return d
 
 
-@dataclass(frozen=True)
-class ResidualEntry:
-    name: str
-    lhs: np.ndarray  # measured time derivative on the window
-    rhs: np.ndarray  # asymptotic model built from trace data
-    scale: np.ndarray  # rho^p normalization
-    scale_power: float
-
-    @property
-    def normalized(self):
-        return (self.lhs - self.rhs) / self.scale
-
-    @property
-    def residual(self):
-        return float(np.max(np.abs(self.normalized)))
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    k: int
-    alpha: float
-    window: np.ndarray  # row indices used
-    entries: dict
-
-    def residual(self, name):
-        return self.entries[name].residual
-
-    def to_json_dict(self):
-        return {
-            "k": self.k,
-            "alpha": self.alpha,
-            "rows_used": int(len(self.window)),
-            "entries": {
-                name: {"residual": e.residual, "scale_power": e.scale_power}
-                for name, e in self.entries.items()
-            },
-        }
-
-
 def _stencil_rows(good, what):
     """Indices of the true rows of good, less the 2 at each end that the
     centered-difference stencil needs; TooLarge, saying what is too short,
@@ -182,124 +159,101 @@ def _stencil_rows(good, what):
     return idx
 
 
-def _window(mt: ModeTrace):
-    """Rows with rho within a factor two of its starting value, interior to
-    the centered-difference stencil."""
+# the power of rho that scales each residual: the terms an ODE neglects are
+# one power of sqrt(rho) below it, so each residual shrinks like sqrt(rho)
+LINEAR = {"A0": 1.0, "A2k": 1.0, "B2k": 1.0}
+NEUTRAL = {"Ak": 1.5, "Bk": 1.5, "rho": 2.0, "Q": 2.0}
+
+
+def ode_terms(mt: ModeTrace):
+    """(idx, terms): the rows with rho within a factor two of its starting
+    value, interior to the centered-difference stencil, and for each
+    asymptotic ODE its measured derivative and its model on those rows.
+
+    The driven linear ODEs are those of A_0, A_2k, B_2k, the cubic ones those
+    of A_k, B_k, rho, Q. The rho derivative is chained from the A_k, B_k
+    derivatives, which makes the rho residual identically
+    2 A_k res(A_k) + 2 B_k res(B_k)."""
     rho = mt.rho
     if np.max(rho) >= RHO_SMALLNESS:
         raise TooLarge(f"max rho = {np.max(rho):.2e} violates the smallness bound")
-    return _stencil_rows((rho >= 0.5 * rho[0]) & (rho <= 2.0 * rho[0]),
-                         "fewer than 5 usable rows in the rho window")
-
-
-def residual_linear_modes(mt: ModeTrace) -> ResidualReport:
-    """Residuals of the driven linear ODEs for A_0, A_2k, B_2k.
-
-    Each is normalized by rho; the neglected terms are one power of
-    sqrt(rho) smaller, so the residuals shrink linearly in the mode
-    amplitude.
-    """
-    idx = _window(mt)
-    al, k = mt.alpha, mt.k
-    dt = mt.dtau
-    lam0 = -al - 1.0
-    lam2k = mt.lambda_2k
-    rho, ak, bk = mt.rho, mt.a_k, mt.b_k
-    c4 = (al + 1.0) / (4.0 * al)
-
-    entries = {}
-    specs = [
-        ("A0", mt.a0, -lam0 * mt.a0 - c4 * rho),
-        ("A2k", mt.a_2k, -lam2k * mt.a_2k - c4 * (ak**2 - bk**2)),
-        ("B2k", mt.b_2k, -lam2k * mt.b_2k - 2.0 * c4 * ak * bk),
-    ]
-    for name, series, model in specs:
-        lhs = _fd4(series, dt)[idx]
-        entries[name] = ResidualEntry(name=name, lhs=lhs, rhs=model[idx],
-                                      scale=rho[idx], scale_power=1.0)
-    return ResidualReport(k=k, alpha=al, window=idx, entries=entries)
-
-
-def residual_neutral_modes(mt: ModeTrace) -> ResidualReport:
-    """Residuals of the cubic ODEs for A_k, B_k, rho, Q.
-
-    The rho derivative is chained from the A_k, B_k derivatives, which makes
-    the rho residual identically 2 A_k res(A_k) + 2 B_k res(B_k).
-    """
-    idx = _window(mt)
-    al, k = mt.alpha, mt.k
-    dt = mt.dtau
-    lam2k = mt.lambda_2k
-    rho, ak, bk = mt.rho, mt.a_k, mt.b_k
-    a2k, b2k, a0, q = mt.a_2k, mt.b_2k, mt.a0, mt.q
+    idx = _stencil_rows((rho >= 0.5 * rho[0]) & (rho <= 2.0 * rho[0]),
+                        "fewer than 5 usable rows in the rho window")
+    al, k, dt, lam2k = mt.alpha, mt.k, mt.dtau, mt.lambda_2k
+    ak, bk, a2k, b2k, a0, q = mt.a_k, mt.b_k, mt.a_2k, mt.b_2k, mt.a0, mt.q
     one = 1.0 + al
+    c4 = one / (4.0 * al)
     cross = one * (1.0 - 4.0 * k * k) / 2.0
-    cubic = (al + 1.0) * (al + 2.0) / (8.0 * al * al)
-
-    dak = _fd4(ak, dt)
-    dbk = _fd4(bk, dt)
-    drho = 2.0 * ak * dak + 2.0 * bk * dbk
-    dq = _fd4(q, dt)
-
-    model_ak = one * a0 * ak + cross * (ak * a2k + bk * b2k) - cubic * ak * rho
-    model_bk = one * a0 * bk + cross * (-bk * a2k + ak * b2k) - cubic * bk * rho
-    model_rho = one * (2.0 * a0 * rho + (1.0 - 4.0 * k * k) * q
-                       - (al + 2.0) / (4.0 * al * al) * rho**2)
-    model_q = (-lam2k * q - (al + 1.0) / (4.0 * al) * rho**2
-               + 2.0 * one * a0 * q + one * (1.0 - 4.0 * k * k) * rho * (a2k**2 + b2k**2)
-               - (al + 1.0) * (al + 2.0) / (4.0 * al * al) * rho * q)
-
-    entries = {
-        "Ak": ResidualEntry("Ak", dak[idx], model_ak[idx], rho[idx] ** 1.5, 1.5),
-        "Bk": ResidualEntry("Bk", dbk[idx], model_bk[idx], rho[idx] ** 1.5, 1.5),
-        "rho": ResidualEntry("rho", drho[idx], model_rho[idx], rho[idx] ** 2, 2.0),
-        "Q": ResidualEntry("Q", dq[idx], model_q[idx], rho[idx] ** 2, 2.0),
+    cubic = one * (al + 2.0) / (8.0 * al * al)
+    dak, dbk = _fd4(ak, dt), _fd4(bk, dt)
+    terms = {
+        "A0": (_fd4(a0, dt), one * a0 - c4 * rho),
+        "A2k": (_fd4(a2k, dt), -lam2k * a2k - c4 * (ak**2 - bk**2)),
+        "B2k": (_fd4(b2k, dt), -lam2k * b2k - 2.0 * c4 * ak * bk),
+        "Ak": (dak, one * a0 * ak + cross * (ak * a2k + bk * b2k) - cubic * ak * rho),
+        "Bk": (dbk, one * a0 * bk + cross * (-bk * a2k + ak * b2k) - cubic * bk * rho),
+        "rho": (2.0 * ak * dak + 2.0 * bk * dbk,
+                one * (2.0 * a0 * rho + (1.0 - 4.0 * k * k) * q
+                       - (al + 2.0) / (4.0 * al * al) * rho**2)),
+        "Q": (_fd4(q, dt),
+              -lam2k * q - c4 * rho**2 + 2.0 * one * a0 * q
+              + one * (1.0 - 4.0 * k * k) * rho * (a2k**2 + b2k**2)
+              - one * (al + 2.0) / (4.0 * al * al) * rho * q),
     }
-    return ResidualReport(k=k, alpha=al, window=idx, entries=entries)
+    return idx, {name: (lhs[idx], model[idx]) for name, (lhs, model) in terms.items()}
 
 
-def quasi_steady_window(mt: ModeTrace):
-    """Post-transient rows, lambda_2k * tau > 5, interior to the stencil."""
-    return _stencil_rows(mt.lambda_2k * mt.tau > TRANSIENT_RULE,
-                         "trace too short for the post-transient window")
+def residuals(mt: ModeTrace):
+    """(rows used, {name: residual}): the largest |derivative - model| of
+    each ODE on ode_terms' rows, over rho to its power in LINEAR or NEUTRAL."""
+    idx, terms = ode_terms(mt)
+    rho, power = mt.rho[idx], {**LINEAR, **NEUTRAL}
+    return len(idx), {name: float(np.max(np.abs((lhs - model) / rho ** power[name])))
+                      for name, (lhs, model) in terms.items()}
 
 
-@dataclass(frozen=True)
-class QuasiSteadyReport:
-    a0_max_dev: float  # max relative deviation of A_0 from rho/(4 alpha)
-    q_max_dev: float  # same for Q against its adiabatic value
-
-
-def quasi_steady_check(mt: ModeTrace) -> QuasiSteadyReport:
-    idx = quasi_steady_window(mt)
-    al = mt.alpha
-    rho, q = mt.rho[idx], mt.q[idx]
+def quasi_steady(mt: ModeTrace):
+    """On the post-transient rows, lambda_2k * tau > 5 interior to the
+    stencil: measured_rho_rate, the least-squares slope of rho over the mean
+    of rho^2 (regression keeps rounding noise far below a pointwise
+    derivative's at small amplitudes), and a0_max_dev and q_max_dev, the
+    largest relative deviations of A_0 and Q from their adiabatic values."""
+    idx = _stencil_rows(mt.lambda_2k * mt.tau > TRANSIENT_RULE,
+                        "trace too short for the post-transient window")
+    al, tau, rho, q = mt.alpha, mt.tau[idx], mt.rho[idx], mt.q[idx]
     a0_target = rho / (4.0 * al)
     q_target = -(al + 1.0) / (4.0 * al * mt.lambda_2k) * rho**2
-    a0_dev = np.abs(mt.a0[idx] - a0_target) / a0_target
-    q_dev = np.abs(q - q_target) / np.abs(q_target)
-    return QuasiSteadyReport(a0_max_dev=float(np.max(a0_dev)),
-                             q_max_dev=float(np.max(q_dev)))
+    return {
+        "measured_rho_rate": float(np.polyfit(tau, rho, 1)[0]) / float(np.mean(rho)) ** 2,
+        "a0_max_dev": float(np.max(np.abs(mt.a0[idx] - a0_target) / a0_target)),
+        "q_max_dev": float(np.max(np.abs(q - q_target) / np.abs(q_target))),
+    }
 
 
-@dataclass(frozen=True)
-class CstarMeasurement:
-    measured: float  # regression estimate of d(rho)/dtau / rho^2
-    expected: float
-    rel_error: float
-
-
-def measure_cstar(mt: ModeTrace) -> CstarMeasurement:
-    """Least-squares slope of rho over the post-transient window, scaled by
-    the mean of rho^2. Regression keeps rounding noise far below the
-    pointwise-derivative estimate at small amplitudes."""
-    idx = quasi_steady_window(mt)
-    tau, rho = mt.tau[idx], mt.rho[idx]
-    slope = float(np.polyfit(tau, rho, 1)[0])
-    measured = slope / float(np.mean(rho)) ** 2
-    expected = cstar(mt.k)
-    return CstarMeasurement(measured=measured, expected=expected,
-                            rel_error=abs(measured - expected) / abs(expected))
+def report(mt: ModeTrace):
+    """(record, residuals.json) of the modes command. The residuals need rho
+    below RHO_SMALLNESS and the rate a post-transient window; a report that
+    cannot be formed gives its place to the first such error."""
+    head = {"k": mt.k, "alpha": mt.alpha, "cstar": cstar(mt.k)}
+    record, reports = dict(head, rows=len(mt.tau)), {}
+    try:
+        rows_used, res = residuals(mt)
+        for name, powers in (("linear", LINEAR), ("neutral", NEUTRAL)):
+            reports[name] = {"k": mt.k, "alpha": mt.alpha, "rows_used": rows_used,
+                             "entries": {e: {"residual": res[e], "scale_power": p}
+                                         for e, p in powers.items()}}
+        record["residual_rho"] = res["rho"]
+    except AcsflowError as exc:
+        reports["error"] = str(exc)
+    try:
+        qs = quasi_steady(mt)
+        rate = record["measured_rho_rate"] = qs.pop("measured_rho_rate")
+        record["rel_error"] = abs(rate - head["cstar"]) / abs(head["cstar"])
+        reports["quasi_steady"] = qs
+    except AcsflowError as exc:
+        record["measured_rho_rate"] = None
+        reports.setdefault("error", str(exc))
+    return record, dict(head, measured_rho_rate=record["measured_rho_rate"], reports=reports)
 
 
 def quasi_steady_seed(grid: AngularGrid, k, eps, phase=0.0) -> SupportFunction:
@@ -308,7 +262,7 @@ def quasi_steady_seed(grid: AngularGrid, k, eps, phase=0.0) -> SupportFunction:
     run stays in the asymptotic regime instead of riding the unstable
     constant mode."""
     al = alpha_for_fold(k)
-    lam2k = al * (4.0 * k * k - 1.0) - 1.0
+    lam2k = _lambda_2k(al, k)
     ak = eps * math.cos(k * phase)
     bk = eps * math.sin(k * phase)
     rho = eps * eps

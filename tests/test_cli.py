@@ -130,6 +130,66 @@ def test_modes_rerun_is_byte_identical(tmp_path, capsys):
     assert mismatch == [] and errors == []
 
 
+_LINEAR = {"k": 3, "alpha": 0.125, "rows_used": None,
+           "entries": {name: {"residual": None, "scale_power": 1.0}
+                       for name in ("A0", "A2k", "B2k")}}
+_NEUTRAL = {"k": 3, "alpha": 0.125, "rows_used": None,
+            "entries": {"Ak": {"residual": None, "scale_power": 1.5},
+                        "Bk": {"residual": None, "scale_power": 1.5},
+                        "rho": {"residual": None, "scale_power": 2.0},
+                        "Q": {"residual": None, "scale_power": 2.0}}}
+
+
+def _layout(value, pinned):
+    """Whether value has pinned's keys in pinned's order, and its values
+    where pinned holds one other than None."""
+    if isinstance(pinned, dict):
+        return (isinstance(value, dict) and list(value) == list(pinned)
+                and all(_layout(value[key], pinned[key]) for key in pinned))
+    return pinned is None or value == pinned
+
+
+def test_modes_writes_each_report_its_run_allows(tmp_path, capsys):
+    # a full run writes every report; one too short for the post-transient
+    # window has no rate; one above the smallness bound has no residuals
+    cases = {
+        "full": ("seed:3,0.001", "2",
+                 ["k", "alpha", "cstar", "rows", "residual_rho", "measured_rho_rate",
+                  "rel_error"],
+                 {"linear": _LINEAR, "neutral": _NEUTRAL,
+                  "quasi_steady": {"a0_max_dev": None, "q_max_dev": None}}),
+        "short": ("seed:3,0.001", "0.5",
+                  ["k", "alpha", "cstar", "rows", "residual_rho", "measured_rho_rate"],
+                  {"linear": _LINEAR, "neutral": _NEUTRAL,
+                   "error": "trace too short for the post-transient window"}),
+        "large": ("perturb:3,0.11", "0.3",
+                  ["k", "alpha", "cstar", "rows", "measured_rho_rate"],
+                  {"error": None}),
+    }
+    for name, (init, t_end, keys, reports) in cases.items():
+        trace = str(tmp_path / name)
+        assert cli.main(["flow", "--alpha", "0.125", "--mode", "tau", "--init", init,
+                         "--n", "64", "--t-end", t_end, "--sample-dt", "0.01",
+                         "--outdir", trace]) == 0
+        capsys.readouterr()
+        assert cli.main(["modes", "--trace", trace, "--k", "3"]) == 0, name
+        record = json.loads(capsys.readouterr().out)
+        assert list(record) == keys, name
+        assert record["cstar"] == -7.5 and record["rows"] == round(100 * float(t_end)) + 1
+        assert (record["measured_rho_rate"] is None) == (name != "full"), name
+        with open(os.path.join(trace, "residuals.json")) as fh:
+            residuals = json.load(fh)
+        assert _layout(residuals, {"k": 3, "alpha": 0.125, "cstar": -7.5,
+                                   "measured_rho_rate": record["measured_rho_rate"],
+                                   "reports": reports}), name
+        if "residual_rho" in record:
+            neutral = residuals["reports"]["neutral"]
+            assert record["residual_rho"] == neutral["entries"]["rho"]["residual"]
+            assert neutral["rows_used"] == residuals["reports"]["linear"]["rows_used"]
+    assert residuals["reports"]["error"].startswith("max rho = ")
+    assert residuals["reports"]["error"].endswith(" violates the smallness bound")
+
+
 def test_exit_codes(tmp_path, capsys):
     # 2: k = 5 is not below sqrt(1 + 1/alpha) at alpha 0.1, nor is k = 0 >= 3
     assert cli.main(["shrinker", "--alpha", "0.1", "--k", "5"]) == 2
@@ -150,6 +210,9 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.main(flow + ["--init", "perturb:2,0.5"]) == 4
     # 4: initial specs that do not parse
     for spec in ("perturb:3", "seed:3,x", "bogus:1"):
+        assert cli.main(flow + ["--init", spec]) == 4
+    # 4: initial specs whose support values are not finite
+    for spec in ("seed:3,nan", "perturb:3,inf", "seed:3,1e200"):
         assert cli.main(flow + ["--init", spec]) == 4
     # 4: tolerances that are negative or not a number
     assert cli.main(flow + ["--rtol=-1e-12"]) == 4
@@ -254,10 +317,11 @@ def test_a_config_array_and_a_bad_profile_tag_are_usage_errors(tmp_path, capsys)
                      "--config", str(config)]) == 4
     assert capsys.readouterr() == ("", "error: config file must hold a JSON object\n")
     assert cli.main(["spectrum", "--alpha", "0.2", "--profile", "x3"]) == 4
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: acsflow spectrum: argument --profile: invalid ")
-    assert err.endswith(" value: 'x3'\n")
+    assert capsys.readouterr() == ("", "error: acsflow spectrum: argument --profile: "
+                                       "expected 'circle' or 'k<int>', got 'x3'\n")
+    assert cli.main(["shrinker", "--alpha", "0.1", "--k", "x"]) == 4
+    assert capsys.readouterr() == ("", "error: acsflow shrinker: argument --k: "
+                                       "expected 'circle' or an integer, got 'x'\n")
 
 
 def test_shrinker_circle_writes_no_segment(tmp_path, capsys):
@@ -411,6 +475,25 @@ def test_modes_rejects_bad_meta_and_trace(tmp_path, capsys):
         with open(trace_path, "w") as fh:
             fh.write(trace_text)
     assert cli.main(["modes", "--trace", trace, "--k", "3"]) == 0
+
+
+def test_modes_rejects_a_blank_time(tmp_path, capsys):
+    # a blank trace.csv cell reads as NaN, which no spacing test may let through
+    trace = str(tmp_path / "trace")
+    _tau_flow(trace)
+    capsys.readouterr()
+    path = os.path.join(trace, "trace.csv")
+    with open(path) as fh:
+        header, *lines = fh.read().splitlines()
+    column = header.split(",").index("time")
+    cells = lines[3].split(",")
+    cells[column] = ""
+    lines[3] = ",".join(cells)
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, *lines]) + "\n")
+    assert cli.main(["modes", "--trace", trace, "--k", "3"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "evenly spaced at most 0.01 apart" in err
 
 
 def test_modes_reports_an_empty_snapshots_file(tmp_path, capsys, recwarn):

@@ -6,10 +6,9 @@ import pytest
 from acsflow.errors import AlphaMismatch, BadConfig, OutOfRange, TooLarge
 from acsflow.flow import FlowConfig, run
 from acsflow.geometry import AngularGrid, SupportFunction, circle_support
-from acsflow.modes import (ModeTrace, alpha_for_fold, cstar, measure_cstar,
-                           mode_trace_to_csv, quasi_steady_check,
-                           quasi_steady_seed, residual_linear_modes,
-                           residual_neutral_modes, track_modes)
+from acsflow.modes import (ModeTrace, alpha_for_fold, cstar, mode_trace_to_csv, ode_terms,
+                           quasi_steady, quasi_steady_seed, report, residuals,
+                           track_modes)
 from acsflow.spectral import decompose
 
 from analysis import energy_split
@@ -84,8 +83,15 @@ def test_track_modes_guards():
     ragged = run(FlowConfig(alpha=1 / 8, mode="normalized_tau",
                             initial=_pure(grid, 3, 1e-3), t_end=0.055,
                             sample_dt=0.01))
-    with pytest.raises(BadConfig, match="evenly spaced at most 0.01 apart"):
-        track_modes(ragged.times, ragged.snapshots, ragged.alpha, ragged.mode, 3)
+    # and times that are not a number, repeated or reversed
+    nan_time, repeated = tr.times.copy(), tr.times.copy()
+    nan_time[3] = np.nan
+    repeated[3] = repeated[2]
+    for times, rows in ((ragged.times, ragged.snapshots), (nan_time, tr.snapshots),
+                        (repeated, tr.snapshots), (np.zeros_like(tr.times), tr.snapshots),
+                        (tr.times[::-1], tr.snapshots[::-1])):
+        with pytest.raises(BadConfig, match="evenly spaced at most 0.01 apart"):
+            track_modes(times, rows, tr.alpha, tr.mode, 3)
 
 
 def test_rotational_covariance():
@@ -126,9 +132,9 @@ def test_cauchy_schwarz_invariant(seeded_k3_trace):
 def test_residual_linear_pure_cos():
     grid = AngularGrid(256)
     tr = _run_tau(_pure(grid, 3, 1e-3), 1 / 8, 2.0)
-    rep = residual_linear_modes(track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3))
+    _, res = residuals(track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3))
     for name in ("A0", "A2k", "B2k"):
-        assert rep.residual(name) < 0.05
+        assert res[name] < 0.05
 
 
 def test_residual_linear_pure_sine_sign():
@@ -138,8 +144,8 @@ def test_residual_linear_pure_sine_sign():
     u0 = SupportFunction(grid, 1.0 + eps * np.sin(3 * th))
     tr = _run_tau(u0, 1 / 8, 1.0)
     mt = track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3)
-    rep = residual_linear_modes(mt)
-    assert rep.residual("A2k") < 0.05
+    _, res = residuals(mt)
+    assert res["A2k"] < 0.05
     # with B_k excited, -(A_k^2 - B_k^2) > 0 forces A_2k upward initially
     assert mt.a_2k[5] > 0.0
     assert mt.a_2k[20] > 0.0
@@ -150,19 +156,18 @@ def test_residual_linear_scaling():
     res = {}
     for eps in (1e-3, 5e-4):
         tr = _run_tau(_pure(grid, 3, eps, phase=0.11), 1 / 8, 2.0)
-        res[eps] = residual_linear_modes(
-            track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3))
+        _, res[eps] = residuals(track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3))
     for name in ("A0", "A2k", "B2k"):
-        ratio = res[1e-3].residual(name) / res[5e-4].residual(name)
+        ratio = res[1e-3][name] / res[5e-4][name]
         assert ratio >= 1.8, f"{name}: {ratio}"
 
 
 def test_residual_neutral_seeded(seeded_k3_trace):
     tr = seeded_k3_trace
     mt = track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3)
-    rep = residual_neutral_modes(mt)
+    _, res = residuals(mt)
     for name in ("Ak", "Bk", "rho", "Q"):
-        assert rep.residual(name) < 0.02, name
+        assert res[name] < 0.02, name
 
 
 def test_residual_neutral_scaling():
@@ -171,40 +176,37 @@ def test_residual_neutral_scaling():
     for eps in (2e-3, 1e-3):
         u0 = quasi_steady_seed(grid, 3, eps, phase=0.04)
         tr = _run_tau(u0, 1 / 8, 2.0)
-        rep = residual_neutral_modes(track_modes(tr.times, tr.snapshots, tr.alpha,
-                                                 tr.mode, 3))
-        res[eps] = rep
+        _, res[eps] = residuals(track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3))
     for name in ("Ak", "rho", "Q"):
-        ratio = res[2e-3].residual(name) / res[1e-3].residual(name)
+        ratio = res[2e-3][name] / res[1e-3][name]
         assert ratio > 1.5, f"{name}: {ratio}"
 
 
 def test_chain_rule_identity(seeded_k3_trace):
     tr = seeded_k3_trace
     mt = track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3)
-    rep = residual_neutral_modes(mt)
-    idx = rep.window
-    chained = (2 * mt.a_k[idx] * (rep.entries["Ak"].lhs - rep.entries["Ak"].rhs)
-               + 2 * mt.b_k[idx] * (rep.entries["Bk"].lhs - rep.entries["Bk"].rhs))
-    direct = (rep.entries["rho"].lhs - rep.entries["rho"].rhs)
-    assert np.max(np.abs(chained - direct) / rep.entries["rho"].scale) < 1e-12
+    idx, terms = ode_terms(mt)
+    chained = (2 * mt.a_k[idx] * (terms["Ak"][0] - terms["Ak"][1])
+               + 2 * mt.b_k[idx] * (terms["Bk"][0] - terms["Bk"][1]))
+    direct = terms["rho"][0] - terms["rho"][1]
+    assert np.max(np.abs(chained - direct) / mt.rho[idx] ** 2) < 1e-12
 
 
 def test_quasi_steady_relations(seeded_k3_trace):
     tr = seeded_k3_trace
     mt = track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3)
-    qs = quasi_steady_check(mt)
-    assert qs.a0_max_dev < 0.2
-    assert qs.q_max_dev < 0.2
+    qs = quasi_steady(mt)
+    assert qs["a0_max_dev"] < 0.2
+    assert qs["q_max_dev"] < 0.2
 
 
 def test_measured_cstar(seeded_k3_trace):
     tr = seeded_k3_trace
     mt = track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3)
-    meas = measure_cstar(mt)
-    assert meas.expected == -7.5
-    assert meas.rel_error < 0.15
-    assert meas.measured == pytest.approx(-7.5, rel=1e-4)
+    record, _ = report(mt)
+    assert record["cstar"] == -7.5
+    assert record["rel_error"] < 0.15
+    assert record["measured_rho_rate"] == pytest.approx(-7.5, rel=1e-4)
 
 
 # relative errors of the measured rate, measured at n 512 and eps 1e-4; each
@@ -217,16 +219,16 @@ def test_measured_cstar_at_every_fold(k, rel_error):
     grid = AngularGrid(512)
     tr = _run_tau(quasi_steady_seed(grid, k, 1e-4), 1.0 / (k * k - 1), 2.0)
     mt = track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, k)
-    assert measure_cstar(mt).measured == pytest.approx(k * k * (4 - k * k) / 6,
-                                                       rel=3 * rel_error)
-    assert residual_neutral_modes(mt).residual("rho") < 0.02
+    assert quasi_steady(mt)["measured_rho_rate"] == pytest.approx(k * k * (4 - k * k) / 6,
+                                                                  rel=3 * rel_error)
+    assert residuals(mt)[1]["rho"] < 0.02
 
 
 def test_too_large_guard():
     grid = AngularGrid(128)
     tr = _run_tau(_pure(grid, 3, 0.12), 1 / 8, 0.3)
     with pytest.raises(TooLarge):
-        residual_linear_modes(track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3))
+        residuals(track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3))
 
 
 def test_projection_norm_series():
