@@ -23,6 +23,7 @@ command line or of a config key; --help exits 0.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -120,21 +121,11 @@ def _fold_tag(k):
     return "circle" if k == "circle" else f"k{int(k)}"
 
 
-def _profile(alpha, k, n):
-    """The profile of fold count k at alpha on n nodes; for k >= 1, n is
-    rounded down to a multiple of 2k, but to at least 16k. The reflection
-    seams then fall on nodes, so the profile is exactly even about node 0 and
-    `spectrum` splits each Bloch class by mirror parity (spectral.decompose)."""
-    if k != "circle" and k > 0:
-        n = 2 * k * max(8, n // (2 * k))
-    return shrinker.assemble_profile(alpha, k, n)
-
-
 # -- shrinker ------------------------------------------------------------------
 
 def cmd_shrinker(args):
     alpha = args.alpha
-    profile = _profile(alpha, args.k, args.n)
+    profile = shrinker.assemble_profile(alpha, args.k, args.n)
     n = profile.h.grid.n
     seg = profile.segment
     files = {"profile.json": shrinker.profile_to_json_dict(profile), "meta.json": {
@@ -154,7 +145,7 @@ def cmd_shrinker(args):
 
 def cmd_spectrum(args):
     alpha = args.alpha
-    profile = _profile(alpha, args.profile, args.n)
+    profile = shrinker.assemble_profile(alpha, args.profile, args.n)
     dec = spectral.decompose(profile.h, alpha, j_max=args.jmax)
     record = {
         "alpha": alpha,
@@ -221,7 +212,7 @@ def cmd_flow(args):
     # the run's summary, in the record and in meta.json, each with stats last
     summary = {"terminal_reason": trace.terminal_reason, "rows": len(trace),
                "accepted_steps": trace.n_steps}
-    stats = trace.stats.to_json_dict()
+    stats = dataclasses.asdict(trace.stats)
     record = {
         "alpha": alpha, "mode": mode, **summary,
         "t_final": float(trace.times[-1]),

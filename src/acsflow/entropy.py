@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OptimFailed, OutOfRange
-from .geometry import SupportFunction, _basis, require_convex
+from .geometry import SupportFunction, _basis, _translated, require_convex
 
 # probes whose translated support dips below this are rejected, the integrand
 # u^(1-1/alpha) blows up at the boundary
@@ -54,13 +54,6 @@ def _value(uz, alpha):
     s = np.min(uz, axis=-1, keepdims=True)
     return np.log(s[..., 0]) + alpha / (alpha - 1.0) * np.log(
         np.mean((uz / s) ** (1.0 - 1.0 / alpha), axis=-1))
-
-
-def _translated(vals, z):
-    """Rows of the support functions vals about the points z, rows of
-    (x, y): vals - z.e(theta), each row on its own."""
-    c, s = _basis(vals.shape[-1])
-    return vals - (z[:, :1] * c + z[:, 1:] * s)
 
 
 def _probe(vals, z, alpha):

@@ -149,7 +149,7 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,10 +213,11 @@ _EXPONENT = -1.0 / 7.0
 class FlowStats:
     """Work counts of the step controller, summed over the calls it is given to.
 
-    Each accepted step is counted under the one cap that set its size: the
-    error controller ("error") or the landing on t_limit ("landing"), which
-    is t_end in a run (samples do not end steps, nor does max_steps); h_min
-    and h_max are its extremes (None before the first). A step is rejected
+    Each accepted step is counted under the one cap that set its size:
+    cap_error for the error controller, cap_landing for the landing on
+    t_limit, which is t_end in a run (samples do not end steps, nor does
+    max_steps); h_min and h_max are its extremes (None before the first).
+    flow_advance counts each step where it accepts it. A step is rejected
     for one reason: a substep state or its end state u_1 failed the
     convexity test, the error estimate was above tolerance, or the estimated
     error of the continuous extension of a step with samples inside was
@@ -247,21 +248,6 @@ class FlowStats:
     dense_evals: int = 0
     w_damped: int = 0  # accepted steps whose W took the damped coefficient
     entropy_evals: int = 0
-
-    def count_step(self, cap, h):
-        """Count an accepted step of size h.
-
-        cap names the limit that set h: "error" or "landing".
-        """
-        self.accepted += 1
-        name = "cap_" + cap
-        setattr(self, name, getattr(self, name) + 1)
-        h = float(h)
-        self.h_min = h if self.h_min is None else min(self.h_min, h)
-        self.h_max = h if self.h_max is None else max(self.h_max, h)
-
-    def to_json_dict(self):
-        return asdict(self)
 
 
 def _area_gauge(z, w, speed):
@@ -550,7 +536,13 @@ def flow_advance(u, t, h, t_limit, alpha, mode, rtol, atol, stop_min_radius,
             h = h_step * _ratio_floor(max(0.9 * ratio ** _EXPONENT, 0.1))
 
         n_acc += 1
-        stats.count_step("landing" if landing else "error", h_step)
+        stats.accepted += 1
+        if landing:
+            stats.cap_landing += 1
+        else:
+            stats.cap_error += 1
+        stats.h_min = h_step if stats.h_min is None else min(stats.h_min, h_step)
+        stats.h_max = h_step if stats.h_max is None else max(stats.h_max, h_step)
         stats.w_damped += damped
         if record is not None:
             if sampled:

@@ -15,7 +15,7 @@ raises NonConvex; the marcher, which rejects a step instead, asks
 _strictly_convex alone.
 _area_weights give sum(u w), (n / pi) times the area, from the state with no
 FFT; _basis holds the cos and sin rows behind the Steiner point and
-translations.
+_translated, the one translation of rows of support functions.
 """
 
 import functools
@@ -167,11 +167,17 @@ def area(u: SupportFunction) -> float:
     return 0.5 * u.grid.dtheta * float(np.sum(u.values * w))
 
 
+def _translated(values, z):
+    """Support functions of nodal values about the points z, (x, y) along
+    the last axis: values - z.e(theta), each row of values about its row
+    of z."""
+    c, s = _basis(values.shape[-1])
+    return values - (z[..., :1] * c + z[..., 1:] * s)
+
+
 def translate(u: SupportFunction, z) -> SupportFunction:
     """Support function of the same body with the origin moved to z."""
-    zx, zy = float(z[0]), float(z[1])
-    c, s = _basis(u.n)
-    return SupportFunction(u.grid, u.values - (zx * c + zy * s))
+    return SupportFunction(u.grid, _translated(u.values, np.asarray(z, dtype=float)))
 
 
 def _about_steiner_point(values):
@@ -205,19 +211,17 @@ def random_convex_support(grid: AngularGrid, rng: "np.random.Generator") -> Supp
 
     Modes m = 1..8 get normal coefficients of scale 0.3 / (1 + m^2); the
     perturbation is halved until min(u_thth + u) >= 0.05, so every returned
-    body passes the convexity check with margin.
+    body passes the convexity check with margin. Each halving halves the
+    perturbation's share of the radius of curvature, so the loop ends.
     """
     th = grid.nodes
     pert = np.zeros(grid.n)
     for m in range(1, 9):
         am, bm = rng.normal(size=2) * 0.3 / (1.0 + m * m)
         pert += am * np.cos(m * th) + bm * np.sin(m * th)
-    for _ in range(60):
-        u = SupportFunction(grid, 1.0 + pert)
-        if np.min(radius_of_curvature(u.values)) >= 0.05:
-            return u
+    while np.min(radius_of_curvature(1.0 + pert)) < 0.05:
         pert *= 0.5
-    return SupportFunction(grid, np.ones(grid.n))
+    return SupportFunction(grid, 1.0 + pert)
 
 
 # -- serialization ------------------------------------------------------------

@@ -66,10 +66,6 @@ class ModeTrace:
     b: np.ndarray = field(repr=False)
 
     @property
-    def m_max(self):
-        return self.a.shape[1]
-
-    @property
     def a_k(self):
         return self.a[:, self.k - 1]
 
@@ -92,14 +88,6 @@ class ModeTrace:
     @property
     def q(self):
         return (self.a_k**2 - self.b_k**2) * self.a_2k + 2.0 * self.a_k * self.b_k * self.b_2k
-
-    @property
-    def dtau(self):
-        return float(self.tau[1] - self.tau[0])
-
-    @property
-    def lambda_2k(self):
-        return _lambda_2k(self.alpha, self.k)
 
 
 def track_modes(times, rows, alpha, mode, k, m_max=None) -> ModeTrace:
@@ -179,7 +167,8 @@ def ode_terms(mt: ModeTrace):
         raise TooLarge(f"max rho = {np.max(rho):.2e} violates the smallness bound")
     idx = _stencil_rows((rho >= 0.5 * rho[0]) & (rho <= 2.0 * rho[0]),
                         "fewer than 5 usable rows in the rho window")
-    al, k, dt, lam2k = mt.alpha, mt.k, mt.dtau, mt.lambda_2k
+    al, k, dt = mt.alpha, mt.k, float(mt.tau[1] - mt.tau[0])
+    lam2k = _lambda_2k(al, k)
     ak, bk, a2k, b2k, a0, q = mt.a_k, mt.b_k, mt.a_2k, mt.b_2k, mt.a0, mt.q
     one = 1.0 + al
     c4 = one / (4.0 * al)
@@ -218,11 +207,12 @@ def quasi_steady(mt: ModeTrace):
     of rho^2 (regression keeps rounding noise far below a pointwise
     derivative's at small amplitudes), and a0_max_dev and q_max_dev, the
     largest relative deviations of A_0 and Q from their adiabatic values."""
-    idx = _stencil_rows(mt.lambda_2k * mt.tau > TRANSIENT_RULE,
+    lam2k = _lambda_2k(mt.alpha, mt.k)
+    idx = _stencil_rows(lam2k * mt.tau > TRANSIENT_RULE,
                         "trace too short for the post-transient window")
     al, tau, rho, q = mt.alpha, mt.tau[idx], mt.rho[idx], mt.q[idx]
     a0_target = rho / (4.0 * al)
-    q_target = -(al + 1.0) / (4.0 * al * mt.lambda_2k) * rho**2
+    q_target = -(al + 1.0) / (4.0 * al * lam2k) * rho**2
     return {
         "measured_rho_rate": float(np.polyfit(tau, rho, 1)[0]) / float(np.mean(rho)) ** 2,
         "a0_max_dev": float(np.max(np.abs(mt.a0[idx] - a0_target) / a0_target)),
@@ -278,7 +268,7 @@ def quasi_steady_seed(grid: AngularGrid, k, eps, phase=0.0) -> SupportFunction:
 def mode_trace_to_csv(mt: ModeTrace) -> str:
     header = ["tau", "A0"]
     columns = [mt.tau, mt.a0]
-    for m in range(1, mt.m_max + 1):
+    for m in range(1, mt.a.shape[1] + 1):
         header.extend((f"A{m}", f"B{m}"))
         columns.extend((mt.a[:, m - 1], mt.b[:, m - 1]))
     return csv_table(header + ["rho", "Q"], columns + [mt.rho, mt.q])

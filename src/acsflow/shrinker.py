@@ -71,13 +71,6 @@ _E_TAYLOR = np.array([1.0 / math.factorial(j + 2) for j in range(18)])
 
 
 @dataclass(frozen=True)
-class ArcSamples:
-    theta: np.ndarray
-    u: np.ndarray
-    u_theta: np.ndarray
-
-
-@dataclass(frozen=True)
 class ShrinkerSegment:
     alpha: float
     r: float
@@ -121,21 +114,22 @@ class ShrinkerSegment:
         return self._u(phi)
 
     @cached_property
-    def samples(self) -> ArcSamples:
-        """The quadrature nodes and both ends, with U_theta = -U d sin(phi) / (dtheta/dphi)."""
+    def samples(self):
+        """(theta, U, U_theta) at the quadrature nodes and both ends, with
+        U_theta = -U d sin(phi) / (dtheta/dphi)."""
         phi = _midpoints(len(self.rate_coefficients))[0]
         theta, rate = self._theta(phi)
         u = self._u(phi)
         u_theta = -0.5 * math.log(self.u_max / self.u_min) * u * np.sin(phi) / rate
-        return ArcSamples(np.concatenate(([0.0], theta, [self.theta_span])),
-                          np.concatenate(([self.u_max], u, [self.u_min])),
-                          np.concatenate(([0.0], u_theta, [0.0])))
+        return (np.concatenate(([0.0], theta, [self.theta_span])),
+                np.concatenate(([self.u_max], u, [self.u_min])),
+                np.concatenate(([0.0], u_theta, [0.0])))
 
     @cached_property
     def fint_drift(self) -> float:
         """Largest relative departure of the samples from U'^2 + V(U) = C."""
-        s = self.samples
-        fint = first_integral_value(self.alpha, s.u, s.u_theta)
+        _, u, u_theta = self.samples
+        fint = first_integral_value(self.alpha, u, u_theta)
         return float(np.max(np.abs(fint - self.first_integral)) / abs(self.first_integral))
 
 
@@ -348,7 +342,7 @@ def _check_fold(alpha, k):
     if not alpha < 1.0 / 3.0:
         raise OutOfRange(f"k-fold profiles require alpha < 1/3, got {alpha}")
     check_fold(k)
-    if not k < math.sqrt(1.0 + 1.0 / alpha) - ADMISSIBILITY_GUARD:
+    if k > max_fold_symmetry(alpha):
         raise OutOfRange(
             f"k = {k} is not admissible at alpha = {alpha}: "
             f"requires k < sqrt(1 + 1/alpha) = {math.sqrt(1.0 + 1.0 / alpha):.6f}")
@@ -397,10 +391,13 @@ def entropy_ordering(alpha):
 def assemble_profile(alpha, k, grid_n=None) -> ShrinkerProfile:
     """Closed profile support function on a uniform grid.
 
-    For integer k the grid size must be a multiple of 2k so the reflection
-    seams fall on grid nodes. The arc Theta = pi/k is found by shooting; the
-    grid nodes of its span come from its cosine series (ShrinkerSegment.u_at),
-    and the profile carries that arc's segment.
+    For integer k the grid size grid_n (default 512) is rounded down to a
+    multiple of 2k, but to at least 16k. The reflection seams then fall on
+    grid nodes, so the profile is exactly even about node 0 and
+    spectral.decompose splits each Bloch class by mirror parity. The arc
+    Theta = pi/k is found by shooting; the grid nodes of its span come from
+    its cosine series (ShrinkerSegment.u_at), and the profile carries that
+    arc's segment.
     """
     if k == "circle":
         check_alpha(alpha)
@@ -410,9 +407,7 @@ def assemble_profile(alpha, k, grid_n=None) -> ShrinkerProfile:
                                entropy=0.0, residual=0.0, segment=None)
 
     _check_fold(alpha, k)
-    n = grid_n or 512
-    if n % (2 * k) != 0:
-        raise ValueError(f"grid_n must be a multiple of 2k = {2 * k}, got {n}")
+    n = 2 * k * max(8, (grid_n or 512) // (2 * k))
     seg = _segment_for_k(alpha, k)
     m = n // (2 * k)
     arc = seg.u_at(np.arange(m + 1) * (2.0 * np.pi / n))
@@ -437,8 +432,7 @@ def assemble_profile(alpha, k, grid_n=None) -> ShrinkerProfile:
 # -- export helpers -----------------------------------------------------------
 
 def segment_to_csv(segment: ShrinkerSegment) -> str:
-    s = segment.samples
-    return csv_table(("theta", "U", "U_theta"), (s.theta, s.u, s.u_theta))
+    return csv_table(("theta", "U", "U_theta"), segment.samples)
 
 
 def profile_to_json_dict(profile: ShrinkerProfile) -> dict:

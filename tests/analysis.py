@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from acsflow.entropy import BOUNDARY_GUARD, _check_alpha, _translated, _value
+from acsflow.entropy import BOUNDARY_GUARD, _check_alpha, _value
 from acsflow.errors import AcsflowError, OutOfRange
 from acsflow.flow import FlowConfig, FlowStats, FlowTrace, flow_advance, rhs, run
-from acsflow.geometry import (AngularGrid, SupportFunction, _basis, area,
-                              radius_of_curvature, require_convex)
+from acsflow.geometry import (AngularGrid, SupportFunction, _basis, _translated,
+                              area, radius_of_curvature, require_convex)
 from acsflow.spectral import ZERO_TOL, SpectralDecomposition, decompose
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -58,6 +59,14 @@ def test_config_validation(grid256):
         run(FlowConfig(alpha=1.5, mode="unnormalized", initial=good, t_end=1.0))
     with pytest.raises(BadConfig):
         run(FlowConfig(alpha=0.5, mode="unnormalized", initial=good, t_end=-1.0))
+    with pytest.raises(BadConfig, match="sample_every must be >= 1"):
+        run(FlowConfig(alpha=0.5, mode="unnormalized", initial=good, t_end=1.0,
+                       sample_every=0))
+    with pytest.raises(BadConfig, match="max_steps must be >= 1"):
+        run(FlowConfig(alpha=0.5, mode="unnormalized", initial=good, t_end=1.0,
+                       max_steps=0))
+    with pytest.raises(BadConfig, match="unknown mode 'bogus'"):
+        rhs(good, 0.5, "bogus")
     # a negative rtol makes every error estimate pass, a NaN one none
     for rtol in (-1e-12, math.nan, math.inf):
         with pytest.raises(BadConfig):
@@ -412,7 +421,7 @@ def test_entropy_evals_sum_over_samples(grid256):
     expected = sum(entropy(SupportFunction(grid256, row), 0.5).evaluations
                    for row in tr.snapshots)
     assert len(tr) == 3 and tr.stats.entropy_evals == expected > 0
-    assert list(tr.stats.to_json_dict())[-1] == "entropy_evals"
+    assert list(dataclasses.asdict(tr.stats))[-1] == "entropy_evals"
     assert run(FlowConfig(**cfg)).stats.entropy_evals == 0
 
 
@@ -742,6 +751,13 @@ def test_a_march_from_its_limit_or_past_it_records_nothing():
                                  1e-3, stats, record=lambda *row: rows.append(row)) == (
             "reached_end", t0, 1e-3)
     assert rows == [] and stats.rhs_evals == 0 and np.array_equal(u, start)
+    # 1e-15 short of it the landing step underflows: the march lands on the
+    # limit without a step, having formed k1 alone
+    assert flow.flow_advance(u, 0.5 - 1e-15, 1e-3, 0.5, 0.5, "unnormalized", 1e-8, 1e-11,
+                             1e-3, stats, record=lambda *row: rows.append(row)) == (
+        "reached_end", 0.5, 1e-3)
+    assert rows == [] and stats.rhs_evals == 1 and stats.accepted == 0
+    assert np.array_equal(u, start)
 
 
 def test_a_tolerance_that_cannot_be_met_underflows_the_step():

@@ -66,6 +66,8 @@ def test_track_modes_guards():
         track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 4)
     with pytest.raises(BadConfig, match="5 rows of support values for 6 sample times"):
         track_modes(tr.times, tr.snapshots[:-1], tr.alpha, tr.mode, 3)
+    with pytest.raises(BadConfig, match="trace too short to track modes"):
+        track_modes(tr.times[:4], tr.snapshots[:4], tr.alpha, tr.mode, 3)
     with pytest.raises(BadConfig):
         # must reach the 2k-th mode
         track_modes(tr.times, tr.snapshots, tr.alpha, tr.mode, 3, m_max=4)

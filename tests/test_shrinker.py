@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -27,12 +28,12 @@ def test_preconditions():
 
 def test_segment_invariants():
     seg = solve_segment(1 / 8, 1.5)
-    s = seg.samples
-    assert s.u_theta[0] == 0.0
-    assert abs(s.u_theta[-1]) < 1e-12
-    assert np.all(s.u_theta[1:-1] < 0.0)
+    _, u, u_theta = seg.samples
+    assert u_theta[0] == 0.0
+    assert abs(u_theta[-1]) < 1e-12
+    assert np.all(u_theta[1:-1] < 0.0)
     assert seg.fint_drift < 1e-9
-    c = first_integral_value(seg.alpha, s.u, s.u_theta)
+    c = first_integral_value(seg.alpha, u, u_theta)
     assert np.max(np.abs(c - seg.first_integral)) / seg.first_integral < 1e-9
 
 
@@ -146,6 +147,17 @@ def test_shooting_stops_at_the_noise_floor_and_raises_short_of_it():
     with pytest.raises(StepUnderflow):
         shrinker._shoot(alpha, 1.1, target, jump, "a jump over pi/3")
 
+    # noise of 1e-12 target on every arc: once the best arc meets SHOOT_RTOL,
+    # a Newton iterate that does not improve on it ends the search
+    signs = itertools.cycle((1.0, -1.0))
+
+    def noisy(seg):
+        return seg.theta_span + next(signs) * 1e-12 * target, seg.dspan_du
+
+    seg = shrinker._shoot(0.1, 1.1, target, noisy, "a noisy pi/3")
+    assert seg.arc_solves <= 8
+    assert abs(seg.theta_span - target) <= shrinker.SHOOT_RTOL * target
+
 
 def test_span_monotone_in_r_and_alpha():
     rs = [1.2, 1.5, 2.0, 3.0]
@@ -165,6 +177,15 @@ def test_find_r_for_k_admissibility():
         shrinker._segment_for_k(1 / 24, 2)
     with pytest.raises(OutOfRange):
         shrinker._segment_for_k(0.35, 3)
+    # at alpha = 1/(k^2 - 1) the k-fold family meets the circle: k is not
+    # admitted there, and is just below it
+    for k in range(3, 9):
+        alpha = 1.0 / (k * k - 1)
+        assert shrinker.max_fold_symmetry(alpha) == k - 1
+        with pytest.raises(OutOfRange, match=f"k = {k} is not admissible"):
+            shrinker._check_fold(alpha, k)
+        assert shrinker.max_fold_symmetry(alpha * (1 - 1e-6)) == k
+        shrinker._check_fold(alpha * (1 - 1e-6), k)
 
 
 def test_find_r_for_k_values():
@@ -244,8 +265,10 @@ def test_assemble_profile_threefold():
 
 
 def test_assemble_profile_grid_validation():
-    with pytest.raises(ValueError):
-        assemble_profile(1 / 24, 3, 512)  # not a multiple of 2k
+    # the grid is rounded down to a multiple of 2k, but to at least 16k (at
+    # alpha 0.124 the 3-fold profile is round enough for 48 nodes)
+    assert assemble_profile(1 / 24, 3, 512).h.grid.n == 510
+    assert assemble_profile(0.124, 3, 16).h.grid.n == 48
 
 
 def test_shrinker_entropy_ordering_1_24():
@@ -297,4 +320,5 @@ def test_segment_csv_export():
     text = shrinker.segment_to_csv(seg)
     lines = text.strip().splitlines()
     assert lines[0] == "theta,U,U_theta"
-    assert len(lines) == len(seg.samples.theta) + 1
+    theta, _, _ = seg.samples
+    assert len(lines) == len(theta) + 1
